@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from . import spin
+from .branches import register_bits
 from .linalg import PAULI_X, identity, phase_distance
 from .qudit_model import (
     AncillaProjectedGate,
@@ -110,22 +111,18 @@ def cmd_demo(args) -> int:
     elif args.sequence == "fan-one":
         xs = [1 + (k % d) for k in range(args.n)]
         seq = fan_one_target(xs, args.p, d)
-        oracle = identity(2 ** (args.n + 1))
-        for k, xk in enumerate(xs):
-            theta = 2 * math.pi * xk * args.p / d
-            oracle = oracle @ _controlled_rotation(args.n + 1, k, args.n, theta)
+        bits = register_bits(args.n + 1)
+        oracle = np.diag(np.exp(
+            2j * math.pi / d * (bits[:, :-1] @ xs) * args.p * bits[:, -1]))
         naive, gates = 4 * args.n, args.n
         described = f"prod_k C^k_t R(2 pi x_k p / {d}), xs={xs}, p={args.p}"
     elif args.sequence == "fan-bipartite":
         xs = [1 + (k % d) for k in range(args.n)]
         ps = [1 + (j % d) for j in range(args.m)]
         seq = fan_bipartite(xs, ps, d)
-        oracle = identity(2 ** (args.n + args.m))
-        for k, xk in enumerate(xs):
-            for j, pj in enumerate(ps):
-                theta = 2 * math.pi * xk * pj / d
-                oracle = oracle @ _controlled_rotation(
-                    args.n + args.m, k, args.n + j, theta)
+        bits = register_bits(args.n + args.m)
+        oracle = np.diag(np.exp(
+            2j * math.pi / d * (bits[:, :args.n] @ xs) * (bits[:, args.n:] @ ps)))
         naive, gates = 4 * args.n * args.m, args.n * args.m
         described = f"all n*m controlled rotations, xs={xs}, ps={ps}"
     elif args.sequence == "toffoli":
@@ -139,12 +136,9 @@ def cmd_demo(args) -> int:
         described = f"{args.n}-controlled X via ancilla level counting"
     elif args.sequence == "modd":
         seq = mod_d_phase_gate(args.theta, args.n, d)
-        phases = []
-        nq = args.n + 1
-        for r in range(2 ** nq):
-            bits = [(r >> (nq - 1 - j)) & 1 for j in range(nq)]
-            phases.append(np.exp(1j * args.theta * (sum(bits[:-1]) % d) * bits[-1]))
-        oracle = np.diag(phases)
+        bits = register_bits(args.n + 1)
+        oracle = np.diag(np.exp(
+            1j * args.theta * (bits[:, :-1].sum(axis=1) % d) * bits[:, -1]))
         naive, gates = 4 * args.n, args.n
         described = (f"phase exp(i theta ((sum q) mod {d}) q_t), "
                      f"theta={args.theta:g}")
@@ -161,16 +155,6 @@ def cmd_demo(args) -> int:
     print(f"verified against dense oracle: phase distance {distance:.3e}, "
           f"ancilla return fidelity {report.ancilla_return_fidelity:.15f}")
     return 0 if distance < 1e-10 else 1
-
-
-def _controlled_rotation(n_qubits: int, control: int, target: int,
-                         theta: float) -> np.ndarray:
-    phases = []
-    for r in range(2 ** n_qubits):
-        bc = (r >> (n_qubits - 1 - control)) & 1
-        bt = (r >> (n_qubits - 1 - target)) & 1
-        phases.append(np.exp(1j * theta * bc * bt))
-    return np.diag(phases)
 
 
 def cmd_contraction(args) -> int:

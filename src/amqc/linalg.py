@@ -93,40 +93,12 @@ def controlled(u0: np.ndarray, u1: np.ndarray) -> np.ndarray:
     return embed_controlled(0, 1, u0.shape[0], u0, np.asarray(u1, dtype=complex))
 
 
-def _scan_phase_distance(u: np.ndarray, v: np.ndarray) -> float:
-    # 360-point scan over the alignment phase, polished by golden-section.
-    # Needed when tr(v^dag u) = 0, where the trace gives no alignment angle.
-    def objective(phi: float) -> float:
-        return float(np.linalg.norm(u - np.exp(1j * phi) * v))
-
-    phis = np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False)
-    vals = np.array([objective(p) for p in phis])
-    k = int(np.argmin(vals))
-    step = phis[1] - phis[0]
-    lo, hi = phis[k] - step, phis[k] + step
-    gr = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - gr * (b - a)
-    d = a + gr * (b - a)
-    fc, fd = objective(c), objective(d)
-    for _ in range(80):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = objective(d)
-    return min(fc, fd)
-
-
 def phase_distance(u: np.ndarray, v: np.ndarray) -> float:
     """Global-phase-insensitive distance min over phi of ||u - e^{i*phi} v||_F.
 
-    The analytic minimiser is phi = arg tr(v^dag u) whenever that trace is
-    nonzero; if the trace vanishes (e.g. identity vs Pauli Z) the objective is
-    flat in phi and a scan/golden-section fallback is used instead.  Returns 0
+    With t = tr(v^dag u) the objective is ||u||^2 + ||v||^2 - 2 Re(e^{-i phi} t),
+    minimised at phi = arg t.  If t vanishes (e.g. identity vs Pauli Z) the
+    objective is flat in phi and equals sqrt(||u||^2 + ||v||^2).  Returns 0
     iff u and v agree up to a global phase.
     """
     u = np.asarray(u, dtype=complex)
@@ -134,9 +106,9 @@ def phase_distance(u: np.ndarray, v: np.ndarray) -> float:
     if u.shape != v.shape or u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"phase_distance needs equal square matrices, "
                          f"got {u.shape} and {v.shape}")
-    t = np.trace(v.conj().T @ u)
+    t = np.vdot(v, u)
     if abs(t) <= 1e-12 * u.shape[0]:
-        return _scan_phase_distance(u, v)
+        return float(np.hypot(np.linalg.norm(u), np.linalg.norm(v)))
     return float(np.linalg.norm(u - (t / abs(t)) * v))
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import branches
 from .report import DISENTANGLE_TOL, GateReport
 
 
@@ -86,17 +87,9 @@ class FieldBranchState:
         return math.sqrt(sum(abs(a) ** 2 for _, a in self.branches.values()))
 
     def residual_entanglement(self) -> float:
-        dim = 2 ** self.n_qubits
-        rho = np.zeros((dim, dim), dtype=complex)
-        for r1, (l1, a1) in self.branches.items():
-            for r2, (l2, a2) in self.branches.items():
-                # Overlap phase consistent with compose_field: the geometric
-                # cross term (x1 p2 - p1 x2)/2 on top of the Gaussian falloff.
-                cross = 0.5 * (l2.x * l1.p - l2.p * l1.x)
-                rho[r1, r2] = a1 * a2.conjugate() * field_overlap(l2, l1) * \
-                    cmath.exp(1j * cross)
-        evals = np.linalg.eigvalsh(rho)
-        return float(1.0 - evals[-1])
+        z = np.array([complex(lab.x, lab.p) for lab, _ in self.branches.values()])
+        amps = np.array([a for _, a in self.branches.values()], dtype=complex)
+        return branches.grouped_residual(z, np.abs(amps) ** 2, z, branches.flat_overlap)
 
 
 def apply_controlled_field(state: FieldBranchState, qubit: int, x: float,
@@ -104,73 +97,31 @@ def apply_controlled_field(state: FieldBranchState, qubit: int, x: float,
     """Symmetric controlled displacement: bit 0 gets +(x, p), bit 1 -(x, p)."""
     if not 0 <= qubit < state.n_qubits:
         raise ValueError(f"qubit {qubit} out of range")
-    step = FieldLabel(x, p)
-    new_branches = {}
-    for r, (label, amp) in state.branches.items():
-        bit = (r >> (state.n_qubits - 1 - qubit)) & 1
-        this = step if bit == 0 else -step
-        label_new, scalar = compose_field(label, this)
-        new_branches[r] = (label_new, amp * scalar)
-    return FieldBranchState(state.n_qubits, new_branches)
-
-
-def _run_branches(n_qubits: int, steps, initial_label: FieldLabel):
-    """Propagate every register basis branch through a step list.
-
-    Returns (labels, phases) keyed by register index; phases are complex
-    amplitudes of modulus 1.  Label bookkeeping is symbolic: each branch
-    counts signed integer multiples of the step magnitudes, so a sequence
-    whose displacements cancel returns the branch to ``initial_label``
-    exactly, with no float residue.  Floats only enter the (continuous)
-    geometric phases.
-    """
-    labels, phases = {}, {}
-    for r in range(2 ** n_qubits):
-        coeffs: dict[tuple[float, float], int] = {}
-        phase = 1.0 + 0.0j
-        for qubit, x, p in steps:
-            if x == 0.0 and p == 0.0:
-                continue
-            bit = (r >> (n_qubits - 1 - qubit)) & 1
-            sign = 1 if bit == 0 else -1
-            acc_x = initial_label.x + sum(c * kx for (kx, _), c in coeffs.items())
-            acc_p = initial_label.p + sum(c * kp for (_, kp), c in coeffs.items())
-            phase *= cmath.exp(0.5j * (acc_x * sign * p - acc_p * sign * x))
-            # Canonical axis so a step and its negation share one bucket.
-            sx, sp = sign * x, sign * p
-            if (sx, sp) < (0.0, 0.0):
-                axis, orient = (-sx, -sp), -1
-            else:
-                axis, orient = (sx, sp), 1
-            coeffs[axis] = coeffs.get(axis, 0) + orient
-        net_x = sum(c * kx for (kx, _), c in coeffs.items())
-        net_p = sum(c * kp for (_, kp), c in coeffs.items())
-        if all(c == 0 for c in coeffs.values()):
-            labels[r] = initial_label
-        else:
-            labels[r] = FieldLabel(initial_label.x + net_x,
-                                   initial_label.p + net_p)
-        phases[r] = phase
-    return labels, phases
+    rs = list(state.branches)
+    z = np.array([complex(lab.x, lab.p) for lab, _ in state.branches.values()])
+    amps = np.array([a for _, a in state.branches.values()], dtype=complex)
+    s = 1.0 - 2.0 * branches.register_bits(state.n_qubits)[rs, qubit]
+    z, angle = branches.flat_step(z, s * complex(x, p))
+    amps = amps * np.exp(1j * angle)
+    return FieldBranchState(state.n_qubits, {
+        r: (FieldLabel(zr.real, zr.imag), a)
+        for r, zr, a in zip(rs, z.tolist(), amps.tolist())})
 
 
 def _report_from_branches(n_qubits: int, steps,
                           initial_label: FieldLabel) -> GateReport:
-    labels, phases = _run_branches(n_qubits, steps, initial_label)
-    dim = 2 ** n_qubits
-    returned = all(labels[r] == initial_label for r in range(dim))
-    worst_fid = min(field_overlap(initial_label, labels[r]) ** 2
-                    for r in range(dim))
-    amp = dim ** -0.5
-    uniform = FieldBranchState(n_qubits, {
-        r: (labels[r], amp * phases[r]) for r in range(dim)})
-    residual = uniform.residual_entanglement()
-    unitary = None
-    if returned and residual < DISENTANGLE_TOL:
-        unitary = np.diag([phases[r] for r in range(dim)])
+    """Gate report of every register basis branch run through a step list of
+    symmetric controlled displacements (qubit, x, p)."""
+    z0 = complex(initial_label.x, initial_label.p)
+    counts, axes, angle = branches.flat_propagate(n_qubits, steps, z0)
+    net = counts @ axes
+    z = z0 + net
+    residual = branches.grouped_residual(
+        counts, np.full(2 ** n_qubits, 2.0 ** -n_qubits), z, branches.flat_overlap)
+    closed = not net.any() and residual < DISENTANGLE_TOL
     return GateReport(
-        register_unitary=unitary,
-        ancilla_return_fidelity=worst_fid,
+        register_unitary=np.diag(np.exp(1j * angle)) if closed else None,
+        ancilla_return_fidelity=float(np.exp(-0.5 * np.abs(net) ** 2).min()),
         residual_entanglement=residual,
         interaction_count=len(steps),
     )
@@ -211,14 +162,8 @@ def field_fan(xs, ps, initial_label: FieldLabel = ORIGIN) -> GateReport:
 
 def fan_target_unitary(xs, ps) -> np.ndarray:
     """Dense oracle prod_j prod_k exp(i x_k p_j Z_k (x) Z_j), built directly
-    from branch parities."""
-    xs, ps = [float(v) for v in xs], [float(v) for v in ps]
-    n, m = len(xs), len(ps)
-    nq = n + m
-    phases = []
-    for r in range(2 ** nq):
-        signs = [1.0 - 2.0 * ((r >> (nq - 1 - q)) & 1) for q in range(nq)]
-        total = sum(xk * pj * signs[k] * signs[n + j]
-                    for k, xk in enumerate(xs) for j, pj in enumerate(ps))
-        phases.append(cmath.exp(1j * total))
-    return np.diag(phases)
+    from branch parities: the phase of branch r is X(r) P(r) with the
+    sign-weighted sums X(r) = sum_k (-1)^{r_k} x_k, P(r) = sum_j (-1)^{r_j} p_j."""
+    xs, ps = np.asarray(xs, dtype=float), np.asarray(ps, dtype=float)
+    signs = 1.0 - 2.0 * branches.register_bits(len(xs) + len(ps))
+    return np.diag(np.exp(1j * (signs[:, :len(xs)] @ xs) * (signs[:, len(xs):] @ ps)))

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .branches import register_bits, torus_ancilla
 from .linalg import largest_schmidt_weight
 from .qudit import HALF_ROOT, LatticeLabel, displacement, rotation
 from .report import DISENTANGLE_TOL, GateReport
@@ -123,10 +124,11 @@ class HybridState:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def _register_bits(n_qubits: int, qubit: int) -> np.ndarray:
-    # Boolean mask over register indices where ``qubit`` is 1 (qubit 0 = MSB).
-    r = np.arange(2 ** n_qubits)
-    return (r >> (n_qubits - 1 - qubit)) & 1 == 1
+def _check_interaction(element: Interaction, n_qubits: int, d: int) -> None:
+    if element.label.d != d:
+        raise ValueError("interaction label dimension does not match state")
+    if not 0 <= element.qubit < n_qubits:
+        raise ValueError("interaction qubit out of range")
 
 
 def apply_element(state: HybridState, element, convention: str = HALF_ROOT) -> HybridState:
@@ -135,11 +137,8 @@ def apply_element(state: HybridState, element, convention: str = HALF_ROOT) -> H
     n, d = state.n_qubits, state.d
 
     if isinstance(element, Interaction):
-        if element.label.d != d:
-            raise ValueError("interaction label dimension does not match state")
-        if not 0 <= element.qubit < n:
-            raise ValueError("interaction qubit out of range")
-        mask = _register_bits(n, element.qubit)
+        _check_interaction(element, n, d)
+        mask = register_bits(n)[:, element.qubit] == 1
         dm = displacement(d, element.label.x, element.label.p, convention)
         if element.polarity == APPLY_ON_ONE:
             amps[mask] = amps[mask] @ dm.T
@@ -153,7 +152,7 @@ def apply_element(state: HybridState, element, convention: str = HALF_ROOT) -> H
             2 ** element.target, 2, 2 ** (n - 1 - element.target))
         amps[:, element.level] = np.einsum("ab,ibj->iaj", u, col).reshape(-1)
     elif isinstance(element, ControlledAncillaRotation):
-        mask = _register_bits(n, element.control)
+        mask = register_bits(n)[:, element.control] == 1
         amps[mask] = amps[mask] * np.exp(1j * element.theta * np.arange(d))
     elif isinstance(element, LocalAncillaRotation):
         amps = amps * np.exp(1j * element.theta * np.arange(d))
@@ -187,6 +186,10 @@ def extract_register_gate(seq: InteractionSequence, anc_init: np.ndarray | None 
     assembled column by column; otherwise the worst-case ancilla return
     fidelity and residual entanglement are reported and the unitary is left
     unset.  Non-disentangling sequences are reported, never rejected.
+
+    A sequence of interactions only runs on the branch engine
+    (:func:`amqc.branches.torus_ancilla`); any other element is not a
+    displacement, so such a sequence runs on the dense :class:`HybridState`.
     """
     n, d = seq.n_qubits, seq.d
     if anc_init is None:
@@ -197,6 +200,23 @@ def extract_register_gate(seq: InteractionSequence, anc_init: np.ndarray | None 
         raise ValueError("ancilla initial state has wrong dimension")
 
     dim_reg = 2 ** n
+    if all(isinstance(e, Interaction) for e in seq.elements):
+        for element in seq.elements:
+            _check_interaction(element, n, d)
+        final = torus_ancilla(
+            n, d, [(e.qubit, e.label.x, e.label.p, e.polarity == SYMMETRIC)
+                   for e in seq.elements], anc_init, convention)
+        returned = final @ np.conj(anc_init)
+        # Every row has the norm of anc_init, so the uniform input's Schmidt
+        # weight is the smallest and its fidelity the mean of the basis ones.
+        residual = max(0.0, 1.0 - largest_schmidt_weight(final / np.sqrt(dim_reg)))
+        return GateReport(
+            register_unitary=np.diag(returned) if residual < DISENTANGLE_TOL else None,
+            ancilla_return_fidelity=min(1.0, float(np.min(np.abs(returned) ** 2))),
+            residual_entanglement=residual,
+            interaction_count=len(seq.elements),
+        )
+
     unitary = np.zeros((dim_reg, dim_reg), dtype=complex)
     worst_fidelity = 1.0
     worst_residual = 0.0

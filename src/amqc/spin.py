@@ -35,6 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import branches
+from .branches import SingularCompositionError
 from .linalg import controlled, kron, phase_distance
 from .report import DISENTANGLE_TOL, GateReport
 
@@ -42,20 +44,8 @@ from .report import DISENTANGLE_TOL, GateReport
 ETA_MAX = math.sqrt(2.0) - 1.0
 
 
-class SingularCompositionError(ValueError):
-    """Composition drove a coherent-state label to the south pole."""
-
-
 class LoopUnclosableError(ValueError):
     """|eta| exceeds sqrt(2)-1, so no real closing leg exists."""
-
-
-def _log1p_complex(z: complex) -> complex:
-    # Accurate log(1+z) for small complex z; numpy's log1p is real-only.
-    z = complex(z)
-    re = 0.5 * math.log1p(2.0 * z.real + abs(z) ** 2)
-    im = math.atan2(z.imag, 1.0 + z.real)
-    return complex(re, im)
 
 
 def su2_displacement(zeta: complex) -> np.ndarray:
@@ -82,31 +72,19 @@ def compose_on_origin(z1: complex, z2: complex, n_spins: int) -> tuple[complex, 
     composes displacement chains started anywhere.  The phase is evaluated as
     exp(i*N*arg(...)) so its modulus stays exactly 1 for any N.
     """
-    z1, z2 = complex(z1), complex(z2)
-    den = 1.0 - z1 * z2.conjugate()
-    if abs(den) < 1e-12:
-        raise SingularCompositionError(
-            f"antipodal composition: 1 - z1*conj(z2) = {den!r}")
-    zeta_out = (z1 + z2) / den
-    phase = cmath.exp(1j * n_spins * cmath.phase(den))
-    return zeta_out, phase
+    zeta_out, angle = branches.sphere_step(np.complex128(z1), np.complex128(z2),
+                                           n_spins)
+    return complex(zeta_out), cmath.exp(1j * angle)
 
 
 def coherent_overlap(z1: complex, z2: complex, n_spins: int) -> complex:
-    """<z1|z2> for two coherent labels, evaluated in the log domain.
-
-    Equals ((1 + conj(z1)*z2) / sqrt((1+|z1|^2)(1+|z2|^2)))^N; the log-domain
-    form stays accurate for N up to 1e10 and underflows gracefully to 0.
-    """
-    z1, z2 = complex(z1), complex(z2)
-    log_num = _log1p_complex(z1.conjugate() * z2)
-    log_den = 0.5 * (math.log1p(abs(z1) ** 2) + math.log1p(abs(z2) ** 2))
-    return cmath.exp(n_spins * (log_num - log_den))
+    """<z1|z2> for two coherent labels; see :func:`amqc.branches.sphere_overlap`."""
+    return complex(branches.sphere_overlap(complex(z1), complex(z2), n_spins))
 
 
-def vacuum_return_infidelity(zeta_final: complex, n_spins: int) -> float:
-    """1 - |<0|zeta_final>|^2 = 1 - (1+|zeta|^2)^(-N), log-domain."""
-    return float(-math.expm1(-n_spins * math.log1p(abs(complex(zeta_final)) ** 2)))
+def vacuum_return_infidelity(zeta_final, n_spins: int):
+    """1 - |<0|zeta_final>|^2 = 1 - (1+|zeta|^2)^(-N), log-domain, elementwise."""
+    return -np.expm1(-n_spins * np.log1p(np.abs(zeta_final) ** 2))
 
 
 @dataclass(frozen=True)
@@ -128,7 +106,8 @@ class LoopSolution:
 def loop_close(eta: float) -> LoopSolution:
     """Solve the curved-rectangle closure for legs (eta, i*tau, -tau, -i*eta).
 
-    tau(eta) = (1 - eta^2 - sqrt(eta^4 - 6 eta^2 + 1)) / (2 eta); the
+    tau(eta) = (1 - eta^2 - sqrt(eta^4 - 6 eta^2 + 1)) / (2 eta), evaluated as
+    2 eta / (1 - eta^2 + sqrt(...)) to avoid cancellation at small eta; the
     discriminant is nonnegative only for |eta| <= sqrt(2) - 1, beyond which a
     :class:`LoopUnclosableError` is raised.  eta = 0 returns the flat limit
     (tau = 0, phi_t = 0).  Recomposing the four legs with
@@ -142,7 +121,7 @@ def loop_close(eta: float) -> LoopSolution:
             f"|eta| = {abs(eta):.6f} exceeds sqrt(2)-1 = {ETA_MAX:.6f}")
     disc = eta ** 4 - 6.0 * eta ** 2 + 1.0
     disc = max(disc, 0.0)
-    tau = (1.0 - eta ** 2 - math.sqrt(disc)) / (2.0 * eta)
+    tau = 2.0 * eta / (1.0 - eta ** 2 + math.sqrt(disc))
     num = 2.0 * eta * tau + tau ** 2 - eta ** 2
     den = 1.0 + 2.0 * eta * tau - eta ** 2 * tau ** 2
     return LoopSolution(eta, tau, math.atan2(num, den))
@@ -180,57 +159,38 @@ class SpinBranchState:
     def gram_weighted_norm(self) -> float:
         """Norm via the coherent-label Gram matrix restricted to matching
         register bitstrings (cross terms vanish by register orthogonality)."""
-        total = 0.0
-        for r1, (z1, a1) in self.branches.items():
-            for r2, (z2, a2) in self.branches.items():
-                if r1 != r2:
-                    continue
-                total += (a1.conjugate() * a2 *
-                          coherent_overlap(z1, z2, self.n_spins)).real
-        return math.sqrt(total)
-
-    def reduced_register_density(self) -> np.ndarray:
-        """Register density matrix after tracing out the ensemble."""
-        dim = 2 ** self.n_qubits
-        rho = np.zeros((dim, dim), dtype=complex)
-        for r1, (z1, a1) in self.branches.items():
-            for r2, (z2, a2) in self.branches.items():
-                rho[r1, r2] = a1 * a2.conjugate() * \
-                    coherent_overlap(z2, z1, self.n_spins)
-        return rho
+        return math.sqrt(sum((abs(a) ** 2 * coherent_overlap(z, z, self.n_spins)).real
+                             for z, a in self.branches.values()))
 
     def residual_entanglement(self) -> float:
-        evals = np.linalg.eigvalsh(self.reduced_register_density())
-        return float(1.0 - evals[-1])
+        z = np.array([z for z, _ in self.branches.values()], dtype=complex)
+        amps = np.array([a for _, a in self.branches.values()], dtype=complex)
+        return branches.grouped_residual(
+            z, np.abs(amps) ** 2, z,
+            lambda z1, z2: branches.sphere_overlap(z1, z2, self.n_spins))
 
 
 def apply_controlled_spin(state: SpinBranchState, qubit: int,
                           zeta: complex) -> SpinBranchState:
     """Controlled displacement: bit 0 branches get D(+zeta), bit 1 D(-zeta).
 
-    Each branch is updated through the per-spin 2x2 action on its product
-    state, re-extracting the new label from the amplitude ratio and the
-    per-spin phase from the |1> component (raised to the N-th power via its
-    angle, so the modulus cannot drift).
+    Labels and phases follow :func:`amqc.branches.sphere_step`; a branch whose
+    per-spin |1> component (1 - z conj(step)) / sqrt((1+|z|^2)(1+|step|^2))
+    falls below 1e-12 raises :class:`SingularCompositionError`.
     """
     if not 0 <= qubit < state.n_qubits:
         raise ValueError(f"qubit {qubit} out of range")
-    zeta = complex(zeta)
-    new_branches = {}
-    for r, (z_acc, amp) in state.branches.items():
-        bit = (r >> (state.n_qubits - 1 - qubit)) & 1
-        step = zeta if bit == 0 else -zeta
-        m = su2_displacement(step)
-        vec = m @ (np.array([z_acc, 1.0], dtype=complex)
-                   / math.sqrt(1.0 + abs(z_acc) ** 2))
-        if abs(vec[1]) < 1e-12:
-            raise SingularCompositionError(
-                f"branch {r:0{state.n_qubits}b} driven to the south pole")
-        z_new = vec[0] / vec[1]
-        per_spin_angle = cmath.phase(complex(vec[1]))
-        new_branches[r] = (z_new,
-                           amp * cmath.exp(1j * state.n_spins * per_spin_angle))
-    return SpinBranchState(state.n_qubits, state.n_spins, new_branches)
+    rs = list(state.branches)
+    z = np.array([z for z, _ in state.branches.values()], dtype=complex)
+    amps = np.array([a for _, a in state.branches.values()], dtype=complex)
+    bit = branches.register_bits(state.n_qubits)[rs, qubit]
+    leg = np.where(bit == 0, complex(zeta), -complex(zeta))
+    floor = branches.SINGULAR_TOL * np.sqrt((1.0 + np.abs(z) ** 2) *
+                                            (1.0 + np.abs(leg) ** 2))
+    z, angle = branches.sphere_step(z, leg, state.n_spins, floor)
+    amps = amps * np.exp(1j * angle)
+    return SpinBranchState(state.n_qubits, state.n_spins,
+                           dict(zip(rs, zip(z.tolist(), amps.tolist()))))
 
 
 def spin_two_qubit_gate(eta: float, n_spins: int) -> GateReport:
@@ -243,27 +203,16 @@ def spin_two_qubit_gate(eta: float, n_spins: int) -> GateReport:
     sol = loop_close(eta)
     steps = [(0, complex(sol.eta)), (1, 1j * sol.tau),
              (0, complex(-sol.tau)), (1, -1j * sol.eta)]
-
-    def run(register: np.ndarray) -> SpinBranchState:
-        state = SpinBranchState.from_register(register, n_spins)
-        for qubit, z in steps:
-            state = apply_controlled_spin(state, qubit, z)
-        return state
-
-    unitary = np.zeros((4, 4), dtype=complex)
-    worst_fid = 1.0
-    for r in range(4):
-        reg = np.zeros(4, dtype=complex)
-        reg[r] = 1.0
-        out = run(reg)
-        z_f, amp = out.branches[r]
-        worst_fid = min(worst_fid, 1.0 - vacuum_return_infidelity(z_f, n_spins))
-        unitary[r, r] = amp
-
-    residual = run(np.full(4, 0.5, dtype=complex)).residual_entanglement()
+    state = SpinBranchState.from_register(np.full(4, 0.5, dtype=complex), n_spins)
+    for qubit, z in steps:
+        state = apply_controlled_spin(state, qubit, z)
+    z_f, amps = zip(*state.branches.values())
+    residual = state.residual_entanglement()
+    # The uniform input carries every basis branch with amplitude 1/2.
     return GateReport(
-        register_unitary=unitary if residual < DISENTANGLE_TOL else None,
-        ancilla_return_fidelity=worst_fid,
+        register_unitary=2.0 * np.diag(amps) if residual < DISENTANGLE_TOL else None,
+        ancilla_return_fidelity=1.0 - float(np.max(
+            vacuum_return_infidelity(np.array(z_f), n_spins))),
         residual_entanglement=residual,
         interaction_count=4,
     )
@@ -273,16 +222,12 @@ def eta_for_phase(target_phi: float, n_spins: int) -> float:
     """Bisection for the eta whose closed loop gives N * phi_t = target_phi.
 
     N * phi_t(eta) increases monotonically from 0 to N * pi/4 on
-    (0, sqrt(2)-1]; monotonicity is asserted on a scan rather than assumed.
+    (0, sqrt(2)-1]; the test suite checks that on a dense grid.
     """
     top = n_spins * loop_close(ETA_MAX).phi_t
     if not 0.0 < target_phi <= top:
         raise ValueError(f"target phase {target_phi} outside reachable "
                          f"(0, {top}]")
-    grid = np.linspace(1e-6, ETA_MAX, 64)
-    values = [loop_close(e).phi_t for e in grid]
-    if not all(b > a for a, b in zip(values, values[1:])):
-        raise RuntimeError("phi_t(eta) failed its monotonicity check")
     lo, hi = 0.0, ETA_MAX
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -302,7 +247,7 @@ class ErrorPoint:
     For total displacement budget zeta_n split over the fan, each leg of the
     extremal branch is zeta_N = zeta_n / sqrt(2N):
 
-    * ``phi_f``:       exact accumulated phase N*atan(2 w / (1 + 2w - w^2)),
+    * ``phi_f``:       exact accumulated phase N*atan2(2 w, 1 + 2w - w^2),
                        w = zeta_N^2.
     * ``phi_E``:       fractional phase error (zeta_n^2 - phi_f) / zeta_n^2.
     * ``infidelity``:  1 - (1 + 8 w^3 / (1+w)^4)^(-N), log-domain.
@@ -326,7 +271,8 @@ def fan_error(zeta_n: float, n_spins: int) -> ErrorPoint:
     if n_spins < 1:
         raise ValueError("need at least one spin")
     w = zeta_n ** 2 / (2.0 * n_spins)
-    phi_f = n_spins * math.atan(2.0 * w / (1.0 + 2.0 * w - w * w))
+    # atan2, not atan: the per-spin angle passes pi/2 once w > 1 + sqrt(2).
+    phi_f = n_spins * math.atan2(2.0 * w, 1.0 + 2.0 * w - w * w)
     phi_e = (zeta_n ** 2 - phi_f) / zeta_n ** 2
     u = 8.0 * w ** 3 / (1.0 + w) ** 4
     infidelity = float(-math.expm1(-n_spins * math.log1p(u)))
@@ -352,7 +298,8 @@ def phi_series_defect(zeta_n: float, n_spins: int) -> float:
         phi_f - phi_series = N * [ (atan(g) - g) + (10 w^3 - 4 w^4)/(1 + 2w - w^2) ]
 
     where atan(g) - g is summed as the alternating series -g^3/3 + g^5/5 - ...
-    whenever g is small enough for the direct subtraction to cancel.
+    whenever g is small enough for the direct subtraction to cancel, and pi is
+    added to atan(g) where 1 + 2w - w^2 < 0, the branch :func:`fan_error` takes.
     """
     w = zeta_n ** 2 / (2.0 * n_spins)
     den = 1.0 + 2.0 * w - w * w
@@ -368,6 +315,8 @@ def phi_series_defect(zeta_n: float, n_spins: int) -> float:
         atan_defect = total
     else:
         atan_defect = math.atan(g) - g
+    if den < 0.0:
+        atan_defect += math.pi
     rational = (10.0 * w ** 3 - 4.0 * w ** 4) / den
     return n_spins * (atan_defect + rational)
 
@@ -419,61 +368,35 @@ def fan_sequence_simulate(xs, ps, n_spins: int) -> SpinFanReport:
     nq = n + m
     scale = 1.0 / math.sqrt(2.0 * n_spins)
 
-    branch_labels: dict[int, complex] = {}
-    branch_phases: dict[int, float] = {}
-    target_phases: dict[int, float] = {}
-    worst_err = 0.0
-    worst_infid = 0.0
-    worst_fid = 1.0
-
-    for r in range(2 ** nq):
-        signs = [1.0 - 2.0 * ((r >> (nq - 1 - q)) & 1) for q in range(nq)]
-        x_net = sum(s * x for s, x in zip(signs[:n], xs))
-        p_net = sum(s * p for s, p in zip(signs[n:], ps))
-        legs = [scale * x_net, 1j * scale * p_net,
-                -scale * x_net, -1j * scale * p_net]
-        zeta = 0.0 + 0.0j
-        angle = 0.0
-        for leg in legs:
-            den = 1.0 - zeta * complex(leg).conjugate()
-            if abs(den) < 1e-12:
-                raise SingularCompositionError(
-                    f"branch {r:0{nq}b} passed through the south pole")
-            zeta = (zeta + leg) / den
-            angle += n_spins * math.atan2(den.imag, den.real)
-        target = x_net * p_net
-        err = abs((angle - target + math.pi) % (2.0 * math.pi) - math.pi)
-        infid = vacuum_return_infidelity(zeta, n_spins)
-        branch_labels[r] = zeta
-        branch_phases[r] = angle
-        target_phases[r] = target
-        worst_err = max(worst_err, err)
-        worst_infid = max(worst_infid, infid)
-        worst_fid = min(worst_fid, 1.0 - infid)
-
-    amp = 2.0 ** (-nq / 2.0)
-    uniform = SpinBranchState(nq, n_spins, {
-        r: (branch_labels[r], amp * cmath.exp(1j * branch_phases[r]))
-        for r in range(2 ** nq)})
-    residual = uniform.residual_entanglement()
-    unitary = None
-    if residual < DISENTANGLE_TOL:
-        unitary = np.diag([cmath.exp(1j * branch_phases[r])
-                           for r in range(2 ** nq)])
-
+    signs = 1.0 - 2.0 * branches.register_bits(nq)
+    x_net = sum(s * x for s, x in zip(signs[:, :n].T, xs))
+    p_net = sum(s * p for s, p in zip(signs[:, n:].T, ps))
+    zeta = np.zeros(2 ** nq, dtype=complex)
+    angle = np.zeros(2 ** nq)
+    for leg in (scale * x_net, 1j * scale * p_net,
+                -scale * x_net, -1j * scale * p_net):
+        zeta, step_angle = branches.sphere_step(zeta, leg, n_spins)
+        angle += step_angle
+    target = x_net * p_net
+    err = np.abs((angle - target + math.pi) % (2.0 * math.pi) - math.pi)
+    infid = vacuum_return_infidelity(zeta, n_spins)
+    residual = branches.grouped_residual(
+        zeta, np.full(2 ** nq, 2.0 ** -nq), zeta,
+        lambda z1, z2: branches.sphere_overlap(z1, z2, n_spins))
+    unitary = np.diag(np.exp(1j * angle)) if residual < DISENTANGLE_TOL else None
     return SpinFanReport(
         n_controls=n,
         n_targets=m,
         n_spins=n_spins,
         interaction_count=2 * (n + m),
-        branch_labels=branch_labels,
-        branch_phases=branch_phases,
-        target_phases=target_phases,
-        worst_phase_error=worst_err,
-        worst_branch_infidelity=worst_infid,
-        extremal_phase=branch_phases[0],
-        extremal_label=branch_labels[0],
-        ancilla_return_fidelity=worst_fid,
+        branch_labels=dict(enumerate(zeta.tolist())),
+        branch_phases=dict(enumerate(angle.tolist())),
+        target_phases=dict(enumerate(target.tolist())),
+        worst_phase_error=float(err.max()),
+        worst_branch_infidelity=float(infid.max()),
+        extremal_phase=float(angle[0]),
+        extremal_label=complex(zeta[0]),
+        ancilla_return_fidelity=float(1.0 - infid.max()),
         residual_entanglement=residual,
         register_unitary=unitary,
     )

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qubus, qudit, spin
+from .branches import register_bits
 from .linalg import (
     PAULI_X,
     identity,
@@ -91,12 +92,8 @@ def _conventions_for(d: int):
 def _controlled_rotation_oracle(n_qubits: int, control: int, target: int,
                                 theta: float) -> np.ndarray:
     """Dense C^c_t R(theta) by basis enumeration: phase iff both bits set."""
-    phases = []
-    for r in range(2 ** n_qubits):
-        bc = (r >> (n_qubits - 1 - control)) & 1
-        bt = (r >> (n_qubits - 1 - target)) & 1
-        phases.append(np.exp(1j * theta * bc * bt))
-    return np.diag(phases)
+    bits = register_bits(n_qubits)
+    return np.diag(np.exp(1j * theta * bits[:, control] * bits[:, target]))
 
 
 def _toffoli_oracle(n_controls: int, u: np.ndarray) -> np.ndarray:
@@ -245,13 +242,11 @@ def run_qudit_suite(rng: np.random.Generator | None = None) -> SuiteResult:
     checks.append(CheckResult("generalized Toffoli vs n-controlled-U oracle",
                               dev, 1e-10))
 
-    dev = 0.0
     theta, n, d = np.pi / 5, 4, 3
     rep = extract_register_gate(mod_d_phase_gate(theta, n, d))
-    for r in range(2 ** (n + 1)):
-        bits = [(r >> (n - j)) & 1 for j in range(n + 1)]
-        expected = np.exp(1j * theta * (sum(bits[:n]) % d) * bits[n])
-        dev = max(dev, abs(rep.register_unitary[r, r] - expected))
+    bits = register_bits(n + 1)
+    expected = np.exp(1j * theta * (bits[:, :n].sum(axis=1) % d) * bits[:, n])
+    dev = float(np.max(np.abs(np.diag(rep.register_unitary) - expected)))
     checks.append(CheckResult("mod-d phase gate exponent theta (sum q mod d) q_t",
                               dev, 1e-12))
 
