@@ -9,8 +9,8 @@ per backend: torus (qudit; integer labels and phase exponent mod 2d), flat
 rule, phase N arg(1 - z1 conj(z2))).
 
 The residual entanglement, 1 minus the top eigenvalue of the ancilla's state
-sum_r |a_r|^2 |l_r><l_r|, is a K x K Gram eigenproblem over the K distinct
-final labels; a sequence whose branches all close has K = 1.
+sum_r |a_r|^2 |l_r><l_r|, comes from a pivoted Cholesky factor of the Gram
+matrix of the final labels, whose rank is a few when they nearly coincide.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .qudit import MOD_INVERSE, _check_convention
 
 # |1 - z1 conj(z2)| below this is a composition through the south pole.
 SINGULAR_TOL = 1e-12
+RANK_TOL = 1e-14   # Gram trace per unit weight a residual's factor leaves out
 
 
 class SingularCompositionError(ValueError):
@@ -43,18 +44,22 @@ def grouped_residual(keys: np.ndarray, weights: np.ndarray, labels: np.ndarray,
                      overlap) -> float:
     """1 - largest eigenvalue of sum_r weights_r |l_r><l_r|.
 
-    ``keys`` has one row per branch and is equal exactly where two branches
-    share a final label ``labels[r]``; ``overlap(l1, l2)`` gives <l1|l2>
-    elementwise.
+    ``keys`` rows are equal exactly where branches share a final label
+    ``labels[r]``; ``overlap(l1, l2)`` gives <l1|l2> elementwise.  Otherwise a
+    pivoted Cholesky factor L of G[r, s] = sqrt(w_r w_s) <l_r|l_s> grows until
+    trace(G - L L^dagger), which bounds the eigenvalue's error, is below RANK_TOL.
     """
     if (keys == keys[0]).all():
         return float(1.0 - weights.sum())
-    _, first, inverse = np.unique(keys, axis=0, return_index=True,
-                                  return_inverse=True)
-    root_w = np.sqrt(np.bincount(inverse.reshape(-1), weights=weights))
-    distinct = labels[first]
-    gram = overlap(distinct[:, None], distinct[None, :])
-    return float(1.0 - np.linalg.eigvalsh(root_w[:, None] * gram * root_w)[-1])
+    root_w, rest = np.sqrt(weights), weights * overlap(labels, labels).real
+    factor = np.zeros((0, len(labels)), dtype=complex)   # rows are columns of L
+    while rest.sum() > RANK_TOL * weights.sum():
+        j = int(np.argmax(rest))
+        col = root_w * overlap(labels, labels[j]) * root_w[j] - factor[:, j].conj() @ factor
+        factor = np.vstack([factor, col / np.sqrt(rest[j])])
+        rest = np.maximum(rest - np.abs(factor[-1]) ** 2, 0.0)
+        rest[j] = 0.0
+    return float(1.0 - np.linalg.eigvalsh(factor.conj() @ factor.T)[-1])
 
 
 def torus_ancilla(n_qubits: int, d: int, steps, anc_init: np.ndarray,
@@ -68,10 +73,7 @@ def torus_ancilla(n_qubits: int, d: int, steps, anc_init: np.ndarray,
     phase exponent k, built as the phased permutation
     anc_init[(m - X) mod d] * omega_d(P m).
     """
-    dim = 2 ** n_qubits
-    x_net = np.zeros(dim, dtype=np.int64)
-    p_net = np.zeros(dim, dtype=np.int64)
-    k = np.zeros(dim, dtype=np.int64)
+    x_net, p_net, k = np.zeros((3, 2 ** n_qubits), dtype=np.int64)
     if steps:
         _check_convention(d, convention)
         # D(l2) D(l1) = exp(i pi c (x1 p2 - p1 x2) / d) D(l1 + l2)

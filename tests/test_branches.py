@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from amqc.branches import register_bits, torus_ancilla
+from amqc.branches import register_bits, sphere_overlap, torus_ancilla
 from amqc.linalg import phase_distance, random_state
 from amqc.qubus import (
     FieldBranchState,
@@ -286,6 +286,19 @@ def test_spin_grouped_residual_matches_full_density(walk):
     full = _full_residual(state.branches,
                           lambda z1, z2: coherent_overlap(z1, z2, n_spins))
     assert abs(state.residual_entanglement() - full) < TOL
+
+
+@PROPERTY
+@given(st.lists(st.integers(1, 4), min_size=4, max_size=4), seeds,
+       st.sampled_from([10 ** 3, 10 ** 6]))
+def test_spin_fan_residual_matches_full_gram(xs, seed, n_spins):
+    """An 8-qubit fan ends on up to 2^8 distinct, nearly coincident labels;
+    the low-rank residual must match the top eigenvalue of their full Gram."""
+    ps = [int(v) for v in np.random.default_rng(seed).permutation(xs)]
+    rep = fan_sequence_simulate(xs, ps, n_spins)
+    z = np.array([rep.branch_labels[r] for r in range(2 ** 8)])
+    gram = sphere_overlap(z[:, None], z[None, :], n_spins) / 2 ** 8
+    assert abs(rep.residual_entanglement - (1.0 - np.linalg.eigvalsh(gram)[-1])) < TOL
 
 
 # ----------------------------------------------------------------------------
