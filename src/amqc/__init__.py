@@ -53,7 +53,6 @@ from .qudit_model import (
     Interaction,
     InteractionSequence,
     LocalAncillaRotation,
-    apply_interaction,
     extract_register_gate,
     fan_bipartite,
     fan_one_target,

@@ -1,6 +1,8 @@
 """Command line front end: identity suites, error sweeps, gate demos, limits.
 
-Exit codes: 0 success, 1 runtime or I/O failure, 2 usage error.  Output is
+Exit codes: 0 success, 1 runtime or I/O failure, 2 usage error: a bad
+argument value, reported as one ``error:`` line on stderr whether the CLI or
+the library rejects it.  Output is
 plain text (``NO_COLOR`` is respected trivially; nothing is ever colored) and
 CSV files are byte-deterministic for a fixed invocation.
 """
@@ -30,15 +32,22 @@ from .qudit_model import (
 from .verify import SUITES, run_suites
 
 _FMT = "{:.11e}"  # 12 significant digits, scientific
+# Largest register ``demo`` builds: its dense 2^q x 2^q unitary and oracle take
+# 16 * 4^q bytes each, 256 MB at q = 12.
+MAX_DENSE_QUBITS = 12
+
+
+def _require(ok: bool, message: str) -> None:
+    """Reject a bad argument value (exit 2) unless ``ok``."""
+    if not ok:
+        raise ValueError(message)
 
 
 def _parse_n_list(text: str) -> list[int]:
-    values = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        values.append(int(float(chunk)))
+    try:
+        values = [int(float(chunk)) for chunk in text.split(",") if chunk.strip()]
+    except (ValueError, OverflowError):
+        values = []
     if not values or any(v < 1 for v in values):
         raise argparse.ArgumentTypeError(
             f"--n-list must be positive integers, got {text!r}")
@@ -68,23 +77,34 @@ def cmd_verify(args) -> int:
     return 0 if all_passed else 1
 
 
+def _write_csv(out: str, lines: list[str]) -> None:
+    """Write a header and CSV rows to ``out`` ('-' = stdout); refuses rows
+    with a non-finite value, which _FMT spells nan or inf."""
+    text = "\n".join(lines) + "\n"
+    body = text[len(lines[0]):]
+    _require("nan" not in body and "inf" not in body,
+             "non-finite value in the computed rows; nothing written")
+    if out == "-":
+        sys.stdout.write(text)
+    else:
+        with open(out, "w", encoding="ascii") as handle:
+            handle.write(text)
+        print(f"wrote {len(lines) - 1} rows to {out}")
+
+
 def cmd_sweep(args) -> int:
-    zetas = np.linspace(args.zeta_min, args.zeta_max, args.zeta_steps)
+    _require(args.zeta_steps >= 1, "--zeta-steps must be at least 1")
+    _require(0 < args.zeta_min < math.inf and 0 < args.zeta_max < math.inf,
+             "--zeta-min and --zeta-max must be positive and finite")
     lines = ["zeta_n,N,phi_f,phi_E,infidelity,phi_series,infid_series"]
-    for zeta_n in zetas:
+    for zeta_n in np.linspace(args.zeta_min, args.zeta_max, args.zeta_steps):
         for n_spins in args.n_list:
             p = spin.fan_error(float(zeta_n), n_spins)
             lines.append(",".join([
                 _FMT.format(p.zeta_n), str(p.n_spins), _FMT.format(p.phi_f),
                 _FMT.format(p.phi_E), _FMT.format(p.infidelity),
                 _FMT.format(p.phi_series), _FMT.format(p.infid_series)]))
-    text = "\n".join(lines) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="ascii") as handle:
-            handle.write(text)
-        print(f"wrote {len(lines) - 1} rows to {args.out}")
+    _write_csv(args.out, lines)
     return 0
 
 
@@ -102,6 +122,14 @@ def _format_element(element) -> str:
 
 def cmd_demo(args) -> int:
     d = args.d
+    _require(d >= 2, f"--d must be at least 2, got {d}")
+    _require(args.n >= 1 and args.m >= 1, "--n and --m must be at least 1")
+    _require(math.isfinite(args.theta), "--theta must be finite")
+    qubits = {"two-qubit": 2, "fan-bipartite": args.n + args.m}.get(
+        args.sequence, args.n + 1)
+    _require(qubits <= MAX_DENSE_QUBITS,
+             f"a {qubits}-qubit register needs dense 2^{qubits} x 2^{qubits} "
+             f"matrices; demo builds at most {MAX_DENSE_QUBITS} qubits")
     if args.sequence == "two-qubit":
         seq = two_qubit_sequence(0, 1, args.x, args.p, d)
         theta = 2 * math.pi * args.x * args.p / d
@@ -126,8 +154,7 @@ def cmd_demo(args) -> int:
         naive, gates = 4 * args.n * args.m, args.n * args.m
         described = f"all n*m controlled rotations, xs={xs}, ps={ps}"
     elif args.sequence == "toffoli":
-        if d <= args.n:
-            raise SystemExit(f"error: toffoli needs --d > --n, got d={d} n={args.n}")
+        _require(d > args.n, f"toffoli needs --d > --n, got d={d} n={args.n}")
         seq = generalized_toffoli(args.n, PAULI_X, d)
         oracle = identity(2 ** (args.n + 1))
         flip = 2 ** (args.n + 1) - 2
@@ -158,8 +185,8 @@ def cmd_demo(args) -> int:
 
 
 def cmd_contraction(args) -> int:
-    if args.n_min < 1 or args.n_max < args.n_min:
-        raise SystemExit(f"error: bad range [{args.n_min}, {args.n_max}]")
+    _require(1 <= args.n_min <= args.n_max, f"bad range [{args.n_min}, {args.n_max}]")
+    _require(0 < abs(args.zeta) < math.inf, "--zeta must be nonzero and finite")
     n_list = []
     n = args.n_min
     while n <= args.n_max:
@@ -172,13 +199,7 @@ def cmd_contraction(args) -> int:
             str(r.n_spins), _FMT.format(r.phi_f), _FMT.format(r.abs_err_phi),
             _FMT.format(r.overlap), _FMT.format(r.abs_err_overlap),
             _FMT.format(r.prefactor)]))
-    text = "\n".join(lines) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="ascii") as handle:
-            handle.write(text)
-        print(f"wrote {len(rows)} rows to {args.out}")
+    _write_csv(args.out, lines)
     if len(rows) >= 3:
         slope = spin.fitted_loglog_slope(
             [r.n_spins for r in rows], [r.abs_err_phi for r in rows])
@@ -235,6 +256,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (ValueError, ArithmeticError) as exc:
+        # A value out of a closed form's domain (zeta_n <= 0, too few
+        # controls, an overflowing zeta) is a bad argument too.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

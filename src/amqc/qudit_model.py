@@ -1,9 +1,15 @@
-"""Hybrid-state simulation of the qudit-bus computational model.
+"""Sequences, gate extraction and the dense simulator of the qudit-bus model.
 
 A register of n qubits talks to a single d-level ancilla only through
-controlled displacements.  The joint state is a dense vector over
-2^n * d amplitudes (qubit-major, ancilla-minor: index = register_bits * d +
-ancilla_level, with qubit 0 the most significant register bit).
+controlled displacements.  :func:`extract_register_gate` never builds the
+joint state of one input at a time: a displacement-only sequence runs on the
+branch engine, and any other sequence runs every basis input in one batch
+over just the register rows a projected gate lets it reach.  The dense
+:class:`HybridState` (a vector over 2^n * d amplitudes, qubit-major,
+ancilla-minor: index = register_bits * d + ancilla_level, with qubit 0 the
+most significant register bit) with :func:`apply_element` and
+:func:`run_sequence` is the reference simulator the extraction is tested
+against.
 
 Sequences are lists of elements in application order.  Besides controlled
 displacements two special elements exist: a gate on a register qubit projected
@@ -87,10 +93,6 @@ class InteractionSequence:
     def __len__(self) -> int:
         return len(self.elements)
 
-    @property
-    def interaction_count(self) -> int:
-        return len(self.elements)
-
 
 @dataclass
 class HybridState:
@@ -124,11 +126,15 @@ class HybridState:
         return float(np.linalg.norm(self.amplitudes))
 
 
+def _check_qubit(qubit: int, n_qubits: int, role: str) -> None:
+    if not 0 <= qubit < n_qubits:
+        raise ValueError(f"{role} qubit {qubit} out of range for {n_qubits} qubits")
+
+
 def _check_interaction(element: Interaction, n_qubits: int, d: int) -> None:
     if element.label.d != d:
         raise ValueError("interaction label dimension does not match state")
-    if not 0 <= element.qubit < n_qubits:
-        raise ValueError("interaction qubit out of range")
+    _check_qubit(element.qubit, n_qubits, "interaction")
 
 
 def apply_element(state: HybridState, element, convention: str = HALF_ROOT) -> HybridState:
@@ -162,17 +168,73 @@ def apply_element(state: HybridState, element, convention: str = HALF_ROOT) -> H
     return HybridState(n, d, amps.reshape(-1))
 
 
-def apply_interaction(state: HybridState, interaction: Interaction,
-                      convention: str = HALF_ROOT) -> HybridState:
-    """Controlled displacement on one register qubit; norm preserving."""
-    return apply_element(state, interaction, convention)
-
-
 def run_sequence(seq: InteractionSequence, state: HybridState,
                  convention: str = HALF_ROOT) -> HybridState:
     for element in seq.elements:
         state = apply_element(state, element, convention)
     return state
+
+
+def _reachable_rows(n_qubits: int, mixed: list[int]) -> np.ndarray:
+    """rows[o, c]: the register index whose ``mixed`` qubits read c and whose
+    other qubits read o, both most significant bit first."""
+    others = [q for q in range(n_qubits) if q not in mixed]
+    weight = 1 << (n_qubits - 1 - np.arange(n_qubits))
+    return (register_bits(len(others)) @ weight[others])[:, None] + \
+        register_bits(len(mixed)) @ weight[mixed]
+
+
+def _propagate_rows(seq: InteractionSequence, anc_init: np.ndarray,
+                    convention: str) -> tuple[np.ndarray, np.ndarray]:
+    """Run every register basis input at once over the rows it can reach.
+
+    Only a projected gate mixes register rows, and only on the bit of its
+    target; with k distinct such targets (the mixed qubits) input i reaches
+    the 2^k rows that agree with i on every other qubit.  Returns
+    (rows, amps): ``amps[o, a, c]`` is the ancilla vector on register row
+    ``rows[o, c]`` for the input ``rows[o, a]``.
+    """
+    n, d = seq.n_qubits, seq.d
+    mixed = sorted({e.target for e in seq.elements if isinstance(e, AncillaProjectedGate)})
+    for target in mixed:
+        _check_qubit(target, n, "projected gate target")
+    rows = _reachable_rows(n, mixed)
+    bits = register_bits(n)[rows][:, None]           # [o, 1, c, qubit]
+    span = 2 ** len(mixed)
+    amps = np.zeros((len(rows), span, span, d), dtype=complex)
+    amps[:, np.arange(span), np.arange(span)] = anc_init
+
+    built = {}                                       # (x, p) -> D(x, p)
+    for element in seq.elements:
+        if isinstance(element, Interaction):
+            _check_interaction(element, n, d)
+            key = (element.label.x, element.label.p)
+            if key not in built:
+                built[key] = displacement(d, *key, convention)
+            dm = built[key]
+            one = np.broadcast_to(bits[..., element.qubit] == 1, amps.shape[:-1])
+            if element.polarity == APPLY_ON_ONE:
+                amps[one] = amps[one] @ dm.T
+            else:
+                # D(-x, -p) = D(x, p)^dagger under both conventions.
+                amps[~one] = amps[~one] @ dm.T
+                amps[one] = amps[one] @ dm.conj()
+        elif isinstance(element, AncillaProjectedGate):
+            j = mixed.index(element.target)
+            col = amps[..., element.level].reshape(
+                amps.shape[:2] + (2 ** j, 2, span // 2 ** (j + 1)))
+            amps[..., element.level] = np.einsum(
+                "ab,oixbj->oixaj", np.asarray(element.gate, dtype=complex),
+                col).reshape(amps.shape[:-1])
+        elif isinstance(element, ControlledAncillaRotation):
+            _check_qubit(element.control, n, "rotation control")
+            phase = np.exp(1j * element.theta * np.arange(d))
+            amps *= np.where(bits[..., element.control, None] == 1, phase, 1.0)
+        elif isinstance(element, LocalAncillaRotation):
+            amps *= np.exp(1j * element.theta * np.arange(d))
+        else:
+            raise TypeError(f"unknown sequence element {element!r}")
+    return rows, amps
 
 
 def extract_register_gate(seq: InteractionSequence, anc_init: np.ndarray | None = None,
@@ -188,8 +250,10 @@ def extract_register_gate(seq: InteractionSequence, anc_init: np.ndarray | None 
     unset.  Non-disentangling sequences are reported, never rejected.
 
     A sequence of interactions only runs on the branch engine
-    (:func:`amqc.branches.torus_ancilla`); any other element is not a
-    displacement, so such a sequence runs on the dense :class:`HybridState`.
+    (:func:`amqc.branches.torus_ancilla`).  Any other sequence runs all basis
+    inputs in one batch, each over just the register rows it can reach
+    (:func:`_propagate_rows`), and gets the uniform input's output by
+    linearity as the sum of theirs.
     """
     n, d = seq.n_qubits, seq.d
     if anc_init is None:
@@ -217,26 +281,24 @@ def extract_register_gate(seq: InteractionSequence, anc_init: np.ndarray | None 
             interaction_count=len(seq.elements),
         )
 
-    unitary = np.zeros((dim_reg, dim_reg), dtype=complex)
-    worst_fidelity = 1.0
-    worst_residual = 0.0
-
-    uniform = np.full(dim_reg, 1.0 / np.sqrt(dim_reg), dtype=complex)
-    inputs = [HybridState.basis(n, r, anc_init) for r in range(dim_reg)]
-    inputs.append(HybridState.from_product(n, uniform, anc_init))
-
-    for r, state in enumerate(inputs):
-        out = run_sequence(seq, state, convention).as_matrix()
-        worst_residual = max(worst_residual, 1.0 - largest_schmidt_weight(out))
-        returned = out @ np.conj(anc_init)
-        worst_fidelity = min(worst_fidelity, float(np.linalg.norm(returned) ** 2))
-        if r < dim_reg:
-            unitary[:, r] = returned
-
+    rows, amps = _propagate_rows(seq, anc_init, convention)
+    returned = amps @ np.conj(anc_init)                  # [o, a, c]
+    # Rows an input cannot reach are zero, so its Schmidt weight is that of
+    # its (2^k, d) block; the uniform input's rows are in (o, c) order.
+    weights = np.linalg.svd(amps.reshape(dim_reg, -1, d), compute_uv=False)[:, 0] ** 2
+    uniform = amps.sum(axis=1).reshape(dim_reg, d) / np.sqrt(dim_reg)
+    residual = max(0.0, float(np.max(1.0 - weights)),
+                   1.0 - largest_schmidt_weight(uniform))
+    fidelity = min(1.0, float(np.min(np.sum(np.abs(returned) ** 2, axis=-1))),
+                   float(np.linalg.norm(uniform @ np.conj(anc_init)) ** 2))
+    unitary = None
+    if residual < DISENTANGLE_TOL:
+        unitary = np.zeros((dim_reg, dim_reg), dtype=complex)
+        unitary[rows[:, None, :], rows[:, :, None]] = returned
     return GateReport(
-        register_unitary=unitary if worst_residual < DISENTANGLE_TOL else None,
-        ancilla_return_fidelity=worst_fidelity,
-        residual_entanglement=worst_residual,
+        register_unitary=unitary,
+        ancilla_return_fidelity=fidelity,
+        residual_entanglement=residual,
         interaction_count=len(seq.elements),
     )
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amqc.branches import register_bits, sphere_overlap, torus_ancilla
-from amqc.linalg import phase_distance, random_state
+from amqc.linalg import largest_schmidt_weight, phase_distance, random_state, random_unitary
 from amqc.qubus import (
     FieldBranchState,
     FieldLabel,
@@ -20,10 +20,12 @@ from amqc.qubus import (
     field_fan,
     field_overlap,
 )
-from amqc.qudit import CONVENTIONS, HALF_ROOT, LatticeLabel
+from amqc.qudit import CONVENTIONS, HALF_ROOT, MOD_INVERSE, LatticeLabel
 from amqc.qudit_model import (
     POLARITIES,
     SYMMETRIC,
+    AncillaProjectedGate,
+    ControlledAncillaRotation,
     HybridState,
     Interaction,
     InteractionSequence,
@@ -31,6 +33,7 @@ from amqc.qudit_model import (
     extract_register_gate,
     run_sequence,
 )
+from amqc.report import DISENTANGLE_TOL
 from amqc.spin import (
     ETA_MAX,
     SpinBranchState,
@@ -77,8 +80,41 @@ def test_fan_target_unitary_matches_pairwise_sum(xs, ps):
 
 
 # ----------------------------------------------------------------------------
-# torus law vs the dense HybridState simulator
+# extraction vs the dense HybridState simulator
 # ----------------------------------------------------------------------------
+
+def dense_extract(seq, anc_init=None, convention=HALF_ROOT):
+    """Reference extraction: run each basis input and the uniform
+    superposition through the dense simulator, one input at a time.
+
+    Returns (unitary or None, worst ancilla return fidelity, worst residual
+    entanglement) with the semantics of :func:`extract_register_gate`.
+    """
+    n, d = seq.n_qubits, seq.d
+    anc = np.eye(d, dtype=complex)[0] if anc_init is None else anc_init
+    dim = 2 ** n
+    unitary = np.zeros((dim, dim), dtype=complex)
+    fidelity, residual = 1.0, 0.0
+    inputs = [HybridState.basis(n, r, anc) for r in range(dim)]
+    inputs.append(HybridState.from_product(n, np.full(dim, dim ** -0.5), anc))
+    for r, state in enumerate(inputs):
+        out = run_sequence(seq, state, convention).as_matrix()
+        residual = max(residual, 1.0 - largest_schmidt_weight(out))
+        returned = out @ np.conj(anc)
+        fidelity = min(fidelity, float(np.linalg.norm(returned) ** 2))
+        if r < dim:
+            unitary[:, r] = returned
+    return (unitary if residual < DISENTANGLE_TOL else None), fidelity, residual
+
+
+def _assert_matches_dense(report, dense):
+    unitary, fidelity, residual = dense
+    assert abs(report.ancilla_return_fidelity - fidelity) < TOL
+    assert abs(report.residual_entanglement - residual) < TOL
+    assert (report.register_unitary is None) == (unitary is None)
+    if unitary is not None:
+        np.testing.assert_allclose(report.register_unitary, unitary, atol=TOL, rtol=0)
+
 
 @st.composite
 def torus_cases(draw):
@@ -102,17 +138,61 @@ def torus_cases(draw):
 @given(torus_cases())
 def test_torus_engine_matches_dense_extraction(case):
     n, d, elements, convention, anc = case
-    engine = extract_register_gate(InteractionSequence(n, d, elements), anc, convention)
-    # An identity rotation is not a displacement, so it forces the dense path.
-    dense = extract_register_gate(
-        InteractionSequence(n, d, elements + [LocalAncillaRotation(0.0)]),
-        anc, convention)
-    assert abs(engine.ancilla_return_fidelity - dense.ancilla_return_fidelity) < TOL
-    assert abs(engine.residual_entanglement - dense.residual_entanglement) < TOL
-    assert (engine.register_unitary is None) == (dense.register_unitary is None)
-    if engine.register_unitary is not None:
-        np.testing.assert_allclose(engine.register_unitary, dense.register_unitary,
-                                   atol=TOL, rtol=0)
+    seq = InteractionSequence(n, d, elements)
+    _assert_matches_dense(extract_register_gate(seq, anc, convention),
+                          dense_extract(seq, anc, convention))
+
+
+@st.composite
+def mixed_cases(draw):
+    """Sequences with projected gates on 1-3 targets and ancilla rotations,
+    optionally inside a counting loop whose inverse closes it."""
+    n = draw(st.integers(2, 4))
+    convention = draw(st.sampled_from(CONVENTIONS))
+    d = draw(st.sampled_from((3, 5) if convention == MOD_INVERSE else (2, 3, 4, 5, 6)))
+    targets = draw(st.permutations(range(n)))[:draw(st.integers(1, min(3, n)))]
+    rng = np.random.default_rng(draw(seeds))
+    qubit, label = st.integers(0, n - 1), st.integers(-2 * d, 2 * d)
+    interaction = st.builds(lambda q, x, p, pol: Interaction(q, LatticeLabel(x, p, d), pol),
+                            qubit, label, label, st.sampled_from(POLARITIES))
+    projected = st.builds(lambda t, level: AncillaProjectedGate(t, level, random_unitary(2, rng)),
+                          st.sampled_from(targets), st.integers(0, d - 1))
+    angle = st.floats(-4.0, 4.0, allow_nan=False)
+    middle = draw(st.lists(st.one_of(
+        projected, interaction, st.builds(ControlledAncillaRotation, qubit, angle),
+        st.builds(LocalAncillaRotation, angle)), max_size=5))
+    # Every target is projected on at least once, so exactly k targets mix.
+    middle = draw(st.permutations(middle + [draw(projected.filter(
+        lambda g, t=t: g.target == t)) for t in targets]))
+    counting = draw(st.lists(interaction, max_size=4))
+    elements = counting + middle
+    if draw(st.booleans()):
+        elements += [Interaction(e.qubit, -e.label, e.polarity) for e in reversed(counting)]
+    anc = None
+    if draw(st.booleans()):
+        anc = random_state(d, np.random.default_rng(draw(seeds)))
+    return n, d, elements, convention, anc
+
+
+def _toffoli_like(d):
+    # Qubit 2 is both a counting control and the target of two projected gates.
+    lab = lambda x: LatticeLabel(x, 0, d)
+    return [Interaction(0, lab(1)), Interaction(2, lab(1), SYMMETRIC),
+            AncillaProjectedGate(2, 1, random_unitary(2, np.random.default_rng(1))),
+            ControlledAncillaRotation(1, 0.7),
+            AncillaProjectedGate(2, d - 1, random_unitary(2, np.random.default_rng(2))),
+            Interaction(2, lab(-1), SYMMETRIC), Interaction(0, lab(-1))]
+
+
+@PROPERTY
+@given(mixed_cases())
+@example((3, 5, _toffoli_like(5), MOD_INVERSE, None))
+@example((3, 4, _toffoli_like(4), HALF_ROOT, random_state(4, np.random.default_rng(3))))
+def test_batched_rows_match_dense_extraction(case):
+    n, d, elements, convention, anc = case
+    seq = InteractionSequence(n, d, elements)
+    _assert_matches_dense(extract_register_gate(seq, anc, convention),
+                          dense_extract(seq, anc, convention))
 
 
 @PROPERTY

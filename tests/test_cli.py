@@ -153,3 +153,37 @@ def test_contraction_complex_zeta(tmp_path):
     line = out.read_text().strip().split("\n")[1]
     overlap = float(line.split(",")[3])
     assert abs(overlap - math.exp(-1.0)) < 1e-6
+
+
+@pytest.mark.parametrize("argv", [
+    ["demo", "two-qubit", "--d", "1"],
+    ["demo", "fan-one", "--n", "0"],
+    ["demo", "toffoli", "--n", "3", "--d", "2"],
+    ["sweep", "--zeta-min", "0"],
+    ["sweep", "--zeta-steps", "0"],
+    ["sweep", "--zeta-min", "nan", "--zeta-steps", "2", "--n-list", "1e4"],
+    ["contraction", "--zeta", "0"],
+    ["contraction", "--n-min", "0"],
+])
+def test_bad_argument_values_exit_two_with_one_line(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    if argv[0] != "demo":
+        argv = argv + ["--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_demo_refuses_oversized_register_before_building(monkeypatch, capsys):
+    # 24 qubits would need 2^24 x 2^24 dense matrices; the size estimate
+    # alone must refuse it, before any sequence or oracle is built.
+    def never(*args, **kwargs):
+        raise AssertionError("sequence built for an oversized register")
+
+    monkeypatch.setattr("amqc.cli.fan_bipartite", never)
+    monkeypatch.setattr("amqc.cli.register_bits", never)
+    assert main(["demo", "fan-bipartite", "--n", "12", "--m", "12"]) == 2
+    err = capsys.readouterr().err
+    assert "24-qubit" in err and err.count("\n") == 1

@@ -1,5 +1,7 @@
 """Hybrid register+qudit simulation: sequences, extraction, gate identities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,10 +18,11 @@ from amqc.qudit_model import (
     APPLY_ON_ONE,
     SYMMETRIC,
     AncillaProjectedGate,
+    ControlledAncillaRotation,
     HybridState,
     Interaction,
     InteractionSequence,
-    apply_interaction,
+    apply_element,
     extract_register_gate,
     fan_bipartite,
     fan_one_target,
@@ -58,19 +61,19 @@ def cr_oracle(n_qubits, control, target, theta):
 
 def test_zero_label_is_identity():
     state = HybridState.basis(1, 1, basis_anc(3))
-    out = apply_interaction(state, Interaction(0, LatticeLabel(0, 0, 3)))
+    out = apply_element(state, Interaction(0, LatticeLabel(0, 0, 3)))
     np.testing.assert_array_equal(out.amplitudes, state.amplitudes)
 
 
 def test_control_off_leaves_ancilla():
     state = HybridState.basis(1, 0, basis_anc(3))
-    out = apply_interaction(state, Interaction(0, LatticeLabel(1, 2, 3)))
+    out = apply_element(state, Interaction(0, LatticeLabel(1, 2, 3)))
     np.testing.assert_array_equal(out.amplitudes, state.amplitudes)
 
 
 def test_control_on_shifts_position():
     state = HybridState.basis(1, 1, basis_anc(3, 0))
-    out = apply_interaction(state, Interaction(0, LatticeLabel(1, 0, 3)))
+    out = apply_element(state, Interaction(0, LatticeLabel(1, 0, 3)))
     np.testing.assert_allclose(out.amplitudes,
                                HybridState.basis(1, 1, basis_anc(3, 1)).amplitudes,
                                atol=1e-15)
@@ -82,16 +85,27 @@ def test_interaction_preserves_norm():
     amps /= np.linalg.norm(amps)
     state = HybridState(2, 5, amps)
     for conv in CONVENTIONS:
-        out = apply_interaction(state, Interaction(1, LatticeLabel(2, 3, 5)), conv)
+        out = apply_element(state, Interaction(1, LatticeLabel(2, 3, 5)), conv)
         assert abs(out.norm() - 1.0) < 1e-14
 
 
 def test_interaction_dimension_mismatch():
     state = HybridState.basis(1, 0, basis_anc(3))
     with pytest.raises(ValueError):
-        apply_interaction(state, Interaction(0, LatticeLabel(1, 0, 4)))
+        apply_element(state, Interaction(0, LatticeLabel(1, 0, 4)))
     with pytest.raises(ValueError):
-        apply_interaction(state, Interaction(1, LatticeLabel(1, 0, 3)))
+        apply_element(state, Interaction(1, LatticeLabel(1, 0, 3)))
+
+
+@pytest.mark.parametrize("element", [
+    AncillaProjectedGate(target=2, level=0, gate=PAULI_X),
+    AncillaProjectedGate(target=-1, level=0, gate=PAULI_X),
+    ControlledAncillaRotation(control=2, theta=0.3),
+    ControlledAncillaRotation(control=-1, theta=0.3),
+])
+def test_extraction_rejects_out_of_range_qubits(element):
+    with pytest.raises(ValueError, match="out of range"):
+        extract_register_gate(InteractionSequence(2, 3, [element]))
 
 
 def test_empty_sequence_extracts_identity():
@@ -168,7 +182,7 @@ def test_fan_one_target_reduces_to_rectangle():
 def test_fan_one_target_matches_oracle():
     d, xs, p = 4, (1, 2, 3), 1
     seq = fan_one_target(xs, p, d)
-    assert seq.interaction_count == 2 * (len(xs) + 1) == 8
+    assert len(seq) == 2 * (len(xs) + 1) == 8
     rep = extract_register_gate(seq)
     oracle = identity(16)
     for k, xk in enumerate(xs):
@@ -176,20 +190,20 @@ def test_fan_one_target_matches_oracle():
     assert phase_distance(rep.register_unitary, oracle) < 1e-10
     assert abs(rep.ancilla_return_fidelity - 1.0) < 1e-12
     # Per-gate construction would take 4n interactions.
-    assert 4 * len(xs) == 12 > seq.interaction_count
+    assert 4 * len(xs) == 12 > len(seq)
 
 
 def test_fan_bipartite_matches_oracle():
     d, xs, ps = 3, (1, 2), (1, 1)
     seq = fan_bipartite(xs, ps, d)
-    assert seq.interaction_count == 2 * (len(xs) + len(ps)) == 8
+    assert len(seq) == 2 * (len(xs) + len(ps)) == 8
     rep = extract_register_gate(seq)
     oracle = identity(16)
     for k, xk in enumerate(xs):
         for j, pj in enumerate(ps):
             oracle = oracle @ cr_oracle(4, k, 2 + j, 2 * np.pi * xk * pj / d)
     assert phase_distance(rep.register_unitary, oracle) < 1e-10
-    assert 4 * len(xs) * len(ps) == 16 > seq.interaction_count
+    assert 4 * len(xs) * len(ps) == 16 > len(seq)
 
 
 def test_fan_bipartite_one_one_is_rectangle():
@@ -262,6 +276,37 @@ def test_toffoli_control_permutation_invariance():
     np.testing.assert_allclose(perm @ u @ perm, u, atol=1e-12)
 
 
+def test_toffoli_extraction_memory_stays_small():
+    # The batch holds 2^(n+k) d amplitudes (k = 1 mixed qubit) and the 9-qubit
+    # unitary takes 4 MB; one dense state per input took 45 MB.
+    seq = generalized_toffoli(8, PAULI_X, 10)
+    tracemalloc.start()
+    try:
+        rep = extract_register_gate(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.register_unitary is not None
+    assert peak < 12 * 2 ** 20
+
+
+def test_extraction_builds_each_label_once_without_dense_states(monkeypatch):
+    import amqc.qudit_model as qm
+
+    def dense(*args, **kwargs):
+        raise AssertionError("extraction ran the dense simulator")
+
+    calls = []
+    build = qm.displacement
+    monkeypatch.setattr(qm, "displacement", lambda *a: calls.append(a) or build(*a))
+    for name in ("run_sequence", "apply_element", "HybridState"):
+        monkeypatch.setattr(qm, name, dense)
+    seq = generalized_toffoli(3, PAULI_X, 5)
+    assert extract_register_gate(seq).register_unitary is not None
+    # Six interactions, but only the labels (1, 0) and (-1, 0).
+    assert sorted(calls) == [(5, -1, 0, HALF_ROOT), (5, 1, 0, HALF_ROOT)]
+
+
 def test_mod_d_phase_gate_exhaustive():
     theta, n, d = np.pi / 5, 4, 3
     rep = extract_register_gate(mod_d_phase_gate(theta, n, d))
@@ -321,7 +366,7 @@ def test_generator_composition_reaches_momentum_step():
     assert phase_distance(lhs, rhs) < 1e-13
     # And that target is exactly the apply-on-one interaction with label (0, p).
     state = HybridState.basis(1, 1, basis_anc(d, 2))
-    out = apply_interaction(state, Interaction(0, LatticeLabel(0, p, d)))
+    out = apply_element(state, Interaction(0, LatticeLabel(0, p, d)))
     np.testing.assert_allclose(out.amplitudes,
                                (rhs @ state.amplitudes), atol=1e-14)
 
