@@ -10,6 +10,7 @@ CSV files are byte-deterministic for a fixed invocation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 
@@ -32,8 +33,10 @@ from .qudit_model import (
 from .verify import SUITES, run_suites
 
 _FMT = "{:.11e}"  # 12 significant digits, scientific
-# Largest register ``demo`` builds: its dense 2^q x 2^q unitary and oracle take
-# 16 * 4^q bytes each, 256 MB at q = 12.
+_BLOCK = 4096     # CSV rows formatted per write
+# Largest register ``demo`` builds.  It holds three dense 2^q x 2^q matrices at
+# once (the extracted unitary, the oracle and phase_distance's one temporary),
+# 16 * 4^q bytes each: 768 MB at q = 12.
 MAX_DENSE_QUBITS = 12
 
 
@@ -77,34 +80,44 @@ def cmd_verify(args) -> int:
     return 0 if all_passed else 1
 
 
-def _write_csv(out: str, lines: list[str]) -> None:
-    """Write a header and CSV rows to ``out`` ('-' = stdout); refuses rows
-    with a non-finite value, which _FMT spells nan or inf."""
-    text = "\n".join(lines) + "\n"
-    body = text[len(lines[0]):]
-    _require("nan" not in body and "inf" not in body,
+def _write_csv(out: str, header: str, columns: list) -> None:
+    """Stream a header and one row per index of ``columns`` to ``out``
+    ('-' = stdout).
+
+    A list column holds exact values written with str() (ensemble sizes,
+    which may exceed int64); any other column is a float array written with
+    _FMT.  A nan or inf in a float column refuses the run before ``out`` is
+    opened, so nothing is written.
+    """
+    exact = [isinstance(c, list) for c in columns]
+    columns = [c if e else np.asarray(c, dtype=float) for c, e in zip(columns, exact)]
+    _require(all(np.isfinite(c).all() for c, e in zip(columns, exact) if not e),
              "non-finite value in the computed rows; nothing written")
-    if out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="ascii") as handle:
-            handle.write(text)
-        print(f"wrote {len(lines) - 1} rows to {out}")
+    row = ",".join("{}" if e else _FMT for e in exact) + "\n"
+    count = len(columns[0])
+    with (contextlib.nullcontext(sys.stdout) if out == "-"
+          else open(out, "w", encoding="ascii")) as handle:
+        handle.write(header + "\n")
+        for start in range(0, count, _BLOCK):
+            block = [c[start:start + _BLOCK] for c in columns]
+            handle.writelines(map(row.format, *(b if e else b.tolist()
+                                                for b, e in zip(block, exact))))
+    if out != "-":
+        print(f"wrote {count} rows to {out}")
 
 
 def cmd_sweep(args) -> int:
     _require(args.zeta_steps >= 1, "--zeta-steps must be at least 1")
     _require(0 < args.zeta_min < math.inf and 0 < args.zeta_max < math.inf,
              "--zeta-min and --zeta-max must be positive and finite")
-    lines = ["zeta_n,N,phi_f,phi_E,infidelity,phi_series,infid_series"]
-    for zeta_n in np.linspace(args.zeta_min, args.zeta_max, args.zeta_steps):
-        for n_spins in args.n_list:
-            p = spin.fan_error(float(zeta_n), n_spins)
-            lines.append(",".join([
-                _FMT.format(p.zeta_n), str(p.n_spins), _FMT.format(p.phi_f),
-                _FMT.format(p.phi_E), _FMT.format(p.infidelity),
-                _FMT.format(p.phi_series), _FMT.format(p.infid_series)]))
-    _write_csv(args.out, lines)
+    # One array pass over the grid, rows ordered by (zeta_n, N).
+    zeta = np.repeat(np.linspace(args.zeta_min, args.zeta_max, args.zeta_steps),
+                     len(args.n_list))
+    p = spin.fan_error(zeta, np.tile(np.array(args.n_list, dtype=float),
+                                     args.zeta_steps))
+    _write_csv(args.out, "zeta_n,N,phi_f,phi_E,infidelity,phi_series,infid_series",
+               [zeta, args.n_list * args.zeta_steps, p.phi_f, p.phi_E,
+                p.infidelity, p.phi_series, p.infid_series])
     return 0
 
 
@@ -193,13 +206,9 @@ def cmd_contraction(args) -> int:
         n_list.append(n)
         n *= 2
     rows = spin.contraction_probe(args.zeta, n_list)
-    lines = ["N,phi_f,abs_err_phi,overlap,abs_err_overlap,prefactor"]
-    for r in rows:
-        lines.append(",".join([
-            str(r.n_spins), _FMT.format(r.phi_f), _FMT.format(r.abs_err_phi),
-            _FMT.format(r.overlap), _FMT.format(r.abs_err_overlap),
-            _FMT.format(r.prefactor)]))
-    _write_csv(args.out, lines)
+    fields = ("phi_f", "abs_err_phi", "overlap", "abs_err_overlap", "prefactor")
+    table = np.array([[getattr(r, f) for f in fields] for r in rows])
+    _write_csv(args.out, "N," + ",".join(fields), [n_list, *table.T])
     if len(rows) >= 3:
         slope = spin.fitted_loglog_slope(
             [r.n_spins for r in rows], [r.abs_err_phi for r in rows])

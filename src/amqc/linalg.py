@@ -4,7 +4,7 @@ Everything here operates on plain numpy arrays: unitaries are (n, n) complex
 matrices, states are 1-d complex vectors.  Every oracle is a direct dense
 computation, so a q-qubit register costs 16 * 4^q bytes per matrix: 4 MB at
 the 9 qubits of an 8-control Toffoli, and the ``demo`` command refuses
-registers above 12 qubits (256 MB).
+registers above 12 qubits (256 MB per matrix).
 """
 
 from __future__ import annotations
@@ -110,7 +110,9 @@ def phase_distance(u: np.ndarray, v: np.ndarray) -> float:
     t = np.vdot(v, u)
     if abs(t) <= 1e-12 * u.shape[0]:
         return float(np.hypot(np.linalg.norm(u), np.linalg.norm(v)))
-    return float(np.linalg.norm(u - (t / abs(t)) * v))
+    diff = (t / abs(t)) * v   # the one dense temporary
+    diff -= u
+    return float(np.linalg.norm(diff))
 
 
 def state_fidelity(a: np.ndarray, b: np.ndarray) -> float:

@@ -147,11 +147,17 @@ def displacement(d: int, x: int, p: int, convention: str = HALF_ROOT) -> np.ndar
     """Displacement operator D_d(x, p) = prefactor * Z_d^p X_d^x.
 
     ``x`` and ``p`` may be any integers; the matrix part only depends on them
-    mod d, and in HALF_ROOT mode the prefactor depends on them mod 2d.
+    mod d, and in HALF_ROOT mode the prefactor depends on them mod 2d.  Built
+    as the phased permutation D[(m + x) mod d, m] = prefactor *
+    omega_d(p (m + x)), with the exponent reduced mod d.
     """
-    xd, zd = generalized_pauli(d)
-    mat = np.linalg.matrix_power(zd, p % d) @ np.linalg.matrix_power(xd, x % d)
-    return displacement_prefactor(d, x, p, convention) * mat
+    if d < 2:
+        raise ValueError(f"qudit dimension must be >= 2, got {d}")
+    m = np.arange(d)
+    rows = (m + x % d) % d
+    mat = np.zeros((d, d), dtype=complex)
+    mat[rows, m] = displacement_prefactor(d, x, p, convention) * omega(d, p % d * rows % d)
+    return mat
 
 
 def displacement_from_label(label: LatticeLabel, convention: str = HALF_ROOT) -> np.ndarray:

@@ -253,38 +253,54 @@ class ErrorPoint:
     * ``infidelity``:  1 - (1 + 8 w^3 / (1+w)^4)^(-N), log-domain.
     * ``phi_series``:  first-order series zeta_n^2 - zeta_n^4 / N.
     * ``infid_series``: leading series term zeta_n^6 / N^2.
+
+    Fields are Python numbers for a scalar (zeta_n, N) and arrays of the
+    broadcast shape otherwise.
     """
 
-    zeta_n: float
-    n_spins: int
-    phi_f: float
-    phi_E: float
-    infidelity: float
-    phi_series: float
-    infid_series: float
+    zeta_n: float | np.ndarray
+    n_spins: int | np.ndarray
+    phi_f: float | np.ndarray
+    phi_E: float | np.ndarray
+    infidelity: float | np.ndarray
+    phi_series: float | np.ndarray
+    infid_series: float | np.ndarray
 
 
-def fan_error(zeta_n: float, n_spins: int) -> ErrorPoint:
-    """Evaluate the closed-form error formulas at one (zeta_n, N) point."""
-    if zeta_n <= 0:
+def fan_error(zeta_n, n_spins) -> ErrorPoint:
+    """Evaluate the closed-form error formulas elementwise over (zeta_n, N).
+
+    ``zeta_n`` and ``n_spins`` broadcast together; N is used as a double, so
+    a Python int beyond int64 is fine.  Raises ValueError naming the first
+    point where an output overflows: zeta_n^6 leaves double precision once
+    zeta_n passes about 2e51.
+    """
+    # [()] turns a 0-d array into a numpy scalar, whose arithmetic is cheaper.
+    zeta = np.asarray(zeta_n, dtype=float)[()]
+    n = np.asarray(n_spins, dtype=float)[()]
+    if not (zeta > 0).all():
         raise ValueError("zeta_n must be positive")
-    if n_spins < 1:
+    if not (n >= 1).all():
         raise ValueError("need at least one spin")
-    w = zeta_n ** 2 / (2.0 * n_spins)
-    # atan2, not atan: the per-spin angle passes pi/2 once w > 1 + sqrt(2).
-    phi_f = n_spins * math.atan2(2.0 * w, 1.0 + 2.0 * w - w * w)
-    phi_e = (zeta_n ** 2 - phi_f) / zeta_n ** 2
-    u = 8.0 * w ** 3 / (1.0 + w) ** 4
-    infidelity = float(-math.expm1(-n_spins * math.log1p(u)))
-    return ErrorPoint(
-        zeta_n=float(zeta_n),
-        n_spins=int(n_spins),
-        phi_f=phi_f,
-        phi_E=phi_e,
-        infidelity=infidelity,
-        phi_series=zeta_n ** 2 - zeta_n ** 4 / n_spins,
-        infid_series=zeta_n ** 6 / n_spins ** 2,
-    )
+    with np.errstate(all="ignore"):
+        z2 = zeta ** 2
+        w = z2 / (2.0 * n)
+        # arctan2, not arctan: the per-spin angle passes pi/2 once w > 1 + sqrt(2).
+        phi_f = n * np.arctan2(2.0 * w, 1.0 + 2.0 * w - w * w)
+        columns = (phi_f, (z2 - phi_f) / z2,
+                   -np.expm1(-n * np.log1p(8.0 * w ** 3 / (1.0 + w) ** 4)),
+                   z2 - zeta ** 4 / n, zeta ** 6 / n ** 2)
+    finite = np.isfinite(phi_f)
+    for column in columns[1:]:
+        finite &= np.isfinite(column)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        z, m = (a.flat[i] for a in np.broadcast_arrays(zeta, n))
+        raise ValueError(f"closed-form errors overflow double precision at "
+                         f"zeta_n={z:.6g}, N={m:.6g}")
+    if finite.ndim == 0:
+        return ErrorPoint(float(zeta_n), int(n_spins), *map(float, columns))
+    return ErrorPoint(*np.broadcast_arrays(zeta, n), *columns)
 
 
 def phi_series_defect(zeta_n: float, n_spins: int) -> float:
@@ -420,22 +436,15 @@ def contraction_probe(zeta: complex, n_list) -> list[ContractionRow]:
     |<0|zeta/sqrt(2N)>|^2 (target e^{-|zeta|^2/2}), and the rotation-angle
     prefactor atan(u)/u with u = |zeta|/sqrt(2N), which increases to 1.
     """
-    zeta = complex(zeta)
-    mag = abs(zeta)
-    rows = []
-    for n_spins in n_list:
-        point = fan_error(mag, n_spins)
-        u = mag / math.sqrt(2.0 * n_spins)
-        overlap = math.exp(-n_spins * math.log1p(u * u))
-        rows.append(ContractionRow(
-            n_spins=int(n_spins),
-            phi_f=point.phi_f,
-            abs_err_phi=abs(point.phi_f - mag ** 2),
-            overlap=overlap,
-            abs_err_overlap=abs(overlap - math.exp(-mag ** 2 / 2.0)),
-            prefactor=math.atan(u) / u if u > 0 else 1.0,
-        ))
-    return rows
+    mag = abs(complex(zeta))
+    n = np.asarray(n_list, dtype=float)
+    point = fan_error(mag, n)
+    u = mag / np.sqrt(2.0 * n)
+    overlap = np.exp(-n * np.log1p(u * u))
+    columns = (point.phi_f, np.abs(point.phi_f - mag ** 2), overlap,
+               np.abs(overlap - math.exp(-mag ** 2 / 2.0)), np.arctan(u) / u)
+    return [ContractionRow(int(n_spins), *values) for n_spins, *values
+            in zip(n_list, *(c.tolist() for c in columns))]
 
 
 def fitted_loglog_slope(xs, ys) -> float:

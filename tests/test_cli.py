@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,6 +175,66 @@ def test_bad_argument_values_exit_two_with_one_line(argv, tmp_path, capsys):
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--zeta-min", "1e200", "--zeta-max", "1e300", "--zeta-steps", "2",
+     "--n-list", "1"],
+    ["sweep", "--zeta-min", "1e60", "--zeta-max", "1e61", "--zeta-steps", "2",
+     "--n-list", "1"],
+    ["contraction", "--zeta", "1e200"],
+])
+def test_overflowing_zeta_exits_two_naming_it(argv, tmp_path, capsys):
+    # Any numpy RuntimeWarning is an error here, so none may escape either.
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "zeta" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,rows", [
+    (["sweep", "--zeta-min", "0.5", "--zeta-max", "60", "--zeta-steps", "5000",
+      "--n-list", "1,7,1e4,1e9,1e19"], 25000),
+    (["contraction", "--zeta", "2-1j", "--n-min", "1", "--n-max", "100000"], 17),
+])
+def test_stdout_bytes_equal_file_bytes(argv, rows, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert f"wrote {rows} rows" in capsys.readouterr().out
+    assert main(argv + ["--out", "-"]) == 0
+    text = out.read_text()
+    assert capsys.readouterr().out.split("fitted log-log")[0] == text
+    assert text.count("\n") == 1 + rows
+    if argv[0] == "sweep":
+        # Every 5th row is N = 1e19, written exactly although it exceeds int64.
+        assert text.splitlines()[-1].split(",")[1] == str(10 ** 19)
+        assert text.count(",10000000000000000000,") == rows // 5
+
+
+def _traced_peak(argv) -> float:
+    """Peak traced allocation of one CLI run, in MiB."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_streams_its_rows(tmp_path, capsys):
+    # 12,000 rows; a joined copy of the text alone is about 1 MiB.
+    peak = _traced_peak(["sweep", "--zeta-steps", "2000", "--out", str(tmp_path / "s.csv")])
+    assert "wrote 12000 rows" in capsys.readouterr().out
+    assert peak < 3.0
+
+
+def test_demo_holds_three_dense_matrices(capsys):
+    # 10 qubits: 16 MiB per dense matrix; unitary, oracle and one temporary.
+    assert _traced_peak(["demo", "toffoli", "--n", "9", "--d", "10"]) < 52.0
+    assert "phase distance" in capsys.readouterr().out
 
 
 def test_demo_refuses_oversized_register_before_building(monkeypatch, capsys):

@@ -13,6 +13,7 @@ from amqc.qudit import (
     compose_labels,
     displacement,
     displacement_from_label,
+    displacement_prefactor,
     fourier,
     generalized_pauli,
     loop_phase,
@@ -128,6 +129,42 @@ def test_displacement_unitary(d):
         for x in range(-d, d + 1):
             for p in range(-d, d + 1):
                 assert is_unitary(displacement(d, x, p, conv))
+
+
+def _power_definition(d, x, p, conv):
+    """The defining product prefactor * Z^p X^x, by matrix powers of the
+    shift and clock pair."""
+    xd, zd = generalized_pauli(d)
+    mat = np.linalg.matrix_power(zd, p % d) @ np.linalg.matrix_power(xd, x % d)
+    return displacement_prefactor(d, x, p, conv) * mat
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_phased_permutation_matches_power_definition(d):
+    for conv in conventions_for(d):
+        for x in range(-2 * d, 2 * d + 1):
+            for p in range(-2 * d, 2 * d + 1):
+                np.testing.assert_allclose(displacement(d, x, p, conv),
+                                           _power_definition(d, x, p, conv),
+                                           rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_phased_permutation_composes_like_labels(d):
+    rng = np.random.default_rng(d)
+    for conv in conventions_for(d):
+        for _ in range(60):
+            l1, l2 = (LatticeLabel(*(int(v) for v in rng.integers(-2 * d, 2 * d + 1, 2)), d)
+                      for _ in range(2))
+            total, scalar = compose_labels(l1, l2, conv)
+            lhs = displacement_from_label(l2, conv) @ displacement_from_label(l1, conv)
+            np.testing.assert_allclose(lhs, scalar * displacement_from_label(total, conv),
+                                       rtol=0, atol=1e-12)
+
+
+def test_displacement_rejects_dimension_below_two():
+    with pytest.raises(ValueError):
+        displacement(1, 0, 0)
 
 
 def test_compose_with_inverse_is_trivial():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from amqc.cli import main
 from amqc.linalg import PAULI_X, PAULI_Y, identity, kron, phase_distance, phase_gate
 from amqc.spin import (
     ETA_MAX,
@@ -306,6 +307,85 @@ def test_phi_series_defect_matches_direct_subtraction():
         direct = point.phi_f - point.phi_series
         tol = 1e-9 * abs(direct) + 5e-15 * point.phi_f
         assert abs(phi_series_defect(zeta_n, n_spins) - direct) < tol
+
+
+def reference_fan_error(zeta_n, n_spins):
+    """The closed forms evaluated one point at a time with the math module
+    (libm), the reference for the elementwise numpy fan_error: (phi_f, phi_E,
+    infidelity, phi_series, infid_series)."""
+    w = zeta_n ** 2 / (2.0 * n_spins)
+    phi_f = n_spins * math.atan2(2.0 * w, 1.0 + 2.0 * w - w * w)
+    return (phi_f, (zeta_n ** 2 - phi_f) / zeta_n ** 2,
+            -math.expm1(-n_spins * math.log1p(8.0 * w ** 3 / (1.0 + w) ** 4)),
+            zeta_n ** 2 - zeta_n ** 4 / n_spins, zeta_n ** 6 / n_spins ** 2)
+
+
+ERROR_FIELDS = ("phi_f", "phi_E", "infidelity", "phi_series", "infid_series")
+
+
+def assert_matches_reference(zetas, ns, values, rel):
+    """``values[k]`` (one array per ERROR_FIELDS entry) against the reference
+    to ``rel``.  phi_E and phi_series are differences that can cancel, so
+    their error is measured against the size of the terms subtracted."""
+    ref = np.array([reference_fan_error(float(z), n) for z, n in zip(zetas, ns)]).T
+    z2, n = np.asarray(zetas, float) ** 2, np.asarray(ns, dtype=float)
+    scales = (np.abs(ref[0]), np.abs(ref[1]) + np.abs(ref[0]) / z2, np.abs(ref[2]),
+              z2 + z2 * z2 / n, ref[4])
+    for name, value, expected, scale in zip(ERROR_FIELDS, values, ref, scales):
+        dev = np.abs(np.asarray(value, dtype=float) - expected)
+        assert np.all(dev <= rel * scale), (name, float(np.max(dev / scale)))
+
+
+def _random_points(rng, count):
+    zetas = 10.0 ** rng.uniform(-3.0, 3.0, count)
+    ns = [int(v) for v in np.round(10.0 ** rng.uniform(0.0, 18.0, count))]
+    ns[:20] = [1] * 20           # w = zeta_n^2 / 2 passes 1 + sqrt(2) for zeta_n > 2.2
+    ns[20:30] = [10 ** 18] * 10
+    return zetas, ns
+
+
+def test_elementwise_fan_error_matches_math_reference():
+    zetas, ns = _random_points(np.random.default_rng(2024), 4000)
+    n_arr = np.array(ns, dtype=float)
+    assert np.any(zetas ** 2 / (2.0 * n_arr) > 1.0 + math.sqrt(2.0))
+    point = fan_error(zetas, n_arr)
+    assert_matches_reference(zetas, ns, [getattr(point, f) for f in ERROR_FIELDS], 1e-14)
+
+
+def test_scalar_fan_error_returns_python_numbers():
+    zetas, ns = _random_points(np.random.default_rng(7), 300)
+    points = [fan_error(float(z), n) for z, n in zip(zetas, ns)]
+    for point, n in zip(points, ns):
+        assert type(point.n_spins) is int and point.n_spins == n
+        assert all(type(getattr(point, f)) is float for f in ("zeta_n",) + ERROR_FIELDS)
+    assert_matches_reference(zetas, ns, [[getattr(p, f) for p in points]
+                                         for f in ERROR_FIELDS], 1e-14)
+
+
+def test_fan_error_broadcasts_and_rejects_bad_points():
+    point = fan_error(np.array([1.0, 2.0, 3.0]), np.array([[1.0], [1e6]]))
+    assert point.phi_f.shape == point.zeta_n.shape == point.n_spins.shape == (2, 3)
+    assert point.phi_f[1, 2] == fan_error(3.0, 10 ** 6).phi_f
+    with pytest.raises(ValueError, match="positive"):
+        fan_error(np.array([1.0, 0.0]), 5)
+    with pytest.raises(ValueError, match="positive"):
+        fan_error(math.nan, 5)
+    with pytest.raises(ValueError, match="spin"):
+        fan_error(1.0, np.array([3.0, 0.5]))
+    with pytest.raises(ValueError, match=r"zeta_n=1e\+60, N=7"):
+        fan_error(np.array([1.0, 1e60]), 7)
+
+
+def test_sweep_csv_matches_math_reference(tmp_path):
+    # The README's 50 x 6 grid, parsed back: 12 significant digits.
+    out = tmp_path / "errors.csv"
+    assert main(["sweep", "--zeta-min", "1", "--zeta-max", "50", "--zeta-steps", "50",
+                 "--n-list", "1e4,1e5,1e6,1e7,1e8,1e9", "--out", str(out)]) == 0
+    data = np.loadtxt(out, delimiter=",", skiprows=1)
+    ns = [int(v) for v in np.tile([1e4, 1e5, 1e6, 1e7, 1e8, 1e9], 50)]
+    np.testing.assert_array_equal(data[:, 0], np.repeat(np.linspace(1, 50, 50), 6))
+    np.testing.assert_array_equal(data[:, 1], ns)
+    assert_matches_reference(data[:, 0], ns, data[:, 2:].T, 1e-11)
 
 
 def test_fan_extremal_branch_reproduces_closed_form():
