@@ -36,7 +36,14 @@ def kron(*factors) -> np.ndarray:
         raise ValueError("kron needs at least one factor")
     out = np.asarray(factors[0], dtype=complex)
     for f in factors[1:]:
-        out = np.kron(out, np.asarray(f, dtype=complex))
+        f = np.asarray(f, dtype=complex)
+        # np.kron's result as the outer product with axes interleaved
+        # (i1, i2, j1, j2, ...), which costs a few times less at these sizes.
+        rank = max(out.ndim, f.ndim)
+        out, f = (a.reshape((1,) * (rank - a.ndim) + a.shape) for a in (out, f))
+        shape = [a * b for a, b in zip(out.shape, f.shape)]
+        axes = [ax for i in range(rank) for ax in (i, rank + i)]
+        out = np.multiply.outer(out, f).transpose(axes).reshape(shape)
     return out
 
 
@@ -89,9 +96,21 @@ def embed_controlled(control_qubit: int, n_qubits: int, anc_dim: int,
 
 
 def controlled(u0: np.ndarray, u1: np.ndarray) -> np.ndarray:
-    """Single control qubit in front of one target system: C(u0, u1)."""
+    """Single control qubit in front of one target system: C(u0, u1).
+
+    The control is the leading qubit, so C(u0, u1) is block-diagonal with
+    u0 and u1 as its two blocks.
+    """
     u0 = np.asarray(u0, dtype=complex)
-    return embed_controlled(0, 1, u0.shape[0], u0, np.asarray(u1, dtype=complex))
+    u1 = np.asarray(u1, dtype=complex)
+    dim = u0.shape[0] if u0.ndim else 0
+    if u0.shape != (dim, dim) or u1.shape != (dim, dim):
+        raise ValueError(f"controlled operators must be equal square matrices, "
+                         f"got {u0.shape} and {u1.shape}")
+    out = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    out[:dim, :dim] = u0
+    out[dim:, dim:] = u1
+    return out
 
 
 def phase_distance(u: np.ndarray, v: np.ndarray) -> float:

@@ -134,30 +134,49 @@ def rotation(d: int, theta: float) -> np.ndarray:
     return np.diag(np.exp(1j * theta * np.arange(d))).astype(complex)
 
 
-def displacement_prefactor(d: int, x: int, p: int, convention: str) -> complex:
-    """Scalar prefactor multiplying Z_d^p X_d^x in a displacement operator."""
+def displacement_prefactor(d: int, x, p, convention: str):
+    """The prefactor multiplying Z_d^p X_d^x in D_d(x, p), elementwise.
+
+    ``x`` and ``p`` are integers or integer arrays that broadcast together;
+    the result is a complex array of their broadcast shape (a numpy scalar
+    for two integers).  MOD_INVERSE gives omega_d(-2^{-1} x p) with
+    2^{-1} = (d+1)//2, HALF_ROOT gives exp(-i pi x p / d).
+    """
     _check_convention(d, convention)
     if convention == MOD_INVERSE:
-        inv2 = (d + 1) // 2
-        return complex(omega(d, -inv2 * x * p))
-    return complex(np.exp(-1j * np.pi * x * p / d))
+        return omega(d, -((d + 1) // 2) * x * p)
+    # The angle in real arithmetic: numpy's complex division rounds differently.
+    return np.exp(1j * (-np.pi * x * p / d))
+
+
+def displacements(d: int, x, p, convention: str = HALF_ROOT) -> np.ndarray:
+    """Stack of displacement operators D_d(x, p), one per broadcast (x, p).
+
+    ``x`` and ``p`` are integer arrays (or integers) that broadcast to a
+    shape S; the result has shape S + (d, d).  Each D_d(x, p) is the phased
+    permutation D[(m + x) mod d, m] = prefactor * omega_d(p (m + x)), with
+    the exponent reduced mod d, so the whole stack costs a few array passes
+    however many labels it holds.
+    """
+    if d < 2:
+        raise ValueError(f"qudit dimension must be >= 2, got {d}")
+    x, p = np.asarray(x), np.asarray(p)
+    m = np.arange(d)
+    # Row r of D(x, p) holds prefactor * omega_d(p r) in column (r - x) mod d.
+    phase = displacement_prefactor(d, x, p, convention)[..., None] * \
+        omega(d, p[..., None] % d * m % d)
+    hit = m[:, None] == (m + x[..., None, None] % d) % d
+    return np.where(hit, phase[..., :, None], 0.0)
 
 
 def displacement(d: int, x: int, p: int, convention: str = HALF_ROOT) -> np.ndarray:
     """Displacement operator D_d(x, p) = prefactor * Z_d^p X_d^x.
 
-    ``x`` and ``p`` may be any integers; the matrix part only depends on them
-    mod d, and in HALF_ROOT mode the prefactor depends on them mod 2d.  Built
-    as the phased permutation D[(m + x) mod d, m] = prefactor *
-    omega_d(p (m + x)), with the exponent reduced mod d.
+    ``x`` and ``p`` are single integers; :func:`displacements` builds a
+    stack.  The matrix part only depends on them mod d, and in HALF_ROOT mode
+    the prefactor depends on them mod 2d.
     """
-    if d < 2:
-        raise ValueError(f"qudit dimension must be >= 2, got {d}")
-    m = np.arange(d)
-    rows = (m + x % d) % d
-    mat = np.zeros((d, d), dtype=complex)
-    mat[rows, m] = displacement_prefactor(d, x, p, convention) * omega(d, p % d * rows % d)
-    return mat
+    return displacements(d, x, p, convention)
 
 
 def displacement_from_label(label: LatticeLabel, convention: str = HALF_ROOT) -> np.ndarray:
@@ -211,5 +230,5 @@ def loop_phase(labels, convention: str = HALF_ROOT) -> complex:
         raise OpenLoopError(nx, npp, d)
     # The residual D(net) with net = 0 mod d reduces to its prefactor times I
     # (Z^p X^x = I there); in HALF_ROOT mode that prefactor can be -1.
-    scalar *= displacement_prefactor(d, nx, npp, convention)
+    scalar *= complex(displacement_prefactor(d, nx, npp, convention))
     return scalar

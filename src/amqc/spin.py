@@ -48,15 +48,19 @@ class LoopUnclosableError(ValueError):
     """|eta| exceeds sqrt(2)-1, so no real closing leg exists."""
 
 
-def su2_displacement(zeta: complex) -> np.ndarray:
-    """Per-spin displacement matrix in the (|0>, |1>) basis.
+def su2_displacement(zeta) -> np.ndarray:
+    """Per-spin displacement matrix in the (|0>, |1>) basis, elementwise.
 
     Its N-fold tensor power is the ensemble displacement; acting on |1> it
-    produces (|1> + zeta |0>) / sqrt(1 + |zeta|^2).
+    produces (|1> + zeta |0>) / sqrt(1 + |zeta|^2).  An array of labels
+    gives a stack of shape ``zeta.shape + (2, 2)``.
     """
-    zeta = complex(zeta)
-    return np.array([[1.0, zeta], [-zeta.conjugate(), 1.0]],
-                    dtype=complex) / math.sqrt(1.0 + abs(zeta) ** 2)
+    zeta = np.asarray(zeta, dtype=complex)
+    mat = np.ones(zeta.shape + (2, 2), dtype=complex)
+    mat[..., 0, 1] = zeta
+    mat[..., 1, 0] = -np.conj(zeta)
+    # hypot is the scalar abs(); numpy's complex abs can differ by an ulp.
+    return mat / np.sqrt(1.0 + np.hypot(zeta.real, zeta.imag) ** 2)[..., None, None]
 
 
 def compose_on_origin(z1: complex, z2: complex, n_spins: int) -> tuple[complex, complex]:

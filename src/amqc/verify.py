@@ -1,14 +1,21 @@
 """Identity suites: every backend's defining relations checked numerically.
 
 Each suite runs a list of named checks, records the worst deviation per
-check against its tolerance, and reports a :class:`SuiteResult`.  The CLI
-``verify`` subcommand prints these; the pytest suite asserts the same
-relations (plus the acceptance criteria) independently.
+check against its tolerance and the check's wall time, and reports a
+:class:`SuiteResult`.  The CLI ``verify`` subcommand prints these; the pytest
+suite asserts the same relations (plus the acceptance criteria)
+independently.
+
+A check over a grid or a list of random draws evaluates all its samples as
+one stacked array computation (a stack of displacement matrices, elementwise
+composition laws, one stacked ``expm``) rather than one small matrix per
+sample.  Random draws are made in the order one call per sample would make
+them, so a batched check sees the same samples as a looped one.  The oracle
+side of each check stays independent of the library formula under test.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import time
 from dataclasses import dataclass, field
@@ -16,9 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qubus, qudit, spin
-from .branches import register_bits
+from .branches import register_bits, sphere_overlap, sphere_step
 from .linalg import (
     PAULI_X,
+    PAULI_Y,
     identity,
     kron,
     phase_distance,
@@ -32,7 +40,7 @@ from .qudit import (
     LatticeLabel,
     compose_labels,
     displacement,
-    displacement_from_label,
+    displacements,
     fourier,
     generalized_pauli,
     loop_phase,
@@ -56,6 +64,7 @@ class CheckResult:
     name: str
     deviation: float
     tolerance: float
+    wall_s: float
 
     @property
     def passed(self) -> bool:
@@ -85,8 +94,30 @@ class SuiteResult:
         return self.cases_passed == self.cases_run
 
 
+class _Checks(list):
+    """A suite's CheckResults, each stamped with the wall time since the
+    previous one (or since the list was made)."""
+
+    def __init__(self):
+        super().__init__()
+        self._t = time.perf_counter()
+
+    def add(self, name: str, deviation: float, tolerance: float) -> None:
+        now = time.perf_counter()
+        self.append(CheckResult(name, deviation, tolerance, now - self._t))
+        self._t = now
+
+
 def _conventions_for(d: int):
     return CONVENTIONS if d % 2 else (HALF_ROOT,)
+
+
+def _powers(m: np.ndarray, count: int) -> np.ndarray:
+    """Stack of m^0, ..., m^(count-1), by repeated multiplication."""
+    out = [identity(m.shape[0])]
+    for _ in range(count - 1):
+        out.append(out[-1] @ m)
+    return np.stack(out)
 
 
 def _controlled_rotation_oracle(n_qubits: int, control: int, target: int,
@@ -112,7 +143,7 @@ def _toffoli_oracle(n_controls: int, u: np.ndarray) -> np.ndarray:
 def run_qudit_suite(rng: np.random.Generator | None = None) -> SuiteResult:
     rng = rng or np.random.default_rng(20240901)
     t0 = time.perf_counter()
-    checks: list[CheckResult] = []
+    checks = _Checks()
 
     dev = 0.0
     for d in range(2, 9):
@@ -120,18 +151,18 @@ def run_qudit_suite(rng: np.random.Generator | None = None) -> SuiteResult:
         dev = max(dev,
                   np.max(np.abs(np.linalg.matrix_power(xd, d) - identity(d))),
                   np.max(np.abs(np.linalg.matrix_power(zd, d) - identity(d))))
-    checks.append(CheckResult("periodicity X^d = Z^d = I", float(dev), 1e-12))
+    checks.add("periodicity X^d = Z^d = I", float(dev), 1e-12)
 
     dev = 0.0
     for d in range(2, 9):
         xd, zd = generalized_pauli(d)
-        for x in range(d):
-            for p in range(d):
-                lhs = np.linalg.matrix_power(zd, p) @ np.linalg.matrix_power(xd, x)
-                rhs = omega(d, x * p) * np.linalg.matrix_power(xd, x) @ \
-                    np.linalg.matrix_power(zd, p)
-                dev = max(dev, float(np.max(np.abs(lhs - rhs))))
-    checks.append(CheckResult("Weyl relation Z^p X^x = w(xp) X^x Z^p", dev, 1e-12))
+        xs, zs = _powers(xd, d), _powers(zd, d)
+        # Index [x, p] of each stack; the phase is the Weyl exponent x p.
+        lhs = zs[None, :] @ xs[:, None]
+        rhs = omega(d, np.multiply.outer(np.arange(d), np.arange(d)))[..., None, None] * \
+            (xs[:, None] @ zs[None, :])
+        dev = max(dev, float(np.max(np.abs(lhs - rhs))))
+    checks.add("Weyl relation Z^p X^x = w(xp) X^x Z^p", dev, 1e-12)
 
     dev = 0.0
     for d in range(2, 9):
@@ -141,20 +172,21 @@ def run_qudit_suite(rng: np.random.Generator | None = None) -> SuiteResult:
                   float(np.max(np.abs(f.conj().T @ zd @ f - xd))),
                   float(np.max(np.abs(f.conj().T @ f - identity(d)))),
                   float(np.max(np.abs(np.linalg.matrix_power(f, 4) - identity(d)))))
-    checks.append(CheckResult("Fourier: F+ Z F = X, unitary, F^4 = I", dev, 1e-12))
+    checks.add("Fourier: F+ Z F = X, unitary, F^4 = I", dev, 1e-12)
 
     dev = 0.0
     for d in range(2, 9):
+        grid = np.arange(-d, d + 1, max(1, d // 2))
         for conv in _conventions_for(d):
-            for x in range(-d, d + 1, max(1, d // 2)):
-                for p in range(-d, d + 1, max(1, d // 2)):
-                    m = displacement(d, x, p, conv)
-                    dev = max(dev, float(np.max(np.abs(
-                        m.conj().T @ m - identity(d)))))
-    checks.append(CheckResult("displacement unitarity (both conventions)", dev, 1e-12))
+            m = displacements(d, grid[:, None], grid[None, :], conv)
+            dev = max(dev, float(np.max(np.abs(
+                np.conj(np.swapaxes(m, -1, -2)) @ m - identity(d)))))
+    checks.add("displacement unitarity (both conventions)", dev, 1e-12)
 
     dev = 0.0
     for conv in CONVENTIONS:
+        labels: dict[int, list] = {}    # d -> [(x1, p1, x2, p2, x, p)], x, p the total
+        scalars: dict[int, list] = {}
         for _ in range(200):
             d = int(rng.integers(2, 9))
             if conv == MOD_INVERSE and d % 2 == 0:
@@ -164,11 +196,14 @@ def run_qudit_suite(rng: np.random.Generator | None = None) -> SuiteResult:
             l2 = LatticeLabel(int(rng.integers(-d, d + 1)),
                               int(rng.integers(-d, d + 1)), d)
             total, scalar = compose_labels(l1, l2, conv)
-            lhs = displacement_from_label(l2, conv) @ displacement_from_label(l1, conv)
-            rhs = scalar * displacement_from_label(total, conv)
+            labels.setdefault(d, []).append((l1.x, l1.p, l2.x, l2.p, total.x, total.p))
+            scalars.setdefault(d, []).append(scalar)
+        for d, rows in labels.items():
+            x1, p1, x2, p2, x, p = np.array(rows).T
+            lhs = displacements(d, x2, p2, conv) @ displacements(d, x1, p1, conv)
+            rhs = np.array(scalars[d])[:, None, None] * displacements(d, x, p, conv)
             dev = max(dev, float(np.max(np.abs(lhs - rhs))))
-    checks.append(CheckResult("compose_labels vs matrix product (200/convention)",
-                              dev, 1e-12))
+    checks.add("compose_labels vs matrix product (200/convention)", dev, 1e-12)
 
     dev = 0.0
     for d in range(2, 9):
@@ -179,8 +214,7 @@ def run_qudit_suite(rng: np.random.Generator | None = None) -> SuiteResult:
                     rect = [LatticeLabel(x, 0, d), LatticeLabel(0, p, d),
                             LatticeLabel(-x, 0, d), LatticeLabel(0, -p, d)]
                     dev = max(dev, abs(loop_phase(rect, conv) - expected))
-    checks.append(CheckResult("rectangle loop phase = w(xp), both conventions",
-                              dev, 1e-12))
+    checks.add("rectangle loop phase = w(xp), both conventions", dev, 1e-12)
 
     dev = 0.0
     for d in range(2, 7):
@@ -191,8 +225,7 @@ def run_qudit_suite(rng: np.random.Generator | None = None) -> SuiteResult:
             expected = np.diag([np.exp(1j * theta * ((x + m) % d))
                                 for m in range(d)])
             dev = max(dev, float(np.max(np.abs(conj - expected))))
-    checks.append(CheckResult("shifted rotation picks e^{i theta (x+m mod d)}",
-                              dev, 1e-12))
+    checks.add("shifted rotation picks e^{i theta (x+m mod d)}", dev, 1e-12)
 
     dev = 0.0
     fid_dev = 0.0
@@ -205,10 +238,8 @@ def run_qudit_suite(rng: np.random.Generator | None = None) -> SuiteResult:
                     fid_dev = max(fid_dev, abs(1.0 - rep.ancilla_return_fidelity))
                     oracle = _controlled_rotation_oracle(2, 0, 1, 2 * np.pi * x * p / d)
                     dev = max(dev, phase_distance(rep.register_unitary, oracle))
-    checks.append(CheckResult("two-qubit rectangle = C^j_k R(2 pi x p / d)",
-                              dev, 1e-10))
-    checks.append(CheckResult("two-qubit rectangle ancilla return fidelity",
-                              fid_dev, 1e-12))
+    checks.add("two-qubit rectangle = C^j_k R(2 pi x p / d)", dev, 1e-10)
+    checks.add("two-qubit rectangle ancilla return fidelity", fid_dev, 1e-12)
 
     dev = 0.0
     d = 4
@@ -230,8 +261,8 @@ def run_qudit_suite(rng: np.random.Generator | None = None) -> SuiteResult:
                 4, k, 2 + j, 2 * np.pi * xk * pj / d)
     dev = max(dev, phase_distance(rep.register_unitary, oracle))
     dev = max(dev, 0.0 if rep.interaction_count == 2 * (len(xs2) + len(ps2)) else 1.0)
-    checks.append(CheckResult("fan sequences match composed rotation oracles, "
-                              "counts 2(n+1)/2(n+m)", dev, 1e-10))
+    checks.add("fan sequences match composed rotation oracles, "
+               "counts 2(n+1)/2(n+m)", dev, 1e-10)
 
     dev = 0.0
     for n in (1, 2, 3):
@@ -239,31 +270,27 @@ def run_qudit_suite(rng: np.random.Generator | None = None) -> SuiteResult:
             rep = extract_register_gate(generalized_toffoli(n, u, n + 2))
             dev = max(dev, phase_distance(rep.register_unitary,
                                           _toffoli_oracle(n, u)))
-    checks.append(CheckResult("generalized Toffoli vs n-controlled-U oracle",
-                              dev, 1e-10))
+    checks.add("generalized Toffoli vs n-controlled-U oracle", dev, 1e-10)
 
     theta, n, d = np.pi / 5, 4, 3
     rep = extract_register_gate(mod_d_phase_gate(theta, n, d))
     bits = register_bits(n + 1)
     expected = np.exp(1j * theta * (bits[:, :n].sum(axis=1) % d) * bits[:, n])
     dev = float(np.max(np.abs(np.diag(rep.register_unitary) - expected)))
-    checks.append(CheckResult("mod-d phase gate exponent theta (sum q mod d) q_t",
-                              dev, 1e-12))
+    checks.add("mod-d phase gate exponent theta (sum q mod d) q_t", dev, 1e-12)
 
     dev = 0.0
     for theta, d in ((np.pi, 2), (2 * np.pi / 7, 3)):
         rep = extract_register_gate(single_pair_arbitrary_rotation(theta, d))
         dev = max(dev, phase_distance(rep.register_unitary,
                                       _controlled_rotation_oracle(2, 0, 1, theta)))
-    checks.append(CheckResult("controlled ancilla rotation gives arbitrary CR(theta)",
-                              dev, 1e-10))
+    checks.add("controlled ancilla rotation gives arbitrary CR(theta)", dev, 1e-10)
 
     dev = 0.0
     for _ in range(10):
         dev = max(dev, hamiltonian_generator_check(
             float(rng.uniform(-np.pi, np.pi)), int(rng.integers(2, 7))))
-    checks.append(CheckResult("Hamiltonian generator reproduces C(R(t), R(-t))",
-                              dev, 1e-12))
+    checks.add("Hamiltonian generator reproduces C(R(t), R(-t))", dev, 1e-12)
 
     return SuiteResult("qudit", checks, time.perf_counter() - t0)
 
@@ -277,51 +304,47 @@ def run_spin_suite(rng: np.random.Generator | None = None) -> SuiteResult:
 
     rng = rng or np.random.default_rng(20240902)
     t0 = time.perf_counter()
-    checks: list[CheckResult] = []
+    checks = _Checks()
 
-    dev = 0.0
-    for _ in range(50):
-        theta = float(rng.uniform(0.05, np.pi - 0.05))
-        phi = float(rng.uniform(0.0, 2 * np.pi))
-        zeta = -np.exp(-1j * phi) * np.tan(theta / 2)
-        direct = spin.su2_displacement(zeta)
-        exponential = expm(1j * ((theta / 2) * np.sin(phi) * PAULI_X
-                                 - (theta / 2) * np.cos(phi) * np.array(
-                                     [[0, -1j], [1j, 0]])))
-        dev = max(dev, float(np.max(np.abs(direct - exponential))))
-    checks.append(CheckResult("stereographic matrix matches angle exponential",
-                              dev, 1e-12))
+    # One call draws the (theta, phi) pairs one call per sample would.
+    theta, phi = rng.uniform([0.05, 0.0], [np.pi - 0.05, 2 * np.pi], (50, 2)).T
+    zeta = -np.exp(-1j * phi) * np.tan(theta / 2)
+    half = theta / 2
+    exponential = expm(1j * ((half * np.sin(phi))[:, None, None] * PAULI_X
+                             - (half * np.cos(phi))[:, None, None] * PAULI_Y))
+    dev = float(np.max(np.abs(spin.su2_displacement(zeta) - exponential)))
+    checks.add("stereographic matrix matches angle exponential", dev, 1e-12)
 
-    dev = 0.0
+    draws = []
     for _ in range(500):
-        z1 = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-        z2 = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+        a, b, c, e = rng.uniform(-1.5, 1.5, 4).tolist()
+        z1, z2 = complex(a, b), complex(c, e)
         if abs(1 - z1 * z2.conjugate()) < 1e-3:
             continue
-        n_spins = int(rng.integers(1, 11))
-        z_out, phase = spin.compose_on_origin(z1, z2, n_spins)
-        one = np.array([0.0, 1.0], dtype=complex)
-        per_qubit = spin.su2_displacement(z2) @ spin.su2_displacement(z1) @ one
-        per_angle = cmath.phase(1 - z1 * z2.conjugate())
-        predicted = cmath.exp(1j * per_angle) * \
-            np.array([z_out, 1.0]) / math.sqrt(1 + abs(z_out) ** 2)
-        dev = max(dev, float(np.max(np.abs(per_qubit - predicted))))
-        dev = max(dev, abs(phase - cmath.exp(1j * n_spins * per_angle)))
-    checks.append(CheckResult("composition law vs per-spin matrix oracle (500)",
-                              dev, 1e-12))
+        draws.append((z1, z2, int(rng.integers(1, 11))))
+    z1, z2, n_spins = (np.array(v) for v in zip(*draws))
+    z_out, angle = sphere_step(z1, z2, n_spins)
+    # D(z2) D(z1)|1> = u |z_out> per spin, u = (1 - z1 conj(z2)) / |1 - z1 conj(z2)|,
+    # and the ensemble phase is u^N: no angle is taken on this side.
+    per_spin = (spin.su2_displacement(z2) @ spin.su2_displacement(z1))[..., 1]
+    den = 1 - z1 * np.conj(z2)
+    unit = den / np.abs(den)
+    predicted = unit[:, None] * np.stack([z_out, np.ones_like(z_out)], axis=-1) / \
+        np.sqrt(1 + np.abs(z_out) ** 2)[:, None]
+    dev = max(float(np.max(np.abs(per_spin - predicted))),
+              float(np.max(np.abs(np.exp(1j * angle) - unit ** n_spins))))
+    checks.add("composition law vs per-spin matrix oracle (500)", dev, 1e-12)
 
-    dev = 0.0
+    draws = []
     for _ in range(100):
-        z1 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        z2 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        n_spins = int(rng.integers(1, 11))
-        one = np.array([0.0, 1.0], dtype=complex)
-        v1 = spin.su2_displacement(z1) @ one
-        v2 = spin.su2_displacement(z2) @ one
-        dev = max(dev, abs(spin.coherent_overlap(z1, z2, n_spins)
-                           - np.vdot(v1, v2) ** n_spins))
-    checks.append(CheckResult("coherent overlap vs per-spin inner product",
-                              dev, 1e-12))
+        a, b, c, e = rng.uniform(-1, 1, 4).tolist()
+        draws.append((complex(a, b), complex(c, e), int(rng.integers(1, 11))))
+    z1, z2, n_spins = (np.array(v) for v in zip(*draws))
+    v1 = spin.su2_displacement(z1)[..., 1]
+    v2 = spin.su2_displacement(z2)[..., 1]
+    dev = float(np.max(np.abs(sphere_overlap(z1, z2, n_spins)
+                              - np.sum(np.conj(v1) * v2, axis=-1) ** n_spins)))
+    checks.add("coherent overlap vs per-spin inner product", dev, 1e-12)
 
     dev = 0.0
     phase_dev = 0.0
@@ -334,10 +357,8 @@ def run_spin_suite(rng: np.random.Generator | None = None) -> SuiteResult:
             angle += math.atan2(den.imag, den.real)
         dev = max(dev, abs(zeta))
         phase_dev = max(phase_dev, abs(angle - sol.phi_t))
-    checks.append(CheckResult("loop closure residual |zeta_t| on 100-point grid",
-                              dev, 1e-12))
-    checks.append(CheckResult("closed-loop phase formula vs composition chain",
-                              phase_dev, 1e-12))
+    checks.add("loop closure residual |zeta_t| on 100-point grid", dev, 1e-12)
+    checks.add("closed-loop phase formula vs composition chain", phase_dev, 1e-12)
 
     dev = 0.0
     fid_dev = 0.0
@@ -348,9 +369,8 @@ def run_spin_suite(rng: np.random.Generator | None = None) -> SuiteResult:
                                 np.array([1.0, -1.0, -1.0, 1.0])))
         dev = max(dev, phase_distance(rep.register_unitary, oracle))
         fid_dev = max(fid_dev, abs(1.0 - rep.ancilla_return_fidelity))
-    checks.append(CheckResult("corrected rectangle = exp(i N phi_t Z Z)", dev, 1e-10))
-    checks.append(CheckResult("corrected rectangle ancilla fidelity exactly 1",
-                              fid_dev, 1e-12))
+    checks.add("corrected rectangle = exp(i N phi_t Z Z)", dev, 1e-10)
+    checks.add("corrected rectangle ancilla fidelity exactly 1", fid_dev, 1e-12)
 
     n_spins = 8
     eta = spin.eta_for_phase(np.pi / 4, n_spins)
@@ -358,8 +378,8 @@ def run_spin_suite(rng: np.random.Generator | None = None) -> SuiteResult:
     cz = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
     corrected = kron(phase_gate(np.pi / 2), phase_gate(np.pi / 2)) @ \
         rep.register_unitary
-    checks.append(CheckResult("root-found eta gives CZ up to local rotations",
-                              phase_distance(corrected, cz), 1e-10))
+    checks.add("root-found eta gives CZ up to local rotations",
+               phase_distance(corrected, cz), 1e-10)
 
     dev = 0.0
     state = spin.SpinBranchState.from_register(
@@ -369,16 +389,13 @@ def run_spin_suite(rng: np.random.Generator | None = None) -> SuiteResult:
         zeta = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
         state = spin.apply_controlled_spin(state, qubit, zeta)
         dev = max(dev, abs(1.0 - state.gram_weighted_norm()))
-    checks.append(CheckResult("branch norm conserved over 8 random interactions",
-                              dev, 1e-10))
+    checks.add("branch norm conserved over 8 random interactions", dev, 1e-10)
 
     point = spin.fan_error(40.0, 10 ** 7)
     dev = 0.0 if 1.4e-4 <= point.phi_E <= 2.2e-4 else abs(point.phi_E - 1.8e-4)
-    checks.append(CheckResult("fractional phase error at (40, 1e7) in [1.4, 2.2]e-4",
-                              dev, 0.0))
+    checks.add("fractional phase error at (40, 1e7) in [1.4, 2.2]e-4", dev, 0.0)
     dev = abs(point.infidelity - point.infid_series) / point.infid_series
-    checks.append(CheckResult("infidelity at (40, 1e7) within 10% of series",
-                              dev, 0.1))
+    checks.add("infidelity at (40, 1e7) within 10% of series", dev, 0.1)
 
     dev = 0.0
     for zeta_n in range(1, 51):
@@ -388,8 +405,7 @@ def run_spin_suite(rng: np.random.Generator | None = None) -> SuiteResult:
             defect = abs(spin.phi_series_defect(float(zeta_n), n_spins))
             bound = 10.0 * zeta_n ** 6 / n_spins ** 2
             dev = max(dev, defect - bound)
-    checks.append(CheckResult("first-order phase series valid on 50x5 grid",
-                              dev, 0.0))
+    checks.add("first-order phase series valid on 50x5 grid", dev, 0.0)
 
     dev = 0.0
     for _ in range(5):
@@ -397,8 +413,7 @@ def run_spin_suite(rng: np.random.Generator | None = None) -> SuiteResult:
             float(rng.uniform(-np.pi, np.pi)),
             float(rng.uniform(0.0, 2 * np.pi)),
             int(rng.integers(1, 5))))
-    checks.append(CheckResult("spin Hamiltonian generator + axis conjugation",
-                              dev, 1e-10))
+    checks.add("spin Hamiltonian generator + axis conjugation", dev, 1e-10)
 
     return SuiteResult("spin", checks, time.perf_counter() - t0)
 
@@ -410,7 +425,7 @@ def run_spin_suite(rng: np.random.Generator | None = None) -> SuiteResult:
 def run_qubus_suite(rng: np.random.Generator | None = None) -> SuiteResult:
     rng = rng or np.random.default_rng(20240903)
     t0 = time.perf_counter()
-    checks: list[CheckResult] = []
+    checks = _Checks()
 
     dev = 0.0
     for _ in range(100):
@@ -421,8 +436,7 @@ def run_qubus_suite(rng: np.random.Generator | None = None) -> SuiteResult:
         dev = max(dev, abs(ph12 * ph21 - 1.0))
         _, ph_inv = qubus.compose_field(l1, -l1)
         dev = max(dev, abs(ph_inv - 1.0))
-    checks.append(CheckResult("composition phase antisymmetric under swap",
-                              dev, 1e-12))
+    checks.add("composition phase antisymmetric under swap", dev, 1e-12)
 
     dev = 0.0
     for x, p in ((0.35, 0.61), (1.0, np.pi / 4), (0.9, -0.3)):
@@ -431,15 +445,14 @@ def run_qubus_suite(rng: np.random.Generator | None = None) -> SuiteResult:
             rep = qubus.field_two_qubit(x, p, initial_label=label)
             dev = max(dev, phase_distance(rep.register_unitary, zz))
             dev = max(dev, abs(1.0 - rep.ancilla_return_fidelity))
-    checks.append(CheckResult("rectangle = exp(i x p Z Z), any initial label",
-                              dev, 1e-12))
+    checks.add("rectangle = exp(i x p Z Z), any initial label", dev, 1e-12)
 
     xp = np.pi / 4
     rep = qubus.field_two_qubit(math.sqrt(xp), math.sqrt(xp))
     cz = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
     corrected = kron(phase_gate(2 * xp), phase_gate(2 * xp)) @ rep.register_unitary
-    checks.append(CheckResult("x p = pi/4 locally equivalent to CZ",
-                              phase_distance(corrected, cz), 1e-12))
+    checks.add("x p = pi/4 locally equivalent to CZ",
+               phase_distance(corrected, cz), 1e-12)
 
     dev = 0.0
     xs, ps = (0.3, 0.4), (0.2, 0.5)
@@ -449,8 +462,7 @@ def run_qubus_suite(rng: np.random.Generator | None = None) -> SuiteResult:
     dev = max(dev, 0.0 if rep.interaction_count == 8 else 1.0)
     dev = max(dev, abs(1.0 - rep.ancilla_return_fidelity))
     dev = max(dev, rep.residual_entanglement)
-    checks.append(CheckResult("fan: 4 gates in 8 interactions, exact closure",
-                              dev, 1e-12))
+    checks.add("fan: 4 gates in 8 interactions, exact closure", dev, 1e-12)
 
     return SuiteResult("qubus", checks, time.perf_counter() - t0)
 
@@ -461,7 +473,7 @@ def run_qubus_suite(rng: np.random.Generator | None = None) -> SuiteResult:
 
 def run_cross_suite(rng: np.random.Generator | None = None) -> SuiteResult:
     t0 = time.perf_counter()
-    checks: list[CheckResult] = []
+    checks = _Checks()
 
     dev = 0.0
     n_list = [1000 * 2 ** k for k in range(11)]
@@ -470,23 +482,21 @@ def run_cross_suite(rng: np.random.Generator | None = None) -> SuiteResult:
         slope = spin.fitted_loglog_slope(
             [r.n_spins for r in rows], [r.abs_err_phi for r in rows])
         dev = max(dev, abs(slope + 1.0) - 0.05)
-    checks.append(CheckResult("phase error log-log slope in [-1.05, -0.95]",
-                              max(dev, 0.0), 0.0))
+    checks.add("phase error log-log slope in [-1.05, -0.95]", max(dev, 0.0), 0.0)
 
     dev = 0.0
     for zeta in (1.0, 1.0 + 1.0j):
         rows = spin.contraction_probe(zeta, [10 ** 6])
         limit = math.exp(-abs(zeta) ** 2 / 2.0)
         dev = max(dev, rows[0].abs_err_overlap / limit)
-    checks.append(CheckResult("vacuum overlap matches e^{-|z|^2/2} at N=1e6",
-                              dev, 1e-6))
+    checks.add("vacuum overlap matches e^{-|z|^2/2} at N=1e6", dev, 1e-6)
 
     rows = spin.contraction_probe(2.0, n_list)
     prefactors = [r.prefactor for r in rows]
     monotone = all(b > a for a, b in zip(prefactors, prefactors[1:]))
     below_one = all(p < 1.0 for p in prefactors)
-    checks.append(CheckResult("prefactor atan(u)/u increases toward 1",
-                              0.0 if (monotone and below_one) else 1.0, 0.0))
+    checks.add("prefactor atan(u)/u increases toward 1",
+               0.0 if (monotone and below_one) else 1.0, 0.0)
 
     dev = 0.0
     for zeta_n, n_spins in ((2.0, 10 ** 6), (5.0, 10 ** 6)):
@@ -494,8 +504,7 @@ def run_cross_suite(rng: np.random.Generator | None = None) -> SuiteResult:
             [zeta_n / 2] * 2, [zeta_n / 2] * 2, n_spins)
         point = spin.fan_error(zeta_n, n_spins)
         dev = max(dev, abs(rep.extremal_phase - point.phi_f))
-    checks.append(CheckResult("fan extremal branch phase equals closed form",
-                              dev, 1e-12))
+    checks.add("fan extremal branch phase equals closed form", dev, 1e-12)
 
     dev = 0.0
     d = 5
@@ -512,8 +521,7 @@ def run_cross_suite(rng: np.random.Generator | None = None) -> SuiteResult:
                                 [p * scale for p in ps_int])
     dev = max(dev, phase_distance(rep_qudit.register_unitary,
                                   rep_field.register_unitary))
-    checks.append(CheckResult("qudit fan = field fan at matched angles 2 pi k/d",
-                              dev, 1e-10))
+    checks.add("qudit fan = field fan at matched angles 2 pi k/d", dev, 1e-10)
 
     return SuiteResult("cross", checks, time.perf_counter() - t0)
 

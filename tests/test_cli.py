@@ -1,5 +1,6 @@
 """Command line contract: subcommands, exit codes, deterministic CSV output."""
 
+import io
 import math
 import time
 import tracemalloc
@@ -145,6 +146,15 @@ def test_contraction_csv(tmp_path, capsys):
     slope = np.polyfit(np.log(ns), np.log(errs), 1)[0]
     assert -1.05 <= slope <= -0.95
     assert "fitted log-log slope" in capsys.readouterr().out
+
+
+def test_contraction_to_stdout_parses_as_csv(capsys):
+    assert main(["contraction", "--zeta", "2", "--n-min", "1000",
+                 "--n-max", "8000", "--out", "-"]) == 0
+    captured = capsys.readouterr()
+    rows = np.loadtxt(io.StringIO(captured.out), delimiter=",", skiprows=1)
+    assert rows.shape == (4, 6)
+    assert captured.err.startswith("fitted log-log slope")
 
 
 def test_contraction_complex_zeta(tmp_path):

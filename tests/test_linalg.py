@@ -7,6 +7,7 @@ from amqc.linalg import (
     HADAMARD,
     PAULI_X,
     PAULI_Z,
+    controlled,
     embed_controlled,
     identity,
     is_unitary,
@@ -45,6 +46,27 @@ def test_kron_associative_exactly():
     b = rng.integers(-9, 10, (3, 3)) + 1j * rng.integers(-9, 10, (3, 3))
     c = rng.integers(-9, 10, (2, 2)) + 1j * rng.integers(-9, 10, (2, 2))
     np.testing.assert_array_equal(kron(kron(a, b), c), kron(a, kron(b, c)))
+
+
+def test_controlled_blocks_equal_the_embedding():
+    rng = np.random.default_rng(3)
+    for dim in (1, 2, 5):
+        u0, u1 = random_unitary(dim, rng), random_unitary(dim, rng)
+        np.testing.assert_array_equal(controlled(u0, u1),
+                                      embed_controlled(0, 1, dim, u0, u1))
+    with pytest.raises(ValueError):
+        controlled(identity(2), identity(3))
+
+
+def test_kron_equals_numpy_kron_bitwise():
+    rng = np.random.default_rng(11)
+    shapes = [(2, 2), (3, 3), (2, 5), (4,), (3,), (1, 1)]
+    for sa in shapes:
+        for sb in shapes:
+            a = rng.standard_normal(sa) + 1j * rng.standard_normal(sa)
+            b = rng.standard_normal(sb) + 1j * rng.standard_normal(sb)
+            ours, theirs = kron(a, b), np.kron(a, b)
+            assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
 
 
 def test_embed_controlled_identity_pair():

@@ -37,6 +37,19 @@ ONE = np.array([0.0, 1.0], dtype=complex)  # reference per-spin state |1>
 # single-spin displacement matrix
 # ----------------------------------------------------------------------------
 
+def test_displacement_stack_equals_per_label_matrices():
+    # Same arithmetic per entry; numpy's array loops may round the last bit
+    # of a complex division differently, so allow a few ulps of entries <= 1.
+    rng = np.random.default_rng(5)
+    zeta = (rng.uniform(-1, 1, (40, 30)) + 1j * rng.uniform(-1, 1, (40, 30))) * \
+        10.0 ** rng.uniform(-6, 3, (40, 30))
+    stack = su2_displacement(zeta)
+    assert stack.shape == (40, 30, 2, 2)
+    for index in np.ndindex(zeta.shape):
+        np.testing.assert_allclose(stack[index], su2_displacement(complex(zeta[index])),
+                                   rtol=0, atol=4 * np.finfo(float).eps)
+
+
 def test_zero_displacement_is_identity():
     np.testing.assert_array_equal(su2_displacement(0.0), identity(2))
 
