@@ -33,7 +33,7 @@ from .qudit_model import (
 from .verify import SUITES, run_suites
 
 _FMT = "%.11e"   # 12 significant digits, scientific
-_BLOCK = 2048     # CSV rows formatted by one % operation and written at once
+_BLOCK = 1024     # CSV rows formatted by one % operation and written at once
 # Largest register ``demo`` builds.  It holds three dense 2^q x 2^q matrices at
 # once (the extracted unitary, the oracle and phase_distance's one temporary),
 # 16 * 4^q bytes each: 768 MB at q = 12.

@@ -36,14 +36,7 @@ def kron(*factors) -> np.ndarray:
         raise ValueError("kron needs at least one factor")
     out = np.asarray(factors[0], dtype=complex)
     for f in factors[1:]:
-        f = np.asarray(f, dtype=complex)
-        # np.kron's result as the outer product with axes interleaved
-        # (i1, i2, j1, j2, ...), which costs a few times less at these sizes.
-        rank = max(out.ndim, f.ndim)
-        out, f = (a.reshape((1,) * (rank - a.ndim) + a.shape) for a in (out, f))
-        shape = [a * b for a, b in zip(out.shape, f.shape)]
-        axes = [ax for i in range(rank) for ax in (i, rank + i)]
-        out = np.multiply.outer(out, f).transpose(axes).reshape(shape)
+        out = np.kron(out, np.asarray(f, dtype=complex))
     return out
 
 
@@ -88,29 +81,22 @@ def embed_controlled(control_qubit: int, n_qubits: int, anc_dim: int,
     if not 0 <= control_qubit < n_qubits:
         raise ValueError(f"control qubit {control_qubit} out of range for "
                          f"{n_qubits} qubits")
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    p1 = np.diag([0.0, 1.0]).astype(complex)
-    left = identity(2 ** control_qubit)
-    right = identity(2 ** (n_qubits - control_qubit - 1))
-    return kron(left, p0, right, u0) + kron(left, p1, right, u1)
+    # Block-diagonal over register basis states: register state r carries u0
+    # or u1 on the ancilla as the control bit of r is 0 or 1.
+    dim = 2 ** n_qubits
+    reg = np.arange(dim)
+    bit = (reg >> (n_qubits - 1 - control_qubit)) & 1
+    out = np.zeros((dim, anc_dim, dim, anc_dim), dtype=complex)
+    for b, u in ((0, u0), (1, u1)):
+        r = reg[bit == b]
+        out[r, :, r, :] = u
+    return out.reshape(dim * anc_dim, dim * anc_dim)
 
 
 def controlled(u0: np.ndarray, u1: np.ndarray) -> np.ndarray:
-    """Single control qubit in front of one target system: C(u0, u1).
-
-    The control is the leading qubit, so C(u0, u1) is block-diagonal with
-    u0 and u1 as its two blocks.
-    """
+    """Single control qubit in front of one target system: C(u0, u1)."""
     u0 = np.asarray(u0, dtype=complex)
-    u1 = np.asarray(u1, dtype=complex)
-    dim = u0.shape[0] if u0.ndim else 0
-    if u0.shape != (dim, dim) or u1.shape != (dim, dim):
-        raise ValueError(f"controlled operators must be equal square matrices, "
-                         f"got {u0.shape} and {u1.shape}")
-    out = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    out[:dim, :dim] = u0
-    out[dim:, dim:] = u1
-    return out
+    return embed_controlled(0, 1, u0.shape[0], u0, np.asarray(u1, dtype=complex))
 
 
 def phase_distance(u: np.ndarray, v: np.ndarray) -> float:

@@ -160,13 +160,15 @@ def displacements(d: int, x, p, convention: str = HALF_ROOT) -> np.ndarray:
     """
     if d < 2:
         raise ValueError(f"qudit dimension must be >= 2, got {d}")
-    x, p = np.asarray(x), np.asarray(p)
-    m = np.arange(d)
-    # Row r of D(x, p) holds prefactor * omega_d(p r) in column (r - x) mod d.
-    phase = displacement_prefactor(d, x, p, convention)[..., None] * \
-        omega(d, p[..., None] % d * m % d)
-    hit = m[:, None] == (m + x[..., None, None] % d) % d
-    return np.where(hit, phase[..., :, None], 0.0)
+    stack = np.broadcast(x, p).shape
+    # The column index m leads and the label axes trail, so x and p
+    # broadcast as given and two integers stay cheap Python arithmetic.
+    m = np.arange(d).reshape((d,) + (1,) * len(stack))
+    rows = (m + x % d) % d
+    phase = displacement_prefactor(d, x, p, convention) * omega(d, p % d * rows % d)
+    out = np.zeros(stack + (d, d), dtype=complex)
+    out[np.indices(stack, sparse=True) + (rows, m)] = phase
+    return out
 
 
 def displacement(d: int, x: int, p: int, convention: str = HALF_ROOT) -> np.ndarray:

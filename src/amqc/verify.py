@@ -331,8 +331,11 @@ def run_spin_suite(rng: np.random.Generator | None = None) -> SuiteResult:
     unit = den / np.abs(den)
     predicted = unit[:, None] * np.stack([z_out, np.ones_like(z_out)], axis=-1) / \
         np.sqrt(1 + np.abs(z_out) ** 2)[:, None]
+    # The first draw also goes through the public scalar wrapper.
+    z_pub, phase_pub = spin.compose_on_origin(*draws[0])
     dev = max(float(np.max(np.abs(per_spin - predicted))),
-              float(np.max(np.abs(np.exp(1j * angle) - unit ** n_spins))))
+              float(np.max(np.abs(np.exp(1j * angle) - unit ** n_spins))),
+              abs(z_pub - z_out[0]), abs(phase_pub - unit[0] ** n_spins[0]))
     checks.add("composition law vs per-spin matrix oracle (500)", dev, 1e-12)
 
     draws = []
@@ -342,8 +345,9 @@ def run_spin_suite(rng: np.random.Generator | None = None) -> SuiteResult:
     z1, z2, n_spins = (np.array(v) for v in zip(*draws))
     v1 = spin.su2_displacement(z1)[..., 1]
     v2 = spin.su2_displacement(z2)[..., 1]
-    dev = float(np.max(np.abs(sphere_overlap(z1, z2, n_spins)
-                              - np.sum(np.conj(v1) * v2, axis=-1) ** n_spins)))
+    inner = np.sum(np.conj(v1) * v2, axis=-1) ** n_spins
+    dev = max(float(np.max(np.abs(sphere_overlap(z1, z2, n_spins) - inner))),
+              abs(spin.coherent_overlap(*draws[0]) - inner[0]))
     checks.add("coherent overlap vs per-spin inner product", dev, 1e-12)
 
     dev = 0.0

@@ -7,7 +7,6 @@ from amqc.linalg import (
     HADAMARD,
     PAULI_X,
     PAULI_Z,
-    controlled,
     embed_controlled,
     identity,
     is_unitary,
@@ -48,25 +47,19 @@ def test_kron_associative_exactly():
     np.testing.assert_array_equal(kron(kron(a, b), c), kron(a, kron(b, c)))
 
 
-def test_controlled_blocks_equal_the_embedding():
+def test_embed_controlled_equals_projector_sum():
+    # The defining form |0><0|_c x u0 + |1><1|_c x u1, identity elsewhere.
     rng = np.random.default_rng(3)
-    for dim in (1, 2, 5):
-        u0, u1 = random_unitary(dim, rng), random_unitary(dim, rng)
-        np.testing.assert_array_equal(controlled(u0, u1),
-                                      embed_controlled(0, 1, dim, u0, u1))
-    with pytest.raises(ValueError):
-        controlled(identity(2), identity(3))
-
-
-def test_kron_equals_numpy_kron_bitwise():
-    rng = np.random.default_rng(11)
-    shapes = [(2, 2), (3, 3), (2, 5), (4,), (3,), (1, 1)]
-    for sa in shapes:
-        for sb in shapes:
-            a = rng.standard_normal(sa) + 1j * rng.standard_normal(sa)
-            b = rng.standard_normal(sb) + 1j * rng.standard_normal(sb)
-            ours, theirs = kron(a, b), np.kron(a, b)
-            assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    for n_qubits in (1, 2, 3):
+        for control in range(n_qubits):
+            for anc_dim in (1, 2, 3):
+                u0, u1 = random_unitary(anc_dim, rng), random_unitary(anc_dim, rng)
+                left, right = np.eye(2 ** control), np.eye(2 ** (n_qubits - control - 1))
+                oracle = (np.kron(np.kron(np.kron(left, p0), right), u0)
+                          + np.kron(np.kron(np.kron(left, p1), right), u1))
+                np.testing.assert_array_equal(
+                    embed_controlled(control, n_qubits, anc_dim, u0, u1), oracle)
 
 
 def test_embed_controlled_identity_pair():

@@ -119,6 +119,17 @@ def _conjugate_overlap(orig):
     return lambda z1, z2, n_spins: np.conj(orig(z1, z2, n_spins))
 
 
+def _conjugate_phase(orig):
+    def compose(z1, z2, n_spins):
+        z_out, phase = orig(z1, z2, n_spins)
+        return z_out, phase.conjugate()
+    return compose
+
+
+def _conjugate_scalar_overlap(orig):
+    return lambda z1, z2, n_spins: orig(z1, z2, n_spins).conjugate()
+
+
 def _wrong_far_from_the_pole(orig):
     # Only the stereographic check draws labels with |zeta| > 3.
     def su2(zeta):
@@ -142,6 +153,10 @@ FAULTS = [
     (verify, "sphere_step", _conjugate_label,
      "composition law vs per-spin matrix oracle (500)"),
     (verify, "sphere_overlap", _conjugate_overlap,
+     "coherent overlap vs per-spin inner product"),
+    (amqc.spin, "compose_on_origin", _conjugate_phase,
+     "composition law vs per-spin matrix oracle (500)"),
+    (amqc.spin, "coherent_overlap", _conjugate_scalar_overlap,
      "coherent overlap vs per-spin inner product"),
     (amqc.spin, "su2_displacement", _wrong_far_from_the_pole,
      "stereographic matrix matches angle exponential"),
