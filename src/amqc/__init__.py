@@ -89,7 +89,6 @@ from .qubus import (
     FieldBranchState,
     FieldLabel,
     apply_controlled_field,
-    compose_field,
     field_fan,
     field_two_qubit,
 )

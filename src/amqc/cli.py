@@ -16,9 +16,8 @@ import sys
 
 import numpy as np
 
-from . import spin
-from .branches import register_bits
-from .linalg import PAULI_X, identity, phase_distance
+from . import oracles, spin
+from .linalg import PAULI_X, phase_distance
 from .qudit_model import (
     AncillaProjectedGate,
     ControlledAncillaRotation,
@@ -151,39 +150,31 @@ def cmd_demo(args) -> int:
     if args.sequence == "two-qubit":
         seq = two_qubit_sequence(0, 1, args.x, args.p, d)
         theta = 2 * math.pi * args.x * args.p / d
-        oracle = np.diag([1.0, 1.0, 1.0, np.exp(1j * theta)])
+        oracle = oracles.fan([args.x], [args.p], 2 * math.pi / d, signed=False)
         naive, gates = 4, 1
         described = f"CR({theta:.6f}) on qubits (0, 1)"
     elif args.sequence == "fan-one":
         xs = [1 + (k % d) for k in range(args.n)]
         seq = fan_one_target(xs, args.p, d)
-        bits = register_bits(args.n + 1)
-        oracle = np.diag(np.exp(
-            2j * math.pi / d * (bits[:, :-1] @ xs) * args.p * bits[:, -1]))
+        oracle = oracles.fan(xs, [args.p], 2 * math.pi / d, signed=False)
         naive, gates = 4 * args.n, args.n
         described = f"prod_k C^k_t R(2 pi x_k p / {d}), xs={xs}, p={args.p}"
     elif args.sequence == "fan-bipartite":
         xs = [1 + (k % d) for k in range(args.n)]
         ps = [1 + (j % d) for j in range(args.m)]
         seq = fan_bipartite(xs, ps, d)
-        bits = register_bits(args.n + args.m)
-        oracle = np.diag(np.exp(
-            2j * math.pi / d * (bits[:, :args.n] @ xs) * (bits[:, args.n:] @ ps)))
+        oracle = oracles.fan(xs, ps, 2 * math.pi / d, signed=False)
         naive, gates = 4 * args.n * args.m, args.n * args.m
         described = f"all n*m controlled rotations, xs={xs}, ps={ps}"
     elif args.sequence == "toffoli":
         _require(d > args.n, f"toffoli needs --d > --n, got d={d} n={args.n}")
         seq = generalized_toffoli(args.n, PAULI_X, d)
-        oracle = identity(2 ** (args.n + 1))
-        flip = 2 ** (args.n + 1) - 2
-        oracle[np.ix_([flip, flip + 1], [flip, flip + 1])] = PAULI_X
+        oracle = oracles.toffoli(args.n, PAULI_X)
         naive, gates = 4 * args.n, 1
         described = f"{args.n}-controlled X via ancilla level counting"
     elif args.sequence == "modd":
         seq = mod_d_phase_gate(args.theta, args.n, d)
-        bits = register_bits(args.n + 1)
-        oracle = np.diag(np.exp(
-            1j * args.theta * (bits[:, :-1].sum(axis=1) % d) * bits[:, -1]))
+        oracle = oracles.mod_d(args.theta, args.n, d)
         naive, gates = 4 * args.n, args.n
         described = (f"phase exp(i theta ((sum q) mod {d}) q_t), "
                      f"theta={args.theta:g}")

@@ -1,19 +1,13 @@
 """Dense complex linear algebra and comparison metrics for brute-force gate checks.
 
 Everything here operates on plain numpy arrays: unitaries are (n, n) complex
-matrices, states are 1-d complex vectors.  Every oracle is a direct dense
-computation, so a q-qubit register costs 16 * 4^q bytes per matrix: 4 MB at
-the 9 qubits of an 8-control Toffoli, and the ``demo`` command refuses
-registers above 12 qubits (256 MB per matrix).
+matrices, states are 1-d complex vectors.  The dense register oracles the
+extracted gates are compared against live in :mod:`amqc.oracles`.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-# Comparison tolerance for the identity suites.  Double precision accumulates
-# roughly 1e-13 per matrix product at the dimensions used here.
-IDENTITY_TOL = 1e-10
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)

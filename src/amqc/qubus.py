@@ -18,13 +18,12 @@ displaces one way, bit 1 the opposite way.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import branches
+from . import branches, oracles
 from .report import DISENTANGLE_TOL, GateReport
 
 
@@ -35,34 +34,8 @@ class FieldLabel:
     x: float
     p: float
 
-    def __neg__(self) -> "FieldLabel":
-        return FieldLabel(-self.x, -self.p)
-
-    def __add__(self, other: "FieldLabel") -> "FieldLabel":
-        return FieldLabel(self.x + other.x, self.p + other.p)
-
 
 ORIGIN = FieldLabel(0.0, 0.0)
-
-
-def compose_field(l1: FieldLabel, l2: FieldLabel) -> tuple[FieldLabel, complex]:
-    """Combine two displacements applied in sequence (l1 first, then l2).
-
-    Returns the summed label and the scalar e^{i phi}, phi = (x1 p2 - p1 x2)/2,
-    such that D(l2) D(l1) = scalar * D(l1 + l2).
-    """
-    phi = 0.5 * (l1.x * l2.p - l1.p * l2.x)
-    return l1 + l2, cmath.exp(1j * phi)
-
-
-def field_overlap(l1: FieldLabel, l2: FieldLabel) -> float:
-    """Magnitude of the coherent overlap |<l1|l2>| = e^{-(dx^2+dp^2)/4}.
-
-    Only used for diagnostic entanglement reporting; the phase convention is
-    pinned by compose_field and never enters register gates.
-    """
-    dx, dp = l2.x - l1.x, l2.p - l1.p
-    return math.exp(-(dx * dx + dp * dp) / 4.0)
 
 
 @dataclass
@@ -108,25 +81,6 @@ def apply_controlled_field(state: FieldBranchState, qubit: int, x: float,
         for r, zr, a in zip(rs, z.tolist(), amps.tolist())})
 
 
-def _report_from_branches(n_qubits: int, steps,
-                          initial_label: FieldLabel) -> GateReport:
-    """Gate report of every register basis branch run through a step list of
-    symmetric controlled displacements (qubit, x, p)."""
-    z0 = complex(initial_label.x, initial_label.p)
-    counts, axes, angle = branches.flat_propagate(n_qubits, steps, z0)
-    net = counts @ axes
-    z = z0 + net
-    residual = branches.grouped_residual(
-        counts, np.full(2 ** n_qubits, 2.0 ** -n_qubits), z, branches.flat_overlap)
-    closed = not net.any() and residual < DISENTANGLE_TOL
-    return GateReport(
-        register_unitary=np.diag(np.exp(1j * angle)) if closed else None,
-        ancilla_return_fidelity=float(np.exp(-0.5 * np.abs(net) ** 2).min()),
-        residual_entanglement=residual,
-        interaction_count=len(steps),
-    )
-
-
 def field_two_qubit(x: float, p: float,
                     initial_label: FieldLabel = ORIGIN) -> GateReport:
     """Four-interaction rectangle: register gate exp(i x p Z (x) Z).
@@ -137,8 +91,7 @@ def field_two_qubit(x: float, p: float,
     to the controlled phase CR(4xp): multiplying by R(2xp) on each qubit
     yields CR(4xp) exactly up to a global phase, and x*p = pi/4 gives CZ.
     """
-    steps = [(0, x, 0.0), (1, 0.0, p), (0, -x, 0.0), (1, 0.0, -p)]
-    return _report_from_branches(2, steps, initial_label)
+    return field_fan([x], [p], initial_label)
 
 
 def field_fan(xs, ps, initial_label: FieldLabel = ORIGIN) -> GateReport:
@@ -157,13 +110,20 @@ def field_fan(xs, ps, initial_label: FieldLabel = ORIGIN) -> GateReport:
     steps += [(n + j, 0.0, pj) for j, pj in enumerate(ps)]
     steps += [(k, -xk, 0.0) for k, xk in enumerate(xs)]
     steps += [(n + j, 0.0, -pj) for j, pj in enumerate(ps)]
-    return _report_from_branches(n + m, steps, initial_label)
+    z0 = complex(initial_label.x, initial_label.p)
+    counts, axes, angle = branches.flat_propagate(n + m, steps, z0)
+    net = counts @ axes
+    residual = branches.grouped_residual(
+        counts, np.full(2 ** (n + m), 2.0 ** -(n + m)), z0 + net, branches.flat_overlap)
+    closed = not net.any() and residual < DISENTANGLE_TOL
+    return GateReport(
+        register_unitary=np.diag(np.exp(1j * angle)) if closed else None,
+        ancilla_return_fidelity=float(np.exp(-0.5 * np.abs(net) ** 2).min()),
+        residual_entanglement=residual,
+        interaction_count=len(steps),
+    )
 
 
 def fan_target_unitary(xs, ps) -> np.ndarray:
-    """Dense oracle prod_j prod_k exp(i x_k p_j Z_k (x) Z_j), built directly
-    from branch parities: the phase of branch r is X(r) P(r) with the
-    sign-weighted sums X(r) = sum_k (-1)^{r_k} x_k, P(r) = sum_j (-1)^{r_j} p_j."""
-    xs, ps = np.asarray(xs, dtype=float), np.asarray(ps, dtype=float)
-    signs = 1.0 - 2.0 * branches.register_bits(len(xs) + len(ps))
-    return np.diag(np.exp(1j * (signs[:, :len(xs)] @ xs) * (signs[:, len(xs):] @ ps)))
+    """Dense oracle prod_j prod_k exp(i x_k p_j Z_k (x) Z_j) of :func:`field_fan`."""
+    return oracles.fan(xs, ps, 1.0, signed=True)

@@ -335,17 +335,7 @@ def fan_one_target(xs, p: int, d: int, polarity: str = APPLY_ON_ONE) -> Interact
     Controls are qubits 0..n-1, the target is qubit n.  A per-gate
     construction would need 4n interactions.
     """
-    xs = list(xs)
-    n = len(xs)
-    if n < 1:
-        raise ValueError("need at least one control")
-    t = n
-    lab = lambda xx, pp: LatticeLabel(xx, pp, d)
-    elements = [Interaction(k, lab(xk, 0), polarity) for k, xk in enumerate(xs)]
-    elements.append(Interaction(t, lab(0, p), polarity))
-    elements += [Interaction(k, lab(-xk, 0), polarity) for k, xk in enumerate(xs)]
-    elements.append(Interaction(t, lab(0, -p), polarity))
-    return InteractionSequence(n + 1, d, elements)
+    return fan_bipartite(xs, [p], d, polarity)
 
 
 def fan_bipartite(xs, ps, d: int, polarity: str = APPLY_ON_ONE) -> InteractionSequence:

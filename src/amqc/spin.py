@@ -160,12 +160,6 @@ class SpinBranchState:
     def total_norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for _, a in self.branches.values()))
 
-    def gram_weighted_norm(self) -> float:
-        """Norm via the coherent-label Gram matrix restricted to matching
-        register bitstrings (cross terms vanish by register orthogonality)."""
-        return math.sqrt(sum((abs(a) ** 2 * coherent_overlap(z, z, self.n_spins)).real
-                             for z, a in self.branches.values()))
-
     def residual_entanglement(self) -> float:
         z = np.array([z for z, _ in self.branches.values()], dtype=complex)
         amps = np.array([a for _, a in self.branches.values()], dtype=complex)
@@ -197,29 +191,45 @@ def apply_controlled_spin(state: SpinBranchState, qubit: int,
                            dict(zip(rs, zip(z.tolist(), amps.tolist()))))
 
 
+def _sphere_walk(legs, n_spins: int):
+    """Run branches that start on the origin through ``legs`` (one per-branch
+    array per step); returns their final labels and unwrapped phase angles."""
+    zeta = np.zeros(np.shape(legs[0]), dtype=complex)
+    angle = np.zeros(zeta.shape)
+    for leg in legs:
+        zeta, step_angle = branches.sphere_step(zeta, leg, n_spins)
+        angle += step_angle
+    return zeta, angle
+
+
+def _sphere_report(zeta, angle, n_spins: int, interaction_count: int):
+    """GateReport of equal-weight branches ending on labels ``zeta`` with
+    phases ``angle``, and every branch's vacuum-return infidelity."""
+    infid = vacuum_return_infidelity(zeta, n_spins)
+    residual = branches.grouped_residual(
+        zeta, np.full(len(zeta), 1.0 / len(zeta)), zeta,
+        lambda z1, z2: branches.sphere_overlap(z1, z2, n_spins))
+    return GateReport(
+        register_unitary=np.diag(np.exp(1j * angle)) if residual < DISENTANGLE_TOL else None,
+        ancilla_return_fidelity=float(1.0 - infid.max()),
+        residual_entanglement=residual,
+        interaction_count=interaction_count,
+    ), infid
+
+
 def spin_two_qubit_gate(eta: float, n_spins: int) -> GateReport:
     """Run the corrected four-leg rectangle on two register qubits.
 
     The legs (eta on qubit 0, i*tau on qubit 1, -tau on qubit 0, -i*eta on
     qubit 1) close exactly for every branch, so the ancilla factors out with
-    fidelity 1 and the register acquires exp(i*N*phi_t Z (x) Z).
+    fidelity 1 and the register acquires exp(i*N*phi_t Z (x) Z).  Control bit
+    0 displaces by +leg, bit 1 by -leg.
     """
     sol = loop_close(eta)
-    steps = [(0, complex(sol.eta)), (1, 1j * sol.tau),
-             (0, complex(-sol.tau)), (1, -1j * sol.eta)]
-    state = SpinBranchState.from_register(np.full(4, 0.5, dtype=complex), n_spins)
-    for qubit, z in steps:
-        state = apply_controlled_spin(state, qubit, z)
-    z_f, amps = zip(*state.branches.values())
-    residual = state.residual_entanglement()
-    # The uniform input carries every basis branch with amplitude 1/2.
-    return GateReport(
-        register_unitary=2.0 * np.diag(amps) if residual < DISENTANGLE_TOL else None,
-        ancilla_return_fidelity=1.0 - float(np.max(
-            vacuum_return_infidelity(np.array(z_f), n_spins))),
-        residual_entanglement=residual,
-        interaction_count=4,
-    )
+    signs = 1.0 - 2.0 * branches.register_bits(2)
+    legs = (signs[:, 0] * sol.eta, signs[:, 1] * (1j * sol.tau),
+            signs[:, 0] * -sol.tau, signs[:, 1] * (-1j * sol.eta))
+    return _sphere_report(*_sphere_walk(legs, n_spins), n_spins, 4)[0]
 
 
 def eta_for_phase(target_phi: float, n_spins: int) -> float:
@@ -342,27 +352,25 @@ def phi_series_defect(zeta_n: float, n_spins: int) -> float:
 
 
 @dataclass
-class SpinFanReport:
+class SpinFanReport(GateReport):
     """Branch-resolved outcome of a contracted fan sequence.
 
-    Phases are tracked as unwrapped angles (per-spin composition angles summed
-    and scaled by N), so they can be compared against targets exceeding 2*pi.
+    ``branch_labels``, ``branch_phases`` and ``target_phases`` are arrays
+    indexed by register index.  Phases are tracked as unwrapped angles
+    (per-spin composition angles summed and scaled by N), so they can be
+    compared against targets exceeding 2*pi.
     """
 
     n_controls: int
     n_targets: int
     n_spins: int
-    interaction_count: int
-    branch_labels: dict
-    branch_phases: dict
-    target_phases: dict
+    branch_labels: np.ndarray
+    branch_phases: np.ndarray
+    target_phases: np.ndarray
     worst_phase_error: float
     worst_branch_infidelity: float
     extremal_phase: float
     extremal_label: complex
-    ancilla_return_fidelity: float
-    residual_entanglement: float
-    register_unitary: np.ndarray | None
 
 
 def fan_sequence_simulate(xs, ps, n_spins: int) -> SpinFanReport:
@@ -385,40 +393,28 @@ def fan_sequence_simulate(xs, ps, n_spins: int) -> SpinFanReport:
     n, m = len(xs), len(ps)
     if n < 1 or m < 1:
         raise ValueError("need at least one control and one target")
-    nq = n + m
     scale = 1.0 / math.sqrt(2.0 * n_spins)
 
-    signs = 1.0 - 2.0 * branches.register_bits(nq)
+    signs = 1.0 - 2.0 * branches.register_bits(n + m)
     x_net = sum(s * x for s, x in zip(signs[:, :n].T, xs))
     p_net = sum(s * p for s, p in zip(signs[:, n:].T, ps))
-    zeta = np.zeros(2 ** nq, dtype=complex)
-    angle = np.zeros(2 ** nq)
-    for leg in (scale * x_net, 1j * scale * p_net,
-                -scale * x_net, -1j * scale * p_net):
-        zeta, step_angle = branches.sphere_step(zeta, leg, n_spins)
-        angle += step_angle
+    zeta, angle = _sphere_walk((scale * x_net, 1j * scale * p_net,
+                                -scale * x_net, -1j * scale * p_net), n_spins)
+    report, infid = _sphere_report(zeta, angle, n_spins, 2 * (n + m))
     target = x_net * p_net
     err = np.abs((angle - target + math.pi) % (2.0 * math.pi) - math.pi)
-    infid = vacuum_return_infidelity(zeta, n_spins)
-    residual = branches.grouped_residual(
-        zeta, np.full(2 ** nq, 2.0 ** -nq), zeta,
-        lambda z1, z2: branches.sphere_overlap(z1, z2, n_spins))
-    unitary = np.diag(np.exp(1j * angle)) if residual < DISENTANGLE_TOL else None
     return SpinFanReport(
+        **vars(report),
         n_controls=n,
         n_targets=m,
         n_spins=n_spins,
-        interaction_count=2 * (n + m),
-        branch_labels=dict(enumerate(zeta.tolist())),
-        branch_phases=dict(enumerate(angle.tolist())),
-        target_phases=dict(enumerate(target.tolist())),
+        branch_labels=zeta,
+        branch_phases=angle,
+        target_phases=target,
         worst_phase_error=float(err.max()),
         worst_branch_infidelity=float(infid.max()),
         extremal_phase=float(angle[0]),
         extremal_label=complex(zeta[0]),
-        ancilla_return_fidelity=float(1.0 - infid.max()),
-        residual_entanglement=residual,
-        register_unitary=unitary,
     )
 
 

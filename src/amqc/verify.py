@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import qubus, qudit, spin
-from .branches import register_bits, sphere_overlap, sphere_step
+from . import oracles, qubus, qudit, spin
+from .branches import flat_step, register_bits, sphere_overlap, sphere_step
 from .linalg import (
     PAULI_X,
     PAULI_Y,
@@ -118,22 +118,6 @@ def _powers(m: np.ndarray, count: int) -> np.ndarray:
     for _ in range(count - 1):
         out.append(out[-1] @ m)
     return np.stack(out)
-
-
-def _controlled_rotation_oracle(n_qubits: int, control: int, target: int,
-                                theta: float) -> np.ndarray:
-    """Dense C^c_t R(theta) by basis enumeration: phase iff both bits set."""
-    bits = register_bits(n_qubits)
-    return np.diag(np.exp(1j * theta * bits[:, control] * bits[:, target]))
-
-
-def _toffoli_oracle(n_controls: int, u: np.ndarray) -> np.ndarray:
-    """Dense n-controlled-U by basis enumeration (target is the last qubit)."""
-    dim = 2 ** (n_controls + 1)
-    out = np.eye(dim, dtype=complex)
-    base = dim - 2  # |1...1>|0>
-    out[np.ix_([base, base + 1], [base, base + 1])] = np.asarray(u, complex)
-    return out
 
 
 # ----------------------------------------------------------------------------
@@ -236,7 +220,7 @@ def run_qudit_suite(rng: np.random.Generator | None = None) -> SuiteResult:
                     rep = extract_register_gate(
                         two_qubit_sequence(0, 1, x, p, d), convention=conv)
                     fid_dev = max(fid_dev, abs(1.0 - rep.ancilla_return_fidelity))
-                    oracle = _controlled_rotation_oracle(2, 0, 1, 2 * np.pi * x * p / d)
+                    oracle = oracles.fan([x], [p], 2 * np.pi / d, signed=False)
                     dev = max(dev, phase_distance(rep.register_unitary, oracle))
     checks.add("two-qubit rectangle = C^j_k R(2 pi x p / d)", dev, 1e-10)
     checks.add("two-qubit rectangle ancilla return fidelity", fid_dev, 1e-12)
@@ -246,19 +230,13 @@ def run_qudit_suite(rng: np.random.Generator | None = None) -> SuiteResult:
     xs, p = (1, 2, 3), 1
     seq = fan_one_target(xs, p, d)
     rep = extract_register_gate(seq)
-    oracle = identity(2 ** 4)
-    for k, xk in enumerate(xs):
-        oracle = oracle @ _controlled_rotation_oracle(4, k, 3, 2 * np.pi * xk * p / d)
+    oracle = oracles.fan(xs, [p], 2 * np.pi / d, signed=False)
     dev = max(dev, phase_distance(rep.register_unitary, oracle))
     dev = max(dev, 0.0 if rep.interaction_count == 2 * (len(xs) + 1) else 1.0)
     d = 3
     xs2, ps2 = (1, 2), (1, 1)
     rep = extract_register_gate(fan_bipartite(xs2, ps2, d))
-    oracle = identity(2 ** 4)
-    for k, xk in enumerate(xs2):
-        for j, pj in enumerate(ps2):
-            oracle = oracle @ _controlled_rotation_oracle(
-                4, k, 2 + j, 2 * np.pi * xk * pj / d)
+    oracle = oracles.fan(xs2, ps2, 2 * np.pi / d, signed=False)
     dev = max(dev, phase_distance(rep.register_unitary, oracle))
     dev = max(dev, 0.0 if rep.interaction_count == 2 * (len(xs2) + len(ps2)) else 1.0)
     checks.add("fan sequences match composed rotation oracles, "
@@ -268,14 +246,12 @@ def run_qudit_suite(rng: np.random.Generator | None = None) -> SuiteResult:
     for n in (1, 2, 3):
         for u in (PAULI_X, phase_gate(np.pi / 3)):
             rep = extract_register_gate(generalized_toffoli(n, u, n + 2))
-            dev = max(dev, phase_distance(rep.register_unitary,
-                                          _toffoli_oracle(n, u)))
+            dev = max(dev, phase_distance(rep.register_unitary, oracles.toffoli(n, u)))
     checks.add("generalized Toffoli vs n-controlled-U oracle", dev, 1e-10)
 
     theta, n, d = np.pi / 5, 4, 3
     rep = extract_register_gate(mod_d_phase_gate(theta, n, d))
-    bits = register_bits(n + 1)
-    expected = np.exp(1j * theta * (bits[:, :n].sum(axis=1) % d) * bits[:, n])
+    expected = np.diag(oracles.mod_d(theta, n, d))
     dev = float(np.max(np.abs(np.diag(rep.register_unitary) - expected)))
     checks.add("mod-d phase gate exponent theta (sum q mod d) q_t", dev, 1e-12)
 
@@ -283,7 +259,7 @@ def run_qudit_suite(rng: np.random.Generator | None = None) -> SuiteResult:
     for theta, d in ((np.pi, 2), (2 * np.pi / 7, 3)):
         rep = extract_register_gate(single_pair_arbitrary_rotation(theta, d))
         dev = max(dev, phase_distance(rep.register_unitary,
-                                      _controlled_rotation_oracle(2, 0, 1, theta)))
+                                      oracles.fan([1], [1], theta, signed=False)))
     checks.add("controlled ancilla rotation gives arbitrary CR(theta)", dev, 1e-10)
 
     dev = 0.0
@@ -369,8 +345,7 @@ def run_spin_suite(rng: np.random.Generator | None = None) -> SuiteResult:
     for eta, n_spins in ((0.1, 6), (0.25, 3), (0.4, 12)):
         rep = spin.spin_two_qubit_gate(eta, n_spins)
         sol = spin.loop_close(eta)
-        oracle = np.diag(np.exp(1j * n_spins * sol.phi_t *
-                                np.array([1.0, -1.0, -1.0, 1.0])))
+        oracle = oracles.fan([1], [1], n_spins * sol.phi_t, signed=True)
         dev = max(dev, phase_distance(rep.register_unitary, oracle))
         fid_dev = max(fid_dev, abs(1.0 - rep.ancilla_return_fidelity))
     checks.add("corrected rectangle = exp(i N phi_t Z Z)", dev, 1e-10)
@@ -379,21 +354,34 @@ def run_spin_suite(rng: np.random.Generator | None = None) -> SuiteResult:
     n_spins = 8
     eta = spin.eta_for_phase(np.pi / 4, n_spins)
     rep = spin.spin_two_qubit_gate(eta, n_spins)
-    cz = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
+    cz = oracles.fan([1], [1], np.pi, signed=False)
     corrected = kron(phase_gate(np.pi / 2), phase_gate(np.pi / 2)) @ \
         rep.register_unitary
     checks.add("root-found eta gives CZ up to local rotations",
                phase_distance(corrected, cz), 1e-10)
 
-    dev = 0.0
-    state = spin.SpinBranchState.from_register(
-        random_state(8, rng), n_spins=6)
-    for _ in range(8):
-        qubit = int(rng.integers(0, 3))
-        zeta = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
-        state = spin.apply_controlled_spin(state, qubit, zeta)
-        dev = max(dev, abs(1.0 - state.gram_weighted_norm()))
-    checks.add("branch norm conserved over 8 random interactions", dev, 1e-10)
+    # The joint state sum_r a_r |r>|psi_r> of a 3-qubit register after 8
+    # random controlled displacements: psi_r is the N-fold tensor power of the
+    # per-spin vector that branch r's su2_displacement matrices make from |1>,
+    # against e^{i angle_r} |zeta_r>^(x)N from the array walk.
+    n_spins = 4
+    amps = random_state(8, rng)
+    steps = [(int(rng.integers(0, 3)),
+              complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4)))
+             for _ in range(8)]
+    signs = 1.0 - 2.0 * register_bits(3)
+    legs = np.array([signs[:, qubit] * z for qubit, z in steps])
+    zeta, angle = spin._sphere_walk(legs, n_spins)
+    per_spin = np.zeros((8, 2), dtype=complex)
+    per_spin[:, 1] = 1.0
+    for mats in spin.su2_displacement(legs):
+        per_spin = (mats @ per_spin[..., None])[..., 0]
+    walked = spin.su2_displacement(zeta)[..., 1]
+    dev = max(float(np.max(np.abs(a * (kron(*[v] * n_spins)
+                                       - np.exp(1j * phase) * kron(*[w] * n_spins)))))
+              for a, v, w, phase in zip(amps, per_spin, walked, angle))
+    checks.add("array walk vs dense 4-spin vectors, 3 qubits x 8 random steps",
+               dev, 1e-12)
 
     point = spin.fan_error(40.0, 10 ** 7)
     dev = 0.0 if 1.4e-4 <= point.phi_E <= 2.2e-4 else abs(point.phi_E - 1.8e-4)
@@ -431,20 +419,17 @@ def run_qubus_suite(rng: np.random.Generator | None = None) -> SuiteResult:
     t0 = time.perf_counter()
     checks = _Checks()
 
-    dev = 0.0
-    for _ in range(100):
-        l1 = qubus.FieldLabel(float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
-        l2 = qubus.FieldLabel(float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
-        _, ph12 = qubus.compose_field(l1, l2)
-        _, ph21 = qubus.compose_field(l2, l1)
-        dev = max(dev, abs(ph12 * ph21 - 1.0))
-        _, ph_inv = qubus.compose_field(l1, -l1)
-        dev = max(dev, abs(ph_inv - 1.0))
+    # One call draws the (x1, p1, x2, p2) rows one call per sample would.
+    x1, p1, x2, p2 = rng.uniform(-2, 2, (100, 4)).T
+    z1, z2 = x1 + 1j * p1, x2 + 1j * p2
+    ph12, ph21, ph_inv = (np.exp(1j * flat_step(a, b)[1])
+                          for a, b in ((z1, z2), (z2, z1), (z1, -z1)))
+    dev = float(max(np.max(np.abs(ph12 * ph21 - 1.0)), np.max(np.abs(ph_inv - 1.0))))
     checks.add("composition phase antisymmetric under swap", dev, 1e-12)
 
     dev = 0.0
     for x, p in ((0.35, 0.61), (1.0, np.pi / 4), (0.9, -0.3)):
-        zz = np.diag(np.exp(1j * x * p * np.array([1.0, -1.0, -1.0, 1.0])))
+        zz = oracles.fan([x], [p], 1.0, signed=True)
         for label in (qubus.ORIGIN, qubus.FieldLabel(0.7, -1.3)):
             rep = qubus.field_two_qubit(x, p, initial_label=label)
             dev = max(dev, phase_distance(rep.register_unitary, zz))
@@ -453,7 +438,7 @@ def run_qubus_suite(rng: np.random.Generator | None = None) -> SuiteResult:
 
     xp = np.pi / 4
     rep = qubus.field_two_qubit(math.sqrt(xp), math.sqrt(xp))
-    cz = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
+    cz = oracles.fan([1], [1], np.pi, signed=False)
     corrected = kron(phase_gate(2 * xp), phase_gate(2 * xp)) @ rep.register_unitary
     checks.add("x p = pi/4 locally equivalent to CZ",
                phase_distance(corrected, cz), 1e-12)

@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 
 from amqc.branches import register_bits, sphere_overlap, torus_ancilla
 from amqc.linalg import largest_schmidt_weight, phase_distance, random_state, random_unitary
+from amqc.oracles import fan, mod_d, toffoli
 from amqc.qubus import (
     FieldBranchState,
     FieldLabel,
     apply_controlled_field,
-    compose_field,
     fan_target_unitary,
     field_fan,
-    field_overlap,
 )
 from amqc.qudit import CONVENTIONS, HALF_ROOT, MOD_INVERSE, LatticeLabel
 from amqc.qudit_model import (
@@ -68,15 +67,36 @@ def test_register_bits_matches_shift_idiom():
 
 @PROPERTY
 @given(st.lists(small_floats, min_size=1, max_size=3),
-       st.lists(small_floats, min_size=1, max_size=3))
-def test_fan_target_unitary_matches_pairwise_sum(xs, ps):
+       st.lists(small_floats, min_size=1, max_size=3), st.floats(-4.0, 4.0))
+def test_fan_target_unitary_matches_pairwise_sum(xs, ps, scale):
     n, m = len(xs), len(ps)
-    u = fan_target_unitary(xs, ps)
+    signed, unsigned = fan(xs, ps, scale, signed=True), fan(xs, ps, scale, signed=False)
+    assert np.array_equal(fan_target_unitary(xs, ps), fan(xs, ps, 1.0, signed=True))
     for r in range(2 ** (n + m)):
-        signs = [1 - 2 * _bit(r, n + m, q) for q in range(n + m)]
-        total = sum(xk * pj * signs[k] * signs[n + j]
-                    for k, xk in enumerate(xs) for j, pj in enumerate(ps))
-        assert abs(u[r, r] - cmath.exp(1j * total)) < TOL
+        bits = [_bit(r, n + m, q) for q in range(n + m)]
+        for u, v in ((signed, [1 - 2 * b for b in bits]), (unsigned, bits)):
+            total = sum(xk * pj * v[k] * v[n + j]
+                        for k, xk in enumerate(xs) for j, pj in enumerate(ps))
+            assert abs(u[r, r] - cmath.exp(1j * scale * total)) < TOL
+
+
+@PROPERTY
+@given(st.integers(1, 5), st.integers(2, 6), st.floats(-4.0, 4.0), seeds)
+def test_mod_d_and_toffoli_oracles_match_basis_loop(n, d, theta, seed):
+    u = random_unitary(2, np.random.default_rng(seed))
+    phases, controlled = mod_d(theta, n, d), toffoli(n, u)
+    dim = 2 ** (n + 1)
+    for r in range(dim):
+        bits = [_bit(r, n + 1, q) for q in range(n + 1)]
+        expected = cmath.exp(1j * theta * (sum(bits[:n]) % d) * bits[n])
+        assert abs(phases[r, r] - expected) < TOL
+        for c in range(dim):
+            if r // 2 == c // 2 == dim // 2 - 1:   # both on the all-ones controls
+                want = u[r % 2, c % 2]
+            else:
+                want = 1.0 if r == c else 0.0
+            assert controlled[r, c] == want
+            assert phases[r, c] == 0 or r == c
 
 
 # ----------------------------------------------------------------------------
@@ -210,7 +230,7 @@ def test_torus_branches_match_dense_run_sequence(case):
 
 
 # ----------------------------------------------------------------------------
-# flat law vs scalar compose_field walks
+# flat law vs scalar walks of D(l2) D(l1) = e^{i (x1 p2 - p1 x2)/2} D(l1 + l2)
 # ----------------------------------------------------------------------------
 
 @st.composite
@@ -235,14 +255,14 @@ def test_field_walk_matches_scalar_composition(walk):
     n, steps, register, label = walk
     state = _field_walk(FieldBranchState.from_register(register, label), steps)
     for r, amp in enumerate(register):
-        ref_label, ref_amp = label, complex(amp)
+        ref_x, ref_p, ref_amp = label.x, label.p, complex(amp)
         for qubit, x, p in steps:
-            step = FieldLabel(x, p) if _bit(r, n, qubit) == 0 else FieldLabel(-x, -p)
-            ref_label, scalar = compose_field(ref_label, step)
-            ref_amp *= scalar
+            s = 1 - 2 * _bit(r, n, qubit)
+            ref_amp *= cmath.exp(0.5j * (ref_x * s * p - ref_p * s * x))
+            ref_x, ref_p = ref_x + s * x, ref_p + s * p
         got_label, got_amp = state.branches[r]
-        assert abs(got_label.x - ref_label.x) < TOL
-        assert abs(got_label.p - ref_label.p) < TOL
+        assert abs(got_label.x - ref_x) < TOL
+        assert abs(got_label.p - ref_p) < TOL
         assert abs(got_amp - ref_amp) < TOL
 
 
@@ -346,7 +366,9 @@ def _full_residual(branches, overlap):
 
 
 def _field_overlap(l1, l2):
-    return field_overlap(l1, l2) * cmath.exp(0.5j * (l1.x * l2.p - l1.p * l2.x))
+    dx, dp = l2.x - l1.x, l2.p - l1.p
+    return math.exp(-(dx * dx + dp * dp) / 4.0) * \
+        cmath.exp(0.5j * (l1.x * l2.p - l1.p * l2.x))
 
 
 @PROPERTY

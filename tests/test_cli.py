@@ -254,7 +254,7 @@ def test_demo_refuses_oversized_register_before_building(monkeypatch, capsys):
         raise AssertionError("sequence built for an oversized register")
 
     monkeypatch.setattr("amqc.cli.fan_bipartite", never)
-    monkeypatch.setattr("amqc.cli.register_bits", never)
+    monkeypatch.setattr("amqc.oracles.fan", never)
     assert main(["demo", "fan-bipartite", "--n", "12", "--m", "12"]) == 2
     err = capsys.readouterr().err
     assert "24-qubit" in err and err.count("\n") == 1

@@ -5,53 +5,51 @@ import cmath
 import numpy as np
 import pytest
 
+from amqc.branches import flat_overlap, flat_step
 from amqc.linalg import kron, phase_distance, phase_gate
 from amqc.qubus import (
     ORIGIN,
     FieldBranchState,
     FieldLabel,
     apply_controlled_field,
-    compose_field,
     fan_target_unitary,
     field_fan,
-    field_overlap,
     field_two_qubit,
 )
 
 
 def test_compose_with_inverse():
-    lab = FieldLabel(0.7, -0.4)
-    total, phase = compose_field(lab, -lab)
-    assert total == ORIGIN
-    assert abs(phase - 1.0) < 1e-15
+    z = complex(0.7, -0.4)
+    total, angle = flat_step(z, -z)
+    assert total == 0
+    assert abs(cmath.exp(1j * angle) - 1.0) < 1e-15
 
 
 def test_compose_orthogonal_steps():
     x, p = 0.8, 0.5
-    total, phase = compose_field(FieldLabel(x, 0.0), FieldLabel(0.0, p))
-    assert total == FieldLabel(x, p)
-    assert abs(phase - cmath.exp(0.5j * x * p)) < 1e-15
+    total, angle = flat_step(complex(x, 0.0), complex(0.0, p))
+    assert total == complex(x, p)
+    assert abs(cmath.exp(1j * angle) - cmath.exp(0.5j * x * p)) < 1e-15
 
 
 def test_rectangle_accumulates_area_phase():
     x, p = 1.1, 0.6
-    label = ORIGIN
+    z = 0j
     phase = 1.0 + 0.0j
-    for step in (FieldLabel(x, 0), FieldLabel(0, p),
-                 FieldLabel(-x, 0), FieldLabel(0, -p)):
-        label, scalar = compose_field(label, step)
-        phase *= scalar
-    assert label == ORIGIN
+    for step in (x, 1j * p, -x, -1j * p):
+        z, angle = flat_step(z, step)
+        phase *= cmath.exp(1j * angle)
+    assert z == 0
     assert abs(phase - cmath.exp(1j * x * p)) < 1e-15
 
 
 def test_compose_antisymmetric():
     rng = np.random.default_rng(2)
     for _ in range(50):
-        l1 = FieldLabel(*rng.uniform(-2, 2, 2))
-        l2 = FieldLabel(*rng.uniform(-2, 2, 2))
-        _, ph12 = compose_field(l1, l2)
-        _, ph21 = compose_field(l2, l1)
+        z1 = complex(*rng.uniform(-2, 2, 2))
+        z2 = complex(*rng.uniform(-2, 2, 2))
+        ph12 = cmath.exp(1j * flat_step(z1, z2)[1])
+        ph21 = cmath.exp(1j * flat_step(z2, z1)[1])
         assert abs(ph12 * ph21 - 1.0) < 1e-14
 
 
@@ -151,8 +149,8 @@ def test_branch_state_walk_matches_symbolic_phases():
 
 
 def test_overlap_of_identical_labels_is_one():
-    assert field_overlap(FieldLabel(0.4, -2.0), FieldLabel(0.4, -2.0)) == 1.0
-    assert field_overlap(ORIGIN, FieldLabel(3.0, 0.0)) < 0.2
+    assert flat_overlap(complex(0.4, -2.0), complex(0.4, -2.0)) == 1.0
+    assert abs(flat_overlap(0j, complex(3.0, 0.0))) < 0.2
 
 
 def test_fan_rejects_empty_sides():

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import amqc.branches
 import amqc.qudit
 import amqc.spin
 from amqc import verify
@@ -108,6 +109,17 @@ def _negated_angle(orig):
     return step
 
 
+def _unscaled_angle(orig):
+    def step(z, leg, n_spins, *rest):
+        z_new, angle = orig(z, leg, n_spins, *rest)
+        return z_new, angle / n_spins
+    return step
+
+
+def _negated_leg(orig):
+    return lambda z, leg, n_spins, *rest: orig(z, -leg, n_spins, *rest)
+
+
 def _conjugate_label(orig):
     def step(z, leg, n_spins, *rest):
         z_new, angle = orig(z, leg, n_spins, *rest)
@@ -170,3 +182,13 @@ def test_injected_fault_fails_exactly_its_check(monkeypatch, owner, name, fault,
     failed = [c.name for res in verify.run_suites(list(verify.SUITES))
               for c in res.checks if not c.passed]
     assert failed == [check]
+
+
+@pytest.mark.parametrize("fault", [_negated_angle, _unscaled_angle, _negated_leg])
+def test_sphere_walk_fault_fails_the_dense_walk_check(monkeypatch, fault):
+    # Every spin gate walks through branches.sphere_step, so other checks may
+    # fail too; a mirrored walk (negated legs) keeps every phase and only
+    # the labels show it.
+    monkeypatch.setattr(amqc.branches, "sphere_step", fault(amqc.branches.sphere_step))
+    failed = [c.name for c in verify.run_spin_suite().checks if not c.passed]
+    assert "array walk vs dense 4-spin vectors, 3 qubits x 8 random steps" in failed
