@@ -3,14 +3,24 @@
 Controlled displacements never mix register basis states, so each of the 2^n
 register branches carries only an ancilla label and a phase (the Weyl-group
 tracking behind Gottesman-Knill; Aaronson and Gottesman, PRA 70, 052328,
-2004).  All branches are numpy arrays, propagated under one composition law
-per backend: torus (qudit; integer labels and phase exponent mod 2d), flat
-(field-mode bus; phase (x1 p2 - p1 x2)/2) and sphere (spin ensemble; Moebius
-rule, phase N arg(1 - z1 conj(z2))).
+2004).  All branches are numpy arrays under one composition law per backend:
+torus (qudit; integer labels and phase exponent mod 2d), flat (field-mode bus;
+phase (x1 p2 - p1 x2)/2) and sphere (spin ensemble; Moebius rule, phase
+N arg(1 - z1 conj(z2))).
+
+The torus is not walked step by step.  A branch's net label (X, P) is affine
+in its register bits and its phase exponent is a quadratic form in them: the
+phase polynomial of a diagonal Clifford circuit (Dehaene and De Moor, PRA 68,
+042318, 2003; Hostens, Dehaene and De Moor, PRA 71, 042315, 2005, for
+qudits).  One pass over the steps gives the coefficients, and doubling over
+qubits gives the 2^n values.  Branches that share (X mod d, P mod d) form a
+label class with one ancilla vector, so a gate needs at most min(d^2, 2^n)
+ancilla vectors, and a closed loop is a single class.
 
 The residual entanglement, 1 minus the top eigenvalue of the ancilla's state
 sum_r |a_r|^2 |l_r><l_r|, comes from a pivoted Cholesky factor of the Gram
-matrix of the final labels, whose rank is a few when they nearly coincide.
+matrix of the final labels (on the torus, of the label classes), whose rank
+is a few when they nearly coincide.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ import numpy as np
 
 from .qudit import MOD_INVERSE, _check_convention
 
-# |1 - z1 conj(z2)| below this is a composition through the south pole.
+# A per-spin |1> component below this is a composition through the south pole.
 SINGULAR_TOL = 1e-12
 RANK_TOL = 1e-14   # Gram trace per unit weight a residual's factor leaves out
 
@@ -62,34 +72,135 @@ def grouped_residual(keys: np.ndarray, weights: np.ndarray, labels: np.ndarray,
     return float(1.0 - np.linalg.eigvalsh(factor.conj() @ factor.T)[-1])
 
 
-def torus_ancilla(n_qubits: int, d: int, steps, anc_init: np.ndarray,
-                  convention: str) -> np.ndarray:
-    """Final ancilla vector of every register basis branch, as a (2^n, d) matrix.
+def _phase_polynomial(n_qubits: int, d: int, steps, convention: str):
+    """Coefficients, in Python integers, of the net labels and phase exponent
+    of a displacement-only sequence in the register bits b_q.
+
+    Returns (x, p, k, pair): x = [X0, X1, ..., Xn] means X = X0 + sum_q
+    X(q+1) b_q, likewise P and the linear part of k, and pair[t][q] (t < q)
+    is the coefficient of b_t b_q in k.  With control value s = b (apply on
+    one) or s = 1 - 2b (symmetric), a step (x, p) takes
+    Q = sum_{i<j} s_i s_j (x_i p_j - p_i x_j) - X P to Q - 2 x s P - x p s^2,
+    P before the step; k = c Q and b^2 = b.
+    """
+    if steps:
+        _check_convention(d, convention)
+    # D(l2) D(l1) = exp(i pi c (x1 p2 - p1 x2) / d) D(l1 + l2), and the
+    # prefactor of D(X, P) is exp(-i pi c X P / d).
+    c = d + 1 if convention == MOD_INVERSE else 1
+    x, p, k = ([0] * (n_qubits + 1) for _ in range(3))
+    pair = [[0] * n_qubits for _ in range(n_qubits)]
+    for qubit, dx, dp, symmetric in steps:
+        a, b = (1, -2) if symmetric else (0, 1)   # s = a + b b_qubit
+        q, cdx = qubit + 1, c * dx
+        k[0] -= cdx * (2 * a * p[0] + a * a * dp)
+        k[q] -= cdx * (2 * (a + b) * p[q] + 2 * b * p[0] + (2 * a + b) * b * dp)
+        for t in range(n_qubits):
+            if p[t + 1] and t != qubit:
+                k[t + 1] -= 2 * cdx * a * p[t + 1]
+                pair[min(t, qubit)][max(t, qubit)] -= 2 * cdx * b * p[t + 1]
+        x[0] += a * dx
+        x[q] += b * dx
+        p[0] += a * dp
+        p[q] += b * dp
+    return x, p, k, pair
+
+
+def _evaluate(rows, pair, moves) -> np.ndarray:
+    """Evaluate affine forms ``rows`` (each [constant, b_0 coefficient, ...])
+    on every register index, qubit 0 the most significant bit, the first row
+    plus sum_{t<q} pair[t][q] b_t b_q, as int64 rows; one more row numbers
+    label classes: 0 on index 0, then ``moves[q]`` maps it where b_q = 1
+    (None leaves it).
+
+    Doubling over qubits: the values on 2^q indices become the outer sum with
+    (0, qubit q's coefficient), qubit q the new least significant bit.
+    Trailing rows carry sum_{t<q} pair[t][q] b_t for every qubit q still to
+    come, the next one last.
+    """
+    n, width = len(moves), len(rows) + 1
+    coeffs = list(zip(*rows))
+    table = np.array([[*coeffs[q + 1], 0, *pair[q][:q:-1]] + [0] * (q + 1)
+                      for q in range(n)] + [[*coeffs[0], 0] + [0] * n],
+                     dtype=np.int64)
+    deltas = np.multiply.outer(table[:n, :, None], (0, 1))
+    f = table[n, :, None]
+    for q in range(n):
+        new = f[:-1, :, None] + deltas[q, :len(f) - 1]
+        if q:   # qubit 0 pairs with no earlier qubit
+            new[0, :, 1] += f[-1]
+        if moves[q] is not None:
+            new[width - 1, :, 1] = moves[q][f[width - 1]]
+        f = new.reshape(len(new), -1)
+    return f
+
+
+def torus_labels(n_qubits: int, d: int, steps, convention: str):
+    """Net labels X, P and phase exponent k of every register branch, as
+    int64 arrays over register indices.
 
     ``steps`` lists (qubit, x, p, symmetric) in application order: an
     apply-on-one step displaces branches whose control bit is 1 by (x, p), a
-    symmetric one displaces bit 0 by +(x, p) and bit 1 by -(x, p).  Row r is
-    exp(i pi k/d) D(X, P) anc_init with the branch's net label (X, P) and
-    phase exponent k, built as the phased permutation
-    anc_init[(m - X) mod d] * omega_d(P m).
+    symmetric one displaces bit 0 by +(x, p) and bit 1 by -(x, p).  Branch r
+    ends in exp(i pi k/d) D(X, P) times the initial ancilla state.
     """
-    x_net, p_net, k = np.zeros((3, 2 ** n_qubits), dtype=np.int64)
-    if steps:
-        _check_convention(d, convention)
-        # D(l2) D(l1) = exp(i pi c (x1 p2 - p1 x2) / d) D(l1 + l2)
-        c = d + 1 if convention == MOD_INVERSE else 1
-        bits = register_bits(n_qubits)
-        for qubit, x, p, symmetric in steps:
-            s = 1 - 2 * bits[:, qubit] if symmetric else bits[:, qubit]
-            k += x_net * (s * p) - p_net * (s * x)
-            x_net += s * x
-            p_net += s * p
-        # The prefactor of D(X, P) is exp(-i pi c X P / d).
-        k = c * (k - x_net * p_net)
-    m = np.arange(d)
+    x, p, k, pair = _phase_polynomial(n_qubits, d, steps, convention)
+    k_net, x_net, p_net, _ = _evaluate([k, x, p], pair, [None] * n_qubits)
+    return x_net, p_net, k_net
+
+
+@functools.lru_cache(maxsize=8)
+def _roots(d: int) -> np.ndarray:
+    """Read-only exp(i pi j / d) for j = 0 .. 2d-1."""
     roots = np.exp(1j * np.pi * np.arange(2 * d) / d)
-    phase = roots[(k[:, None] + 2 * p_net[:, None] * m) % (2 * d)]
+    roots.setflags(write=False)
+    return roots
+
+
+def torus_ancilla(n_qubits: int, d: int, steps, anc_init: np.ndarray,
+                  convention: str) -> np.ndarray:
+    """Final ancilla vector of every register basis branch, as a (2^n, d)
+    matrix: row r is exp(i pi k/d) D(X, P) anc_init with branch r's labels
+    from :func:`torus_labels`, built as the phased permutation
+    anc_init[(m - X) mod d] * omega_d(P m)."""
+    x_net, p_net, k = torus_labels(n_qubits, d, steps, convention)
+    m = np.arange(d)
+    phase = _roots(d)[(k[:, None] + 2 * p_net[:, None] * m) % (2 * d)]
     return phase * anc_init[(m - x_net[:, None]) % d]
+
+
+def torus_gate(n_qubits: int, d: int, steps, anc_init: np.ndarray,
+               convention: str) -> tuple[np.ndarray, float]:
+    """<anc_init| final ancilla> of every register branch of
+    :func:`torus_ancilla`, and the residual entanglement of the uniform input.
+
+    Branches fall into label classes by (X mod d, P mod d), at most
+    min(d^2, 2^n) of them, numbered by doubling over qubits like the phase
+    exponent.  Each class has one ancilla vector v = D(X, P) anc_init up to
+    phase, so branch r returns exp(i pi k_r / d) <anc_init|v_class>, and the
+    residual is that of the classes weighted by their share of branches; a
+    closed loop is one class.
+    """
+    x, p, k, pair = _phase_polynomial(n_qubits, d, steps, convention)
+    classes = {(x[0] % d, p[0] % d): 0}
+    moves = [None] * n_qubits
+    for q in range(n_qubits):
+        if x[q + 1] % d or p[q + 1] % d:
+            moves[q] = np.array([
+                classes.setdefault(((cx + x[q + 1]) % d, (cp + p[q + 1]) % d),
+                                   len(classes))
+                for cx, cp in list(classes)])
+    exponent, index = _evaluate([k], pair, moves)
+    m = np.arange(d)
+    roots = _roots(d)
+    phase = np.multiply.outer([2 * cp for _, cp in classes], m)
+    shift = np.add.outer([-cx for cx, _ in classes], m)
+    vectors = roots.take(phase, mode="wrap") * anc_init.take(shift, mode="wrap")
+    returned = roots.take(exponent, mode="wrap") * (vectors @ anc_init.conj()).take(index)
+    residual = grouped_residual(
+        vectors, np.bincount(index) / 2 ** n_qubits, vectors,
+        lambda v1, v2: np.sum(np.conj(v1) * v2, axis=-1))
+    return returned, max(0.0, residual)
 
 
 def flat_step(z, dz):
@@ -132,21 +243,24 @@ def flat_overlap(z1, z2):
     return np.exp(-np.abs(z2 - z1) ** 2 / 4.0 + 0.5j * (np.conj(z1) * z2).imag)
 
 
-def sphere_step(z: np.ndarray, leg: np.ndarray, n_spins: int,
-                floor=SINGULAR_TOL):
+def sphere_step(z: np.ndarray, leg: np.ndarray, n_spins: int):
     """Displace stereographic labels ``z`` by ``leg`` (per branch).
 
     Returns (z_new, angle) with D(leg)|z> = e^{i angle} |z_new>,
     z_new = (z + leg) / (1 - z conj(leg)) and angle = N arg(1 - z conj(leg)).
-    Raises :class:`SingularCompositionError` where |1 - z conj(leg)| < floor.
+    Raises :class:`SingularCompositionError` where the per-spin |1> component
+    of the result, |1 - z conj(leg)| / sqrt((1 + |z|^2)(1 + |leg|^2)), is
+    below SINGULAR_TOL.
     """
-    den = 1.0 - z * np.conj(leg)
-    singular = np.abs(den) < floor
+    den, num = 1.0 - z * np.conj(leg), z + leg
+    # (1 + |z|^2)(1 + |leg|^2) = |den|^2 + |num|^2, and |den|^2 is negligible
+    # beside it wherever the floor can bite.
+    singular = np.abs(den) < SINGULAR_TOL * np.abs(num)
     if singular.any():
         raise SingularCompositionError(
             f"{int(np.sum(singular))} branch(es) driven to the south pole: "
             f"|1 - z*conj(step)| = {float(np.min(np.abs(den))):.3e}")
-    return (z + leg) / den, n_spins * np.arctan2(den.imag, den.real)
+    return num / den, n_spins * np.arctan2(den.imag, den.real)
 
 
 def sphere_overlap(z1, z2, n_spins: int):

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .branches import register_bits, torus_ancilla
+from .branches import register_bits, torus_gate
 from .linalg import largest_schmidt_weight
 from .qudit import HALF_ROOT, LatticeLabel, displacement, rotation
 from .report import DISENTANGLE_TOL, GateReport
@@ -250,10 +250,10 @@ def extract_register_gate(seq: InteractionSequence, anc_init: np.ndarray | None 
     unset.  Non-disentangling sequences are reported, never rejected.
 
     A sequence of interactions only runs on the branch engine
-    (:func:`amqc.branches.torus_ancilla`).  Any other sequence runs all basis
-    inputs in one batch, each over just the register rows it can reach
-    (:func:`_propagate_rows`), and gets the uniform input's output by
-    linearity as the sum of theirs.
+    (:func:`amqc.branches.torus_gate`, which groups branches into label
+    classes).  Any other sequence runs all basis inputs in one batch, each
+    over just the register rows it can reach (:func:`_propagate_rows`), and
+    gets the uniform input's output by linearity as the sum of theirs.
     """
     n, d = seq.n_qubits, seq.d
     if anc_init is None:
@@ -267,16 +267,14 @@ def extract_register_gate(seq: InteractionSequence, anc_init: np.ndarray | None 
     if all(isinstance(e, Interaction) for e in seq.elements):
         for element in seq.elements:
             _check_interaction(element, n, d)
-        final = torus_ancilla(
+        returned, residual = torus_gate(
             n, d, [(e.qubit, e.label.x, e.label.p, e.polarity == SYMMETRIC)
                    for e in seq.elements], anc_init, convention)
-        returned = final @ np.conj(anc_init)
-        # Every row has the norm of anc_init, so the uniform input's Schmidt
-        # weight is the smallest and its fidelity the mean of the basis ones.
-        residual = max(0.0, 1.0 - largest_schmidt_weight(final / np.sqrt(dim_reg)))
+        # Basis inputs stay product states, so the uniform input's residual is
+        # the worst, and its fidelity is the mean of the basis ones.
         return GateReport(
             register_unitary=np.diag(returned) if residual < DISENTANGLE_TOL else None,
-            ancilla_return_fidelity=min(1.0, float(np.min(np.abs(returned) ** 2))),
+            ancilla_return_fidelity=min(1.0, float(np.abs(returned).min() ** 2)),
             residual_entanglement=residual,
             interaction_count=len(seq.elements),
         )

@@ -172,9 +172,8 @@ def apply_controlled_spin(state: SpinBranchState, qubit: int,
                           zeta: complex) -> SpinBranchState:
     """Controlled displacement: bit 0 branches get D(+zeta), bit 1 D(-zeta).
 
-    Labels and phases follow :func:`amqc.branches.sphere_step`; a branch whose
-    per-spin |1> component (1 - z conj(step)) / sqrt((1+|z|^2)(1+|step|^2))
-    falls below 1e-12 raises :class:`SingularCompositionError`.
+    Labels, phases and the :class:`SingularCompositionError` for a branch
+    driven to the south pole follow :func:`amqc.branches.sphere_step`.
     """
     if not 0 <= qubit < state.n_qubits:
         raise ValueError(f"qubit {qubit} out of range")
@@ -183,9 +182,7 @@ def apply_controlled_spin(state: SpinBranchState, qubit: int,
     amps = np.array([a for _, a in state.branches.values()], dtype=complex)
     bit = branches.register_bits(state.n_qubits)[rs, qubit]
     leg = np.where(bit == 0, complex(zeta), -complex(zeta))
-    floor = branches.SINGULAR_TOL * np.sqrt((1.0 + np.abs(z) ** 2) *
-                                            (1.0 + np.abs(leg) ** 2))
-    z, angle = branches.sphere_step(z, leg, state.n_spins, floor)
+    z, angle = branches.sphere_step(z, leg, state.n_spins)
     amps = amps * np.exp(1j * angle)
     return SpinBranchState(state.n_qubits, state.n_spins,
                            dict(zip(rs, zip(z.tolist(), amps.tolist()))))

@@ -4,12 +4,19 @@ closed forms."""
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from amqc.branches import register_bits, sphere_overlap, torus_ancilla
+from amqc.branches import (
+    register_bits,
+    sphere_overlap,
+    torus_ancilla,
+    torus_gate,
+    torus_labels,
+)
 from amqc.linalg import largest_schmidt_weight, phase_distance, random_state, random_unitary
 from amqc.oracles import fan, mod_d, toffoli
 from amqc.qubus import (
@@ -30,7 +37,9 @@ from amqc.qudit_model import (
     InteractionSequence,
     LocalAncillaRotation,
     extract_register_gate,
+    fan_bipartite,
     run_sequence,
+    two_qubit_sequence,
 )
 from amqc.report import DISENTANGLE_TOL
 from amqc.spin import (
@@ -227,6 +236,109 @@ def test_torus_branches_match_dense_run_sequence(case):
     for r in range(2 ** n):
         out = run_sequence(seq, HybridState.basis(n, r, anc), convention).as_matrix()
         np.testing.assert_allclose(final[r], out[r], atol=TOL, rtol=0)
+
+
+# ----------------------------------------------------------------------------
+# torus phase polynomial vs the per-step loop it replaces
+# ----------------------------------------------------------------------------
+
+def loop_labels(n, d, steps, convention):
+    """Reference labels: one int64 pass per step over the register's bit
+    columns, accumulating D(l2) D(l1) = exp(i pi c (x1 p2 - p1 x2)/d) D(l1 + l2)."""
+    x_net, p_net, k = np.zeros((3, 2 ** n), dtype=np.int64)
+    if steps:
+        c = d + 1 if convention == MOD_INVERSE else 1
+        bits = register_bits(n)
+        for qubit, x, p, symmetric in steps:
+            s = 1 - 2 * bits[:, qubit] if symmetric else bits[:, qubit]
+            k += x_net * (s * p) - p_net * (s * x)
+            x_net += s * x
+            p_net += s * p
+        # The prefactor of D(X, P) is exp(-i pi c X P / d).
+        k = c * (k - x_net * p_net)
+    return x_net, p_net, k
+
+
+def loop_ancilla(n, d, steps, anc, convention):
+    """Reference (2^n, d) final ancilla matrix built from :func:`loop_labels`."""
+    x_net, p_net, k = loop_labels(n, d, steps, convention)
+    m = np.arange(d)
+    roots = np.exp(1j * np.pi * np.arange(2 * d) / d)
+    phase = roots[(k[:, None] + 2 * p_net[:, None] * m) % (2 * d)]
+    return phase * anc[(m - x_net[:, None]) % d]
+
+
+@st.composite
+def torus_step_lists(draw):
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(2, 9))
+    label = st.integers(-2 * d, 2 * d)
+    steps = draw(st.lists(st.tuples(st.integers(0, n - 1), label, label, st.booleans()),
+                          max_size=16))
+    if draw(st.booleans()):
+        # Closing the first half: the inverse steps in reverse order.
+        steps = steps[:8] + [(q, -x, -p, sym) for q, x, p, sym in reversed(steps[:8])]
+    convention = draw(st.sampled_from(CONVENTIONS if d % 2 else (HALF_ROOT,)))
+    return n, d, steps, convention
+
+
+@PROPERTY
+@given(torus_step_lists(), seeds)
+def test_phase_polynomial_matches_per_step_loop(case, seed):
+    n, d, steps, convention = case
+    for new, old in zip(torus_labels(n, d, steps, convention),
+                        loop_labels(n, d, steps, convention)):
+        assert new.dtype == np.int64
+        assert np.array_equal(new, old)
+    anc = random_state(d, np.random.default_rng(seed))
+    assert torus_ancilla(n, d, steps, anc, convention).tobytes() == \
+        loop_ancilla(n, d, steps, anc, convention).tobytes()
+
+
+@PROPERTY
+@given(torus_step_lists(), seeds)
+def test_label_classes_match_dense_svd(case, seed):
+    n, d, steps, convention = case
+    anc = random_state(d, np.random.default_rng(seed))
+    final = loop_ancilla(n, d, steps, anc, convention)
+    returned, residual = torus_gate(n, d, steps, anc, convention)
+    dense_returned = final @ np.conj(anc)
+    np.testing.assert_allclose(returned, dense_returned, atol=1e-14, rtol=0)
+    assert abs(np.min(np.abs(returned) ** 2) - np.min(np.abs(dense_returned) ** 2)) < 1e-14
+    weight = np.linalg.svd(final / np.sqrt(2 ** n), compute_uv=False)[0] ** 2
+    assert abs(residual - max(0.0, 1.0 - weight)) < 1e-14
+
+
+def test_default_rectangles_are_bitwise_the_loop_gates():
+    # Every rectangle of verify's two-qubit scan, ancilla in |0>_x.
+    for d in (2, 3, 4, 5, 8):
+        anc = np.eye(d, dtype=complex)[0]
+        for convention in CONVENTIONS if d % 2 else (HALF_ROOT,):
+            for x in range(d):
+                for p in range(d):
+                    seq = two_qubit_sequence(0, 1, x, p, d)
+                    steps = [(e.qubit, e.label.x, e.label.p, False) for e in seq.elements]
+                    loop = np.diag(loop_ancilla(2, d, steps, anc, convention) @ np.conj(anc))
+                    rep = extract_register_gate(seq, convention=convention)
+                    assert rep.register_unitary.tobytes() == loop.tobytes()
+
+
+def test_torus_gate_memory_stays_linear_in_branches():
+    # A 16-qubit symmetric fan: 2^16 branches of int64 labels and complex
+    # amplitudes take 0.5 and 1 MiB, an O(n 2^n) temporary takes 8 MiB or more.
+    d = 5
+    seq = fan_bipartite([1 + k % 4 for k in range(8)], [1 + 3 * j % 4 for j in range(8)],
+                        d, SYMMETRIC)
+    steps = [(e.qubit, e.label.x, e.label.p, True) for e in seq.elements]
+    anc = np.eye(d, dtype=complex)[0]
+    tracemalloc.start()
+    try:
+        returned, residual = torus_gate(16, d, steps, anc, HALF_ROOT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert returned.shape == (2 ** 16,) and residual == 0.0
+    assert peak < 8 * 2 ** 20
 
 
 # ----------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from amqc.spin import (
     LoopUnclosableError,
     SingularCompositionError,
     SpinBranchState,
+    _sphere_walk,
     apply_controlled_spin,
     coherent_overlap,
     compose_on_origin,
@@ -240,6 +241,18 @@ def test_branch_at_south_pole_raises():
     state = apply_controlled_spin(state, 0, 1.0)  # bit 0 branch lands at +1
     with pytest.raises(SingularCompositionError):
         apply_controlled_spin(state, 0, 1.0)  # 1 - zeta*conj(step) = 0
+
+
+def test_both_walks_refuse_a_step_near_the_south_pole():
+    # |1 - z conj(leg)| = 1e-10 clears a bare 1e-12 floor, but the per-spin
+    # |1> component is 1e-14 and the label would land near 1e14.
+    z = 1e4 + 0j
+    leg = (1 - 1e-10) / np.conj(z)
+    state = SpinBranchState(1, 5, {0: (z, 1.0 + 0j)})
+    with pytest.raises(SingularCompositionError):
+        apply_controlled_spin(state, 0, leg)   # bit 0 branch gets +leg
+    with pytest.raises(SingularCompositionError):
+        _sphere_walk([np.array([z]), np.array([leg])], 5)   # origin to z, then leg
 
 
 def test_branch_update_agrees_with_compose():
