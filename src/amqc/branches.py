@@ -8,14 +8,17 @@ torus (qudit; integer labels and phase exponent mod 2d), flat (field-mode bus;
 phase (x1 p2 - p1 x2)/2) and sphere (spin ensemble; Moebius rule, phase
 N arg(1 - z1 conj(z2))).
 
-The torus is not walked step by step.  A branch's net label (X, P) is affine
-in its register bits and its phase exponent is a quadratic form in them: the
-phase polynomial of a diagonal Clifford circuit (Dehaene and De Moor, PRA 68,
-042318, 2003; Hostens, Dehaene and De Moor, PRA 71, 042315, 2005, for
-qudits).  One pass over the steps gives the coefficients, and doubling over
-qubits gives the 2^n values.  Branches that share (X mod d, P mod d) form a
-label class with one ancilla vector, so a gate needs at most min(d^2, 2^n)
-ancilla vectors, and a closed loop is a single class.
+The torus and the flat law share D(l2) D(l1) = exp(i u c (x1 p2 - p1 x2))
+D(l1 + l2), with u = pi / d and c = 1 or d + 1 on the torus (exponents mod
+2d) and u = 1/2, c = 1 on the plane, so neither is walked step by step: a
+branch's net label (X, P) is affine in its register bits and its phase is a
+quadratic form in them, the phase polynomial of a diagonal Clifford circuit
+(Dehaene and De Moor, PRA 68, 042318, 2003; Hostens, Dehaene and De Moor, PRA
+71, 042315, 2005, for qudits).  One pass over the steps gives the
+coefficients, and doubling over qubits the 2^n values.  On the torus,
+branches that share (X mod d, P mod d) form a label class with one ancilla
+vector, at most min(d^2, 2^n) of them, and a closed loop is one class; on the
+plane a walk is closed when every register-bit coefficient of X and P is 0.
 
 The residual entanglement, 1 minus the top eigenvalue of the ancilla's state
 sum_r |a_r|^2 |l_r><l_r|, comes from a pivoted Cholesky factor of the Gram
@@ -72,22 +75,20 @@ def grouped_residual(keys: np.ndarray, weights: np.ndarray, labels: np.ndarray,
     return float(1.0 - np.linalg.eigvalsh(factor.conj() @ factor.T)[-1])
 
 
-def _phase_polynomial(n_qubits: int, d: int, steps, convention: str):
-    """Coefficients, in Python integers, of the net labels and phase exponent
-    of a displacement-only sequence in the register bits b_q.
+def _phase_polynomial(n_qubits: int, c, steps):
+    """Coefficients of the net labels and phase exponent of a
+    displacement-only sequence from the origin in the register bits b_q,
+    under D(l2) D(l1) = exp(i u c (x1 p2 - p1 x2)) D(l1 + l2) with D(X, P)'s
+    prefactor exp(-i u c X P); the caller applies the unit u.
 
     Returns (x, p, k, pair): x = [X0, X1, ..., Xn] means X = X0 + sum_q
     X(q+1) b_q, likewise P and the linear part of k, and pair[t][q] (t < q)
-    is the coefficient of b_t b_q in k.  With control value s = b (apply on
-    one) or s = 1 - 2b (symmetric), a step (x, p) takes
-    Q = sum_{i<j} s_i s_j (x_i p_j - p_i x_j) - X P to Q - 2 x s P - x p s^2,
-    P before the step; k = c Q and b^2 = b.
+    is the coefficient of b_t b_q in k.  ``steps`` are (qubit, x, p,
+    symmetric); with control value s = b (apply on one) or s = 1 - 2b
+    (symmetric), a step (x, p) takes Q = sum_{i<j} s_i s_j (x_i p_j - p_i x_j)
+    - X P to Q - 2 x s P - x p s^2, P before the step; k = c Q and b^2 = b,
+    in the steps' arithmetic (exact on Python integers).
     """
-    if steps:
-        _check_convention(d, convention)
-    # D(l2) D(l1) = exp(i pi c (x1 p2 - p1 x2) / d) D(l1 + l2), and the
-    # prefactor of D(X, P) is exp(-i pi c X P / d).
-    c = d + 1 if convention == MOD_INVERSE else 1
     x, p, k = ([0] * (n_qubits + 1) for _ in range(3))
     pair = [[0] * n_qubits for _ in range(n_qubits)]
     for qubit, dx, dp, symmetric in steps:
@@ -106,10 +107,10 @@ def _phase_polynomial(n_qubits: int, d: int, steps, convention: str):
     return x, p, k, pair
 
 
-def _evaluate(rows, pair, moves) -> np.ndarray:
+def _evaluate(rows, pair, moves, dtype=np.int64) -> np.ndarray:
     """Evaluate affine forms ``rows`` (each [constant, b_0 coefficient, ...])
     on every register index, qubit 0 the most significant bit, the first row
-    plus sum_{t<q} pair[t][q] b_t b_q, as int64 rows; one more row numbers
+    plus sum_{t<q} pair[t][q] b_t b_q, as ``dtype`` rows; one more row numbers
     label classes: 0 on index 0, then ``moves[q]`` maps it where b_q = 1
     (None leaves it).
 
@@ -122,7 +123,7 @@ def _evaluate(rows, pair, moves) -> np.ndarray:
     coeffs = list(zip(*rows))
     table = np.array([[*coeffs[q + 1], 0, *pair[q][:q:-1]] + [0] * (q + 1)
                       for q in range(n)] + [[*coeffs[0], 0] + [0] * n],
-                     dtype=np.int64)
+                     dtype=dtype)
     deltas = np.multiply.outer(table[:n, :, None], (0, 1))
     f = table[n, :, None]
     for q in range(n):
@@ -135,6 +136,14 @@ def _evaluate(rows, pair, moves) -> np.ndarray:
     return f
 
 
+def _torus_polynomial(n_qubits: int, d: int, steps, convention: str):
+    """:func:`_phase_polynomial` on the torus, from the origin: u = pi / d,
+    and c = d + 1 under MOD_INVERSE, else 1."""
+    if steps:
+        _check_convention(d, convention)
+    return _phase_polynomial(n_qubits, d + 1 if convention == MOD_INVERSE else 1, steps)
+
+
 def torus_labels(n_qubits: int, d: int, steps, convention: str):
     """Net labels X, P and phase exponent k of every register branch, as
     int64 arrays over register indices.
@@ -144,7 +153,7 @@ def torus_labels(n_qubits: int, d: int, steps, convention: str):
     symmetric one displaces bit 0 by +(x, p) and bit 1 by -(x, p).  Branch r
     ends in exp(i pi k/d) D(X, P) times the initial ancilla state.
     """
-    x, p, k, pair = _phase_polynomial(n_qubits, d, steps, convention)
+    x, p, k, pair = _torus_polynomial(n_qubits, d, steps, convention)
     k_net, x_net, p_net, _ = _evaluate([k, x, p], pair, [None] * n_qubits)
     return x_net, p_net, k_net
 
@@ -157,22 +166,11 @@ def _roots(d: int) -> np.ndarray:
     return roots
 
 
-def torus_ancilla(n_qubits: int, d: int, steps, anc_init: np.ndarray,
-                  convention: str) -> np.ndarray:
-    """Final ancilla vector of every register basis branch, as a (2^n, d)
-    matrix: row r is exp(i pi k/d) D(X, P) anc_init with branch r's labels
-    from :func:`torus_labels`, built as the phased permutation
-    anc_init[(m - X) mod d] * omega_d(P m)."""
-    x_net, p_net, k = torus_labels(n_qubits, d, steps, convention)
-    m = np.arange(d)
-    phase = _roots(d)[(k[:, None] + 2 * p_net[:, None] * m) % (2 * d)]
-    return phase * anc_init[(m - x_net[:, None]) % d]
-
-
 def torus_gate(n_qubits: int, d: int, steps, anc_init: np.ndarray,
                convention: str) -> tuple[np.ndarray, float]:
-    """<anc_init| final ancilla> of every register branch of
-    :func:`torus_ancilla`, and the residual entanglement of the uniform input.
+    """<anc_init| final ancilla> of every register branch, whose final
+    ancilla is exp(i pi k/d) D(X, P) anc_init with the labels of
+    :func:`torus_labels`, and the residual entanglement of the uniform input.
 
     Branches fall into label classes by (X mod d, P mod d), at most
     min(d^2, 2^n) of them, numbered by doubling over qubits like the phase
@@ -181,7 +179,7 @@ def torus_gate(n_qubits: int, d: int, steps, anc_init: np.ndarray,
     residual is that of the classes weighted by their share of branches; a
     closed loop is one class.
     """
-    x, p, k, pair = _phase_polynomial(n_qubits, d, steps, convention)
+    x, p, k, pair = _torus_polynomial(n_qubits, d, steps, convention)
     classes = {(x[0] % d, p[0] % d): 0}
     moves = [None] * n_qubits
     for q in range(n_qubits):
@@ -209,32 +207,26 @@ def flat_step(z, dz):
     return z + dz, 0.5 * (np.conj(z) * dz).imag
 
 
-def flat_propagate(n_qubits: int, steps, z0: complex):
-    """Run symmetric controlled displacements (qubit, x, p) on every branch,
-    every label starting at z0 = x0 + i p0.
+def flat_labels(n_qubits: int, steps, z0: complex):
+    """Final labels and accumulated phase angles of every register branch
+    under symmetric controlled displacements (qubit, x, p), every label
+    starting at z0 = x0 + i p0.
 
-    Returns (counts, axes, angle): ``counts[r, a]`` is the signed number of
-    times branch r moved along axis ``axes[a]`` (as x + ip), so its net
-    displacement is ``counts[r] @ axes`` and a branch whose counts vanish is
-    back on its initial label exactly; ``angle[r]`` is the accumulated phase.
+    With u = 1/2 and c = 1 the phase polynomial of the walk from the origin
+    gives the net displacement (X, P) and angle (Q + X P) / 2; starting at z0
+    adds (x0 P - p0 X) / 2, folded into Q's coefficients.  With symmetric
+    steps X = sum_q S_q (1 - 2 b_q), S_q the sum of qubit q's steps, so its
+    constant is minus half its bit coefficients, likewise P: a walk whose bit
+    coefficients are all exactly zero returns every branch to z0 exactly.
     """
-    steps = [(q, x, p) for q, x, p in steps if x != 0.0 or p != 0.0]
-    signs = 1.0 - 2.0 * register_bits(n_qubits)[:, [q for q, _, _ in steps]]
-    # Column j holds the labels before step j, the last column the final ones.
-    dz = signs * np.array([complex(x, p) for _, x, p in steps])
-    z = np.empty((2 ** n_qubits, len(steps) + 1), dtype=complex)
-    z[:, 0] = z0
-    z[:, 1:] = dz
-    np.cumsum(z, axis=1, out=z)
-    angle = flat_step(z[:, :-1], dz)[1].sum(axis=1)
-    # Canonical axis so a step and its negation share one count.
-    axes: dict[tuple[float, float], int] = {}
-    orient = np.zeros((len(steps), len(steps)))
-    for j, (_, x, p) in enumerate(steps):
-        o = -1.0 if (x, p) < (0.0, 0.0) else 1.0
-        orient[j, axes.setdefault((o * x, o * p), len(axes))] = o
-    counts = (signs @ orient[:, :len(axes)]).astype(np.int64)
-    return counts, np.array([complex(*a) for a in axes], dtype=complex), angle
+    x, p, k, pair = _phase_polynomial(
+        n_qubits, 1, [(q, dx, dp, True) for q, dx, dp in steps])
+    x[0], p[0] = -sum(x[1:]) / 2, -sum(p[1:]) / 2
+    k = [kq + z0.real * pq - z0.imag * xq for kq, xq, pq in zip(k, x, p)]
+    k, x, p, _ = _evaluate([k, x, p], pair, [None] * n_qubits, np.float64)
+    z = x + 1j * p
+    z += z0
+    return z, (k + x * p) / 2
 
 
 def flat_overlap(z1, z2):

@@ -8,9 +8,10 @@ sequence acting on a coherent state is fully described by the running label
 
 holds exactly.  Flat geometry means every branch of every fan sequence closes
 exactly, which makes this backend the zero-error oracle that the spin
-ensemble converges to as N grows.  The gate extraction routines keep the
-closure exact even in floating point by counting signed integer multiples of
-the step magnitudes per branch; floats only enter the continuous phases.
+ensemble converges to as N grows.  Gates come from the phase polynomial of
+:mod:`amqc.branches`, and closure is symbolic: the bus is closed when every
+register-bit coefficient of the net label is exactly 0.0, as it is when each
+qubit's legs are v and -v; floats only enter the continuous phases.
 
 Interactions use the symmetric polarity C(D(x, p), D(-x, -p)): control bit 0
 displaces one way, bit 1 the opposite way.
@@ -111,10 +112,10 @@ def field_fan(xs, ps, initial_label: FieldLabel = ORIGIN) -> GateReport:
     steps += [(k, -xk, 0.0) for k, xk in enumerate(xs)]
     steps += [(n + j, 0.0, -pj) for j, pj in enumerate(ps)]
     z0 = complex(initial_label.x, initial_label.p)
-    counts, axes, angle = branches.flat_propagate(n + m, steps, z0)
-    net = counts @ axes
+    z, angle = branches.flat_labels(n + m, steps, z0)
+    net = z - z0
     residual = branches.grouped_residual(
-        counts, np.full(2 ** (n + m), 2.0 ** -(n + m)), z0 + net, branches.flat_overlap)
+        z, np.full(2 ** (n + m), 2.0 ** -(n + m)), z, branches.flat_overlap)
     closed = not net.any() and residual < DISENTANGLE_TOL
     return GateReport(
         register_unitary=np.diag(np.exp(1j * angle)) if closed else None,

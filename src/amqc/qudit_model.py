@@ -30,6 +30,7 @@ do not (symmetric branches separate twice as fast).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -243,11 +244,12 @@ def extract_register_gate(seq: InteractionSequence, anc_init: np.ndarray | None 
 
     Each basis state (and, as an entanglement witness, the uniform register
     superposition) is propagated with the ancilla starting in ``anc_init``
-    (default: position level |0>_x).  If every output factorises with the
-    ancilla returned to ``anc_init`` up to phase, the register unitary is
-    assembled column by column; otherwise the worst-case ancilla return
-    fidelity and residual entanglement are reported and the unitary is left
-    unset.  Non-disentangling sequences are reported, never rejected.
+    (default: position level |0>_x; a unit vector, else ValueError).  If
+    every output factorises with the ancilla returned to ``anc_init`` up to
+    phase, the register unitary is assembled column by column; otherwise the
+    worst-case ancilla return fidelity and residual entanglement are reported
+    and the unitary is left unset.  Non-disentangling sequences are reported,
+    never rejected.
 
     A sequence of interactions only runs on the branch engine
     (:func:`amqc.branches.torus_gate`, which groups branches into label
@@ -262,6 +264,8 @@ def extract_register_gate(seq: InteractionSequence, anc_init: np.ndarray | None 
     anc_init = np.asarray(anc_init, dtype=complex)
     if anc_init.shape != (d,):
         raise ValueError("ancilla initial state has wrong dimension")
+    if abs(math.sqrt(np.vdot(anc_init, anc_init).real) - 1.0) > 1e-12:
+        raise ValueError("ancilla initial state is not normalised")
 
     dim_reg = 2 ** n
     if all(isinstance(e, Interaction) for e in seq.elements):

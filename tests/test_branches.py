@@ -11,9 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amqc.branches import (
+    flat_labels,
     register_bits,
     sphere_overlap,
-    torus_ancilla,
     torus_gate,
     torus_labels,
 )
@@ -230,8 +230,8 @@ def test_torus_branches_match_dense_run_sequence(case):
     n, d, elements, convention, anc = case
     if anc is None:
         anc = np.eye(d, dtype=complex)[0]
-    final = torus_ancilla(n, d, [(e.qubit, e.label.x, e.label.p, e.polarity == SYMMETRIC)
-                                 for e in elements], anc, convention)
+    final = loop_ancilla(n, d, [(e.qubit, e.label.x, e.label.p, e.polarity == SYMMETRIC)
+                                for e in elements], anc, convention)
     seq = InteractionSequence(n, d, elements)
     for r in range(2 ** n):
         out = run_sequence(seq, HybridState.basis(n, r, anc), convention).as_matrix()
@@ -283,16 +283,13 @@ def torus_step_lists(draw):
 
 
 @PROPERTY
-@given(torus_step_lists(), seeds)
-def test_phase_polynomial_matches_per_step_loop(case, seed):
+@given(torus_step_lists())
+def test_phase_polynomial_matches_per_step_loop(case):
     n, d, steps, convention = case
     for new, old in zip(torus_labels(n, d, steps, convention),
                         loop_labels(n, d, steps, convention)):
         assert new.dtype == np.int64
         assert np.array_equal(new, old)
-    anc = random_state(d, np.random.default_rng(seed))
-    assert torus_ancilla(n, d, steps, anc, convention).tobytes() == \
-        loop_ancilla(n, d, steps, anc, convention).tobytes()
 
 
 @PROPERTY
@@ -395,6 +392,48 @@ def test_field_fan_matches_branch_walk(xs, ps, lx, lp):
     assert abs(rep.residual_entanglement - walk.residual_entanglement()) < TOL
     for r in range(dim):
         assert abs(rep.register_unitary[r, r] - walk.branches[r][1] * dim ** 0.5) < TOL
+
+
+@st.composite
+def flat_step_lists(draw):
+    n = draw(st.integers(1, 4))
+    steps = draw(st.lists(st.tuples(st.integers(0, n - 1), small_floats, small_floats),
+                          max_size=8))
+    if draw(st.booleans()):
+        # Closing the first half: the inverse steps in reverse order.
+        steps = steps[:4] + [(q, -x, -p) for q, x, p in reversed(steps[:4])]
+    return n, steps, complex(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
+
+
+@PROPERTY
+@given(flat_step_lists())
+def test_flat_phase_polynomial_matches_scalar_walk(case):
+    n, steps, z0 = case
+    z, angle = flat_labels(n, steps, z0)
+    dim = 2 ** n
+    walk = _field_walk(FieldBranchState.from_register(
+        np.full(dim, dim ** -0.5), FieldLabel(z0.real, z0.imag)), steps)
+    for r in range(dim):
+        label, amp = walk.branches[r]
+        assert abs(z[r] - complex(label.x, label.p)) < TOL
+        assert abs(np.exp(1j * angle[r]) - amp * dim ** 0.5) < TOL
+
+
+def test_flat_labels_memory_stays_linear_in_branches():
+    # The 16-qubit symmetric fan: three float64 rows over 2^16 branches take
+    # 1.5 MiB, the label history of a step-by-step walk over 32 steps 33 MiB.
+    xs, ps = [1.0 + k % 4 for k in range(8)], [1.0 + 3 * j % 4 for j in range(8)]
+    steps = [(k, x, 0.0) for k, x in enumerate(xs)] + \
+        [(8 + j, 0.0, p) for j, p in enumerate(ps)]
+    steps += [(q, -x, -p) for q, x, p in steps]
+    tracemalloc.start()
+    try:
+        z, angle = flat_labels(16, steps, 0.5 - 0.25j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert angle.shape == (2 ** 16,) and np.all(z == 0.5 - 0.25j)
+    assert peak < 8 * 2 ** 20
 
 
 # ----------------------------------------------------------------------------

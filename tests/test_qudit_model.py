@@ -115,6 +115,20 @@ def test_empty_sequence_extracts_identity():
     np.testing.assert_allclose(rep.register_unitary, identity(4), atol=1e-15)
 
 
+@pytest.mark.parametrize("seq", [
+    two_qubit_sequence(0, 1, 2, 3, 5),                # branch engine
+    generalized_toffoli(2, PAULI_X, 5),               # batched rows
+])
+def test_extraction_rejects_unnormalised_ancilla(seq):
+    with pytest.raises(ValueError, match="not normalised"):
+        extract_register_gate(seq, 0.5 * basis_anc(5))
+    rng = np.random.default_rng(4)
+    anc = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    rep = extract_register_gate(seq, anc / np.linalg.norm(anc))
+    assert 0.0 <= rep.residual_entanglement < 1.0
+    assert 0.0 <= rep.ancilla_return_fidelity <= 1.0
+
+
 def test_single_interaction_leaves_entanglement():
     # One controlled shift entangles the superposed control with the ancilla:
     # the uniform input has Schmidt weights (1/2, 1/2).
