@@ -53,17 +53,16 @@ def register_bits(n_qubits: int) -> np.ndarray:
     return bits
 
 
-def grouped_residual(keys: np.ndarray, weights: np.ndarray, labels: np.ndarray,
-                     overlap) -> float:
-    """1 - largest eigenvalue of sum_r weights_r |l_r><l_r|.
+def grouped_residual(weights: np.ndarray, labels: np.ndarray, overlap) -> float:
+    """1 - largest eigenvalue of sum_r weights_r |l_r><l_r|, at least 0.
 
-    ``keys`` rows are equal exactly where branches share a final label
-    ``labels[r]``; ``overlap(l1, l2)`` gives <l1|l2> elementwise.  Otherwise a
+    ``labels`` rows are the branches' final labels and ``overlap(l1, l2)``
+    gives <l1|l2> elementwise.  Unless every label equals the first, a
     pivoted Cholesky factor L of G[r, s] = sqrt(w_r w_s) <l_r|l_s> grows until
     trace(G - L L^dagger), which bounds the eigenvalue's error, is below RANK_TOL.
     """
-    if (keys == keys[0]).all():
-        return float(1.0 - weights.sum())
+    if (labels == labels[0]).all():
+        return max(0.0, float(1.0 - weights.sum()))
     root_w, rest = np.sqrt(weights), weights * overlap(labels, labels).real
     factor = np.zeros((0, len(labels)), dtype=complex)   # rows are columns of L
     while rest.sum() > RANK_TOL * weights.sum():
@@ -72,7 +71,7 @@ def grouped_residual(keys: np.ndarray, weights: np.ndarray, labels: np.ndarray,
         factor = np.vstack([factor, col / np.sqrt(rest[j])])
         rest = np.maximum(rest - np.abs(factor[-1]) ** 2, 0.0)
         rest[j] = 0.0
-    return float(1.0 - np.linalg.eigvalsh(factor.conj() @ factor.T)[-1])
+    return max(0.0, float(1.0 - np.linalg.eigvalsh(factor.conj() @ factor.T)[-1]))
 
 
 def _phase_polynomial(n_qubits: int, c, steps):
@@ -107,30 +106,31 @@ def _phase_polynomial(n_qubits: int, c, steps):
     return x, p, k, pair
 
 
-def _evaluate(rows, pair, moves, dtype=np.int64) -> np.ndarray:
+def _evaluate(rows, pair, moves=None, dtype=np.int64) -> np.ndarray:
     """Evaluate affine forms ``rows`` (each [constant, b_0 coefficient, ...])
     on every register index, qubit 0 the most significant bit, the first row
-    plus sum_{t<q} pair[t][q] b_t b_q, as ``dtype`` rows; one more row numbers
-    label classes: 0 on index 0, then ``moves[q]`` maps it where b_q = 1
-    (None leaves it).
+    plus sum_{t<q} pair[t][q] b_t b_q, as ``dtype`` rows.  Given ``moves``,
+    one more row numbers label classes: 0 on index 0, then ``moves[q]`` maps
+    it where b_q = 1 (None leaves it).
 
     Doubling over qubits: the values on 2^q indices become the outer sum with
     (0, qubit q's coefficient), qubit q the new least significant bit.
     Trailing rows carry sum_{t<q} pair[t][q] b_t for every qubit q still to
     come, the next one last.
     """
-    n, width = len(moves), len(rows) + 1
-    coeffs = list(zip(*rows))
-    table = np.array([[*coeffs[q + 1], 0, *pair[q][:q:-1]] + [0] * (q + 1)
-                      for q in range(n)] + [[*coeffs[0], 0] + [0] * n],
-                     dtype=dtype)
+    n = len(pair)
+    if moves is not None:   # the class row starts at 0 with no coefficients
+        rows = [*rows, [0] * (n + 1)]
+    width, coeffs = len(rows), list(zip(*rows))
+    table = np.array([[*coeffs[q + 1], *pair[q][:q:-1]] + [0] * (q + 1)
+                      for q in range(n)] + [[*coeffs[0]] + [0] * n], dtype=dtype)
     deltas = np.multiply.outer(table[:n, :, None], (0, 1))
     f = table[n, :, None]
     for q in range(n):
         new = f[:-1, :, None] + deltas[q, :len(f) - 1]
         if q:   # qubit 0 pairs with no earlier qubit
             new[0, :, 1] += f[-1]
-        if moves[q] is not None:
+        if moves is not None and moves[q] is not None:
             new[width - 1, :, 1] = moves[q][f[width - 1]]
         f = new.reshape(len(new), -1)
     return f
@@ -154,7 +154,7 @@ def torus_labels(n_qubits: int, d: int, steps, convention: str):
     ends in exp(i pi k/d) D(X, P) times the initial ancilla state.
     """
     x, p, k, pair = _torus_polynomial(n_qubits, d, steps, convention)
-    k_net, x_net, p_net, _ = _evaluate([k, x, p], pair, [None] * n_qubits)
+    k_net, x_net, p_net = _evaluate([k, x, p], pair)
     return x_net, p_net, k_net
 
 
@@ -166,11 +166,10 @@ def _roots(d: int) -> np.ndarray:
     return roots
 
 
-def torus_gate(n_qubits: int, d: int, steps, anc_init: np.ndarray,
-               convention: str) -> tuple[np.ndarray, float]:
-    """<anc_init| final ancilla> of every register branch, whose final
-    ancilla is exp(i pi k/d) D(X, P) anc_init with the labels of
-    :func:`torus_labels`, and the residual entanglement of the uniform input.
+def torus_gate(n_qubits: int, d: int, steps, anc_init: np.ndarray, convention: str):
+    """Phase exp(i pi k/d) and overlap <anc_init|D(X, P) anc_init> of every
+    register branch, with the labels of :func:`torus_labels`, and the
+    residual entanglement of the uniform input.
 
     Branches fall into label classes by (X mod d, P mod d), at most
     min(d^2, 2^n) of them, numbered by doubling over qubits like the phase
@@ -194,11 +193,10 @@ def torus_gate(n_qubits: int, d: int, steps, anc_init: np.ndarray,
     phase = np.multiply.outer([2 * cp for _, cp in classes], m)
     shift = np.add.outer([-cx for cx, _ in classes], m)
     vectors = roots.take(phase, mode="wrap") * anc_init.take(shift, mode="wrap")
-    returned = roots.take(exponent, mode="wrap") * (vectors @ anc_init.conj()).take(index)
-    residual = grouped_residual(
-        vectors, np.bincount(index) / 2 ** n_qubits, vectors,
-        lambda v1, v2: np.sum(np.conj(v1) * v2, axis=-1))
-    return returned, max(0.0, residual)
+    residual = grouped_residual(np.bincount(index) / 2 ** n_qubits, vectors,
+                                lambda v1, v2: np.sum(np.conj(v1) * v2, axis=-1))
+    return (roots.take(exponent, mode="wrap"), (vectors @ anc_init.conj()).take(index),
+            residual)
 
 
 def flat_step(z, dz):
@@ -223,7 +221,7 @@ def flat_labels(n_qubits: int, steps, z0: complex):
         n_qubits, 1, [(q, dx, dp, True) for q, dx, dp in steps])
     x[0], p[0] = -sum(x[1:]) / 2, -sum(p[1:]) / 2
     k = [kq + z0.real * pq - z0.imag * xq for kq, xq, pq in zip(k, x, p)]
-    k, x, p, _ = _evaluate([k, x, p], pair, [None] * n_qubits, np.float64)
+    k, x, p = _evaluate([k, x, p], pair, dtype=np.float64)
     z = x + 1j * p
     z += z0
     return z, (k + x * p) / 2

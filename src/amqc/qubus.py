@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import branches, oracles
-from .report import DISENTANGLE_TOL, GateReport
+from .report import GateReport, diagonal_report
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class FieldBranchState:
     def residual_entanglement(self) -> float:
         z = np.array([complex(lab.x, lab.p) for lab, _ in self.branches.values()])
         amps = np.array([a for _, a in self.branches.values()], dtype=complex)
-        return branches.grouped_residual(z, np.abs(amps) ** 2, z, branches.flat_overlap)
+        return branches.grouped_residual(np.abs(amps) ** 2, z, branches.flat_overlap)
 
 
 def apply_controlled_field(state: FieldBranchState, qubit: int, x: float,
@@ -113,16 +113,10 @@ def field_fan(xs, ps, initial_label: FieldLabel = ORIGIN) -> GateReport:
     steps += [(n + j, 0.0, -pj) for j, pj in enumerate(ps)]
     z0 = complex(initial_label.x, initial_label.p)
     z, angle = branches.flat_labels(n + m, steps, z0)
-    net = z - z0
     residual = branches.grouped_residual(
-        z, np.full(2 ** (n + m), 2.0 ** -(n + m)), z, branches.flat_overlap)
-    closed = not net.any() and residual < DISENTANGLE_TOL
-    return GateReport(
-        register_unitary=np.diag(np.exp(1j * angle)) if closed else None,
-        ancilla_return_fidelity=float(np.exp(-0.5 * np.abs(net) ** 2).min()),
-        residual_entanglement=residual,
-        interaction_count=len(steps),
-    )
+        np.full(2 ** (n + m), 2.0 ** -(n + m)), z, branches.flat_overlap)
+    return diagonal_report(np.exp(1j * angle), branches.flat_overlap(z0, z), residual,
+                           len(steps))
 
 
 def fan_target_unitary(xs, ps) -> np.ndarray:

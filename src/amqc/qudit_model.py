@@ -38,7 +38,7 @@ import numpy as np
 from .branches import register_bits, torus_gate
 from .linalg import largest_schmidt_weight
 from .qudit import HALF_ROOT, LatticeLabel, displacement, rotation
-from .report import DISENTANGLE_TOL, GateReport
+from .report import GateReport, diagonal_report, gate_exists
 
 APPLY_ON_ONE = "apply-on-one"
 SYMMETRIC = "symmetric"
@@ -244,12 +244,12 @@ def extract_register_gate(seq: InteractionSequence, anc_init: np.ndarray | None 
 
     Each basis state (and, as an entanglement witness, the uniform register
     superposition) is propagated with the ancilla starting in ``anc_init``
-    (default: position level |0>_x; a unit vector, else ValueError).  If
-    every output factorises with the ancilla returned to ``anc_init`` up to
-    phase, the register unitary is assembled column by column; otherwise the
-    worst-case ancilla return fidelity and residual entanglement are reported
-    and the unitary is left unset.  Non-disentangling sequences are reported,
-    never rejected.
+    (default: position level |0>_x; a unit vector, else ValueError).  The
+    worst-case ancilla return fidelity and residual entanglement are always
+    reported, and the register unitary only when both the residual and 1 -
+    fidelity are below ``DISENTANGLE_TOL`` (:func:`amqc.report.gate_exists`):
+    every output factorises with the ancilla back in ``anc_init`` up to
+    phase.  Non-disentangling sequences are reported, never rejected.
 
     A sequence of interactions only runs on the branch engine
     (:func:`amqc.branches.torus_gate`, which groups branches into label
@@ -271,17 +271,11 @@ def extract_register_gate(seq: InteractionSequence, anc_init: np.ndarray | None 
     if all(isinstance(e, Interaction) for e in seq.elements):
         for element in seq.elements:
             _check_interaction(element, n, d)
-        returned, residual = torus_gate(
-            n, d, [(e.qubit, e.label.x, e.label.p, e.polarity == SYMMETRIC)
-                   for e in seq.elements], anc_init, convention)
         # Basis inputs stay product states, so the uniform input's residual is
         # the worst, and its fidelity is the mean of the basis ones.
-        return GateReport(
-            register_unitary=np.diag(returned) if residual < DISENTANGLE_TOL else None,
-            ancilla_return_fidelity=min(1.0, float(np.abs(returned).min() ** 2)),
-            residual_entanglement=residual,
-            interaction_count=len(seq.elements),
-        )
+        return diagonal_report(*torus_gate(
+            n, d, [(e.qubit, e.label.x, e.label.p, e.polarity == SYMMETRIC)
+                   for e in seq.elements], anc_init, convention), len(seq.elements))
 
     rows, amps = _propagate_rows(seq, anc_init, convention)
     returned = amps @ np.conj(anc_init)                  # [o, a, c]
@@ -294,15 +288,10 @@ def extract_register_gate(seq: InteractionSequence, anc_init: np.ndarray | None 
     fidelity = min(1.0, float(np.min(np.sum(np.abs(returned) ** 2, axis=-1))),
                    float(np.linalg.norm(uniform @ np.conj(anc_init)) ** 2))
     unitary = None
-    if residual < DISENTANGLE_TOL:
+    if gate_exists(fidelity, residual):
         unitary = np.zeros((dim_reg, dim_reg), dtype=complex)
         unitary[rows[:, None, :], rows[:, :, None]] = returned
-    return GateReport(
-        register_unitary=unitary,
-        ancilla_return_fidelity=fidelity,
-        residual_entanglement=residual,
-        interaction_count=len(seq.elements),
-    )
+    return GateReport(unitary, fidelity, residual, len(seq.elements))
 
 
 # ----------------------------------------------------------------------------

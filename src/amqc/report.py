@@ -1,4 +1,4 @@
-"""Result record for register-gate extraction across all ancilla backends."""
+"""Result record for register-gate extraction and the rule for when a gate exists."""
 
 from __future__ import annotations
 
@@ -6,8 +6,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Residual entanglement below this populates the extracted register unitary.
+# Residual entanglement and ancilla return infidelity both below this make a gate.
 DISENTANGLE_TOL = 1e-10
+
+
+def gate_exists(fidelity: float, residual: float) -> bool:
+    """The one rule for a register gate: the ancilla disentangles and comes
+    back to its initial state, both to within DISENTANGLE_TOL."""
+    return residual < DISENTANGLE_TOL and 1.0 - fidelity < DISENTANGLE_TOL
 
 
 @dataclass
@@ -17,8 +23,9 @@ class GateReport:
     Attributes
     ----------
     register_unitary : ndarray or None
-        The (2^n, 2^n) register gate, populated only when
-        ``residual_entanglement < DISENTANGLE_TOL``.
+        The (2^n, 2^n) register gate, populated only when both
+        ``residual_entanglement`` and ``1 - ancilla_return_fidelity`` are
+        below ``DISENTANGLE_TOL`` (:func:`gate_exists`).
     ancilla_return_fidelity : float
         Worst-case overlap squared between the ancilla's final and initial
         states over the tested inputs; exactly 1 signals perfect
@@ -36,3 +43,17 @@ class GateReport:
     ancilla_return_fidelity: float
     residual_entanglement: float
     interaction_count: int
+
+
+def diagonal_report(phases: np.ndarray, overlaps: np.ndarray, residual: float,
+                    interaction_count: int) -> GateReport:
+    """GateReport of a sequence that keeps every register basis state.
+
+    Branch r returns ``phases[r] * overlaps[r]`` times the initial ancilla
+    state: a unit phase times the overlap of its final ancilla state with
+    the initial one.  The fidelity is the smallest |overlap|^2, so a walk
+    whose overlaps are exactly 1 reads exactly 1 whatever the phases.
+    """
+    fidelity = min(1.0, float(np.abs(overlaps).min()) ** 2)
+    unitary = np.diag(phases * overlaps) if gate_exists(fidelity, residual) else None
+    return GateReport(unitary, fidelity, residual, interaction_count)

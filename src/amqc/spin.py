@@ -38,7 +38,7 @@ import numpy as np
 from . import branches
 from .branches import SingularCompositionError
 from .linalg import controlled, kron, phase_distance
-from .report import DISENTANGLE_TOL, GateReport
+from .report import GateReport, diagonal_report
 
 # Largest |eta| for which the closing leg tau(eta) is real.
 ETA_MAX = math.sqrt(2.0) - 1.0
@@ -164,8 +164,7 @@ class SpinBranchState:
         z = np.array([z for z, _ in self.branches.values()], dtype=complex)
         amps = np.array([a for _, a in self.branches.values()], dtype=complex)
         return branches.grouped_residual(
-            z, np.abs(amps) ** 2, z,
-            lambda z1, z2: branches.sphere_overlap(z1, z2, self.n_spins))
+            np.abs(amps) ** 2, z, lambda z1, z2: branches.sphere_overlap(z1, z2, self.n_spins))
 
 
 def apply_controlled_spin(state: SpinBranchState, qubit: int,
@@ -204,14 +203,11 @@ def _sphere_report(zeta, angle, n_spins: int, interaction_count: int):
     phases ``angle``, and every branch's vacuum-return infidelity."""
     infid = vacuum_return_infidelity(zeta, n_spins)
     residual = branches.grouped_residual(
-        zeta, np.full(len(zeta), 1.0 / len(zeta)), zeta,
+        np.full(len(zeta), 1.0 / len(zeta)), zeta,
         lambda z1, z2: branches.sphere_overlap(z1, z2, n_spins))
-    return GateReport(
-        register_unitary=np.diag(np.exp(1j * angle)) if residual < DISENTANGLE_TOL else None,
-        ancilla_return_fidelity=float(1.0 - infid.max()),
-        residual_entanglement=residual,
-        interaction_count=interaction_count,
-    ), infid
+    # <0|zeta> = (1 + |zeta|^2)^(-N/2) = sqrt(1 - infidelity), real and positive.
+    return diagonal_report(np.exp(1j * angle), np.sqrt(1.0 - infid), residual,
+                           interaction_count), infid
 
 
 def spin_two_qubit_gate(eta: float, n_spins: int) -> GateReport:

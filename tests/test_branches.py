@@ -41,7 +41,7 @@ from amqc.qudit_model import (
     run_sequence,
     two_qubit_sequence,
 )
-from amqc.report import DISENTANGLE_TOL
+from amqc.report import gate_exists
 from amqc.spin import (
     ETA_MAX,
     SpinBranchState,
@@ -117,7 +117,8 @@ def dense_extract(seq, anc_init=None, convention=HALF_ROOT):
     superposition through the dense simulator, one input at a time.
 
     Returns (unitary or None, worst ancilla return fidelity, worst residual
-    entanglement) with the semantics of :func:`extract_register_gate`.
+    entanglement) with the semantics of :func:`extract_register_gate`: the
+    unitary only where the ancilla disentangles and returns (gate_exists).
     """
     n, d = seq.n_qubits, seq.d
     anc = np.eye(d, dtype=complex)[0] if anc_init is None else anc_init
@@ -133,7 +134,7 @@ def dense_extract(seq, anc_init=None, convention=HALF_ROOT):
         fidelity = min(fidelity, float(np.linalg.norm(returned) ** 2))
         if r < dim:
             unitary[:, r] = returned
-    return (unitary if residual < DISENTANGLE_TOL else None), fidelity, residual
+    return (unitary if gate_exists(fidelity, residual) else None), fidelity, residual
 
 
 def _assert_matches_dense(report, dense):
@@ -165,6 +166,9 @@ def torus_cases(draw):
 
 @PROPERTY
 @given(torus_cases())
+# Every branch lands on the class (2, 0), orthogonal to |0>_x: no residual,
+# no return, no gate.
+@example((1, 4, [Interaction(0, LatticeLabel(2, 0, 4), SYMMETRIC)], HALF_ROOT, None))
 def test_torus_engine_matches_dense_extraction(case):
     n, d, elements, convention, anc = case
     seq = InteractionSequence(n, d, elements)
@@ -298,7 +302,8 @@ def test_label_classes_match_dense_svd(case, seed):
     n, d, steps, convention = case
     anc = random_state(d, np.random.default_rng(seed))
     final = loop_ancilla(n, d, steps, anc, convention)
-    returned, residual = torus_gate(n, d, steps, anc, convention)
+    phases, overlaps, residual = torus_gate(n, d, steps, anc, convention)
+    returned = phases * overlaps
     dense_returned = final @ np.conj(anc)
     np.testing.assert_allclose(returned, dense_returned, atol=1e-14, rtol=0)
     assert abs(np.min(np.abs(returned) ** 2) - np.min(np.abs(dense_returned) ** 2)) < 1e-14
@@ -330,11 +335,11 @@ def test_torus_gate_memory_stays_linear_in_branches():
     anc = np.eye(d, dtype=complex)[0]
     tracemalloc.start()
     try:
-        returned, residual = torus_gate(16, d, steps, anc, HALF_ROOT)
+        phases, overlaps, residual = torus_gate(16, d, steps, anc, HALF_ROOT)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert returned.shape == (2 ** 16,) and residual == 0.0
+    assert phases.shape == overlaps.shape == (2 ** 16,) and residual == 0.0
     assert peak < 8 * 2 ** 20
 
 

@@ -22,6 +22,7 @@ from amqc.qudit_model import (
     HybridState,
     Interaction,
     InteractionSequence,
+    LocalAncillaRotation,
     apply_element,
     extract_register_gate,
     fan_bipartite,
@@ -127,6 +128,17 @@ def test_extraction_rejects_unnormalised_ancilla(seq):
     rep = extract_register_gate(seq, anc / np.linalg.norm(anc))
     assert 0.0 <= rep.residual_entanglement < 1.0
     assert 0.0 <= rep.ancilla_return_fidelity <= 1.0
+
+
+@pytest.mark.parametrize("tail", [[], [LocalAncillaRotation(0.0)]])   # engine, batched
+def test_disentangled_but_unreturned_ancilla_has_no_gate(tail):
+    # Both branches end on |2>_x, orthogonal to the initial |0>_x: the ancilla
+    # factors out but does not come back, so there is no register gate.
+    seq = InteractionSequence(1, 4, [Interaction(0, LatticeLabel(2, 0, 4), SYMMETRIC)] + tail)
+    rep = extract_register_gate(seq)
+    assert rep.register_unitary is None
+    assert rep.ancilla_return_fidelity == 0.0
+    assert rep.residual_entanglement == 0.0
 
 
 def test_single_interaction_leaves_entanglement():

@@ -457,6 +457,16 @@ def test_fan_phase_errors_against_zz_target():
     assert rep.worst_phase_error > 0
 
 
+def test_fan_unitary_needs_the_ancilla_back():
+    # This fan's residual (7e-11) is below DISENTANGLE_TOL, but its worst
+    # branch misses the vacuum by 2.3e-10: no register gate.
+    rep = fan_sequence_simulate([1.0, 2.0], [0.5, 1.5], 10 ** 6)
+    assert rep.residual_entanglement < 1e-10 < rep.worst_branch_infidelity
+    assert rep.register_unitary is None
+    assert abs(1.0 - rep.ancilla_return_fidelity - rep.worst_branch_infidelity) < 1e-15
+    assert fan_sequence_simulate([0.01], [0.01], 10).register_unitary is not None
+
+
 # ----------------------------------------------------------------------------
 # contraction table
 # ----------------------------------------------------------------------------
