@@ -3,8 +3,12 @@
 A register of n qubits talks to a single d-level ancilla only through
 controlled displacements.  :func:`extract_register_gate` never builds the
 joint state of one input at a time: a displacement-only sequence runs on the
-branch engine, and any other sequence runs every basis input in one batch
-over just the register rows a projected gate lets it reach.  The dense
+branch engine, and any other sequence runs on label classes of register row
+blocks.  Between two non-displacement elements every row's ancilla vector is
+D(X, P) times its input up to a phase, with (X, P) from the segment's phase
+polynomial, so blocks that agree on every segment's labels, relative phases
+and rotation controls evolve alike: a generalized Toffoli has n + 1 classes
+and a mod-d gate at most 2 min(n + 1, d), however large 2^n is.  The dense
 :class:`HybridState` (a vector over 2^n * d amplitudes, qubit-major,
 ancilla-minor: index = register_bits * d + ancilla_level, with qubit 0 the
 most significant register bit) with :func:`apply_element` and
@@ -35,8 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .branches import register_bits, torus_gate
-from .linalg import largest_schmidt_weight
+from .branches import _evaluate, _roots, _torus_polynomial, register_bits, torus_gate
+from .linalg import is_unitary, largest_schmidt_weight
 from .qudit import HALF_ROOT, LatticeLabel, displacement, rotation
 from .report import GateReport, diagonal_report, gate_exists
 
@@ -132,19 +136,39 @@ def _check_qubit(qubit: int, n_qubits: int, role: str) -> None:
         raise ValueError(f"{role} qubit {qubit} out of range for {n_qubits} qubits")
 
 
-def _check_interaction(element: Interaction, n_qubits: int, d: int) -> None:
-    if element.label.d != d:
-        raise ValueError("interaction label dimension does not match state")
-    _check_qubit(element.qubit, n_qubits, "interaction")
+def _check_element(element, n_qubits: int, d: int) -> None:
+    """ValueError unless ``element`` can act on n_qubits and a d-level
+    ancilla; TypeError for anything that is not a sequence element."""
+    if isinstance(element, Interaction):
+        if element.label.d != d:
+            raise ValueError("interaction label dimension does not match state")
+        _check_qubit(element.qubit, n_qubits, "interaction")
+    elif isinstance(element, AncillaProjectedGate):
+        _check_qubit(element.target, n_qubits, "projected gate target")
+        if not isinstance(element.level, (int, np.integer)) or not 0 <= element.level < d:
+            raise ValueError(f"projected gate level {element.level!r} is not an "
+                             f"ancilla level in range({d})")
+        # is_unitary is False for a NaN or infinite entry.
+        gate = np.asarray(element.gate, dtype=complex)
+        if gate.shape != (2, 2) or not is_unitary(gate):
+            raise ValueError("projected gate is not a finite 2x2 unitary")
+    elif isinstance(element, (ControlledAncillaRotation, LocalAncillaRotation)):
+        if isinstance(element, ControlledAncillaRotation):
+            _check_qubit(element.control, n_qubits, "rotation control")
+        if not math.isfinite(element.theta):
+            raise ValueError(f"ancilla rotation angle {element.theta!r} is not finite")
+    else:
+        raise TypeError(f"unknown sequence element {element!r}")
 
 
 def apply_element(state: HybridState, element, convention: str = HALF_ROOT) -> HybridState:
-    """Apply one sequence element; returns a new HybridState."""
+    """Apply one sequence element; returns a new HybridState.  Refuses the
+    elements :func:`extract_register_gate` refuses (:func:`_check_element`)."""
     amps = state.as_matrix().copy()
     n, d = state.n_qubits, state.d
+    _check_element(element, n, d)
 
     if isinstance(element, Interaction):
-        _check_interaction(element, n, d)
         mask = register_bits(n)[:, element.qubit] == 1
         dm = displacement(d, element.label.x, element.label.p, convention)
         if element.polarity == APPLY_ON_ONE:
@@ -161,10 +185,8 @@ def apply_element(state: HybridState, element, convention: str = HALF_ROOT) -> H
     elif isinstance(element, ControlledAncillaRotation):
         mask = register_bits(n)[:, element.control] == 1
         amps[mask] = amps[mask] * np.exp(1j * element.theta * np.arange(d))
-    elif isinstance(element, LocalAncillaRotation):
-        amps = amps * np.exp(1j * element.theta * np.arange(d))
     else:
-        raise TypeError(f"unknown sequence element {element!r}")
+        amps = amps * np.exp(1j * element.theta * np.arange(d))
 
     return HybridState(n, d, amps.reshape(-1))
 
@@ -176,66 +198,143 @@ def run_sequence(seq: InteractionSequence, state: HybridState,
     return state
 
 
-def _reachable_rows(n_qubits: int, mixed: list[int]) -> np.ndarray:
-    """rows[o, c]: the register index whose ``mixed`` qubits read c and whose
-    other qubits read o, both most significant bit first."""
-    others = [q for q in range(n_qubits) if q not in mixed]
-    weight = 1 << (n_qubits - 1 - np.arange(n_qubits))
-    return (register_bits(len(others)) @ weight[others])[:, None] + \
-        register_bits(len(mixed)) @ weight[mixed]
-
-
-def _propagate_rows(seq: InteractionSequence, anc_init: np.ndarray,
-                    convention: str) -> tuple[np.ndarray, np.ndarray]:
-    """Run every register basis input at once over the rows it can reach.
+def _class_gate(seq: InteractionSequence, anc_init: np.ndarray, convention: str):
+    """Propagate a sequence with projected gates or ancilla rotations over
+    label classes of register row blocks.
 
     Only a projected gate mixes register rows, and only on the bit of its
-    target; with k distinct such targets (the mixed qubits) input i reaches
-    the 2^k rows that agree with i on every other qubit.  Returns
-    (rows, amps): ``amps[o, a, c]`` is the ancilla vector on register row
-    ``rows[o, c]`` for the input ``rows[o, a]``.
+    target; with k distinct targets (the mixed qubits, bits c) basis input
+    (o, a) reaches the 2^k rows (o, c), o being the other qubits' bits.  Cut
+    at its other elements, the sequence is displacement-only segments, and
+    segment s takes row (o, c) to exp(i pi k_s/d) D(X_s, P_s) times its input
+    (:func:`amqc.branches.torus_labels`).  So block o's (2^k, 2^k, d) outputs
+    are fixed, up to the phase exp(i pi sum_s k_s(o, 0)/d), by its key: every
+    segment's (X_s, P_s) mod d and k_s(o, c) - k_s(o, 0) mod 2d per c, and
+    each rotation's control bit.  The key is affine in o's bits, so blocks
+    are numbered into classes by doubling over them as in
+    :func:`amqc.branches.torus_gate`, and one (classes, 2^k, 2^k, d) tensor
+    runs the elements.
+
+    Returns (rows, index, exponent, returned, fidelity, residual): block o
+    holds register rows rows[o, c], is class index[o] and has phase exponent
+    exponent[o]; ``returned[j, a, c]`` is the overlap with ``anc_init`` of
+    class j's output on row c for input a; the fidelity and residual are
+    the worst of every basis input and the uniform superposition.
     """
     n, d = seq.n_qubits, seq.d
     mixed = sorted({e.target for e in seq.elements if isinstance(e, AncillaProjectedGate)})
-    for target in mixed:
-        _check_qubit(target, n, "projected gate target")
-    rows = _reachable_rows(n, mixed)
-    bits = register_bits(n)[rows][:, None]           # [o, 1, c, qubit]
+    others = [q for q in range(n) if q not in mixed]
     span = 2 ** len(mixed)
-    amps = np.zeros((len(rows), span, span, d), dtype=complex)
-    amps[:, np.arange(span), np.arange(span)] = anc_init
+    c_bits = register_bits(len(mixed)).tolist()
+    # A key column is an affine form's coefficients on the other qubits and
+    # its modulus.  A segment keeps, per c, the constants of X, P and the
+    # relative exponent and the key columns added to them (-1: none).
+    columns = {}
 
-    built = {}                                       # (x, p) -> D(x, p)
-    for element in seq.elements:
+    def column(coeffs, modulus):
+        coeffs = tuple([v % modulus for v in coeffs])
+        return columns.setdefault((coeffs, modulus), len(columns)) if any(coeffs) else -1
+
+    # sum_s k_s(o, 0) and the row index of (o, 0), as _evaluate rows.
+    glob = [[0] * (len(others) + 1), [0] + [1 << (n - 1 - q) for q in others]]
+    glob_pair = [[0] * len(others) for _ in others]
+    ops, steps, consts, cols = [], [], [], []
+    for element in seq.elements + [None]:
         if isinstance(element, Interaction):
-            _check_interaction(element, n, d)
-            key = (element.label.x, element.label.p)
-            if key not in built:
-                built[key] = displacement(d, *key, convention)
-            dm = built[key]
-            one = np.broadcast_to(bits[..., element.qubit] == 1, amps.shape[:-1])
-            if element.polarity == APPLY_ON_ONE:
-                amps[one] = amps[one] @ dm.T
-            else:
-                # D(-x, -p) = D(x, p)^dagger under both conventions.
-                amps[~one] = amps[~one] @ dm.T
-                amps[one] = amps[one] @ dm.conj()
-        elif isinstance(element, AncillaProjectedGate):
-            j = mixed.index(element.target)
-            col = amps[..., element.level].reshape(
-                amps.shape[:2] + (2 ** j, 2, span // 2 ** (j + 1)))
-            amps[..., element.level] = np.einsum(
-                "ab,oixbj->oixaj", np.asarray(element.gate, dtype=complex),
-                col).reshape(amps.shape[:-1])
-        elif isinstance(element, ControlledAncillaRotation):
-            _check_qubit(element.control, n, "rotation control")
-            phase = np.exp(1j * element.theta * np.arange(d))
-            amps *= np.where(bits[..., element.control, None] == 1, phase, 1.0)
+            steps.append((element.qubit, element.label.x, element.label.p,
+                          element.polarity == SYMMETRIC))
+            continue
+        if steps:
+            x, p, k, pair = _torus_polynomial(n, d, steps, convention)
+            steps = []
+            xp = [column([x[q + 1] for q in others], d), column([p[q + 1] for q in others], d)]
+            pairs = {t: [pair[min(t, q)][max(t, q)] for q in range(n)] for t in mixed}
+            ops.append(len(consts))
+            consts.append([])
+            cols.append([])
+            for c in c_bits:
+                cx, cp, ck, rel = x[0], p[0], 0, [0] * n
+                for t in (t for t, bit in zip(mixed, c) if bit):
+                    # rel[t] pairs t with the mixed qubits already added.
+                    cx, cp, ck = cx + x[t + 1], cp + p[t + 1], ck + k[t + 1] + rel[t]
+                    rel = [a + b for a, b in zip(rel, pairs[t])]
+                consts[-1].append([cx % d, cp % d, ck % (2 * d)])
+                cols[-1].append(xp + [column([rel[q] for q in others], 2 * d)])
+            glob[0][0] += k[0]
+            for i, q in enumerate(others):
+                glob[0][i + 1] += k[q + 1]
+                for j, u in enumerate(others[:i]):
+                    glob_pair[j][i] += pair[u][q]
+        if isinstance(element, ControlledAncillaRotation):
+            q = element.control
+            ops.append((np.exp(1j * element.theta * np.arange(d)),
+                        column([u == q for u in others], 2) if q in others
+                        else np.array([c[mixed.index(q)] for c in c_bits])))
         elif isinstance(element, LocalAncillaRotation):
-            amps *= np.exp(1j * element.theta * np.arange(d))
-        else:
-            raise TypeError(f"unknown sequence element {element!r}")
-    return rows, amps
+            ops.append((np.exp(1j * element.theta * np.arange(d)), None))
+        elif element is not None:
+            ops.append(element)
+
+    mods = [modulus for _, modulus in columns]
+    keys = {(0,) * len(columns): 0}
+    moves = []
+    for i in range(len(others)):
+        w = [coeffs[i] for coeffs, _ in columns]
+        moves.append(np.array([
+            keys.setdefault(tuple((a + b) % m for a, b, m in zip(key, w, mods)), len(keys))
+            for key in list(keys)]) if any(w) else None)
+    glob[0] = [g % (2 * d) for g in glob[0]]
+    exponent, rows, index = _evaluate(
+        glob, [[g % (2 * d) for g in row] for row in glob_pair], moves)
+    rows = rows[:, None] + [sum(1 << (n - 1 - t) for t, bit in zip(mixed, c) if bit)
+                            for c in c_bits]
+    # Column -1 reads the zero past the last key column.
+    keys = np.array([key + (0,) for key in keys], dtype=np.int64)
+    if consts:
+        # exp(i pi k/d) D(X, P) v reads exp(i pi (k + 2 P m)/d) v[m - X] at
+        # level m, as torus_gate builds its class vectors.
+        labels = np.array(consts) + keys[:, np.array(cols)]   # [class, segment, c, XPk]
+        m = np.arange(d)
+        phases = _roots(d).take(labels[..., 2:] + 2 * labels[..., 1:2] * m, mode="wrap")
+        shifts = (m - labels[..., :1]) % d
+
+    amps = np.zeros((len(keys), span, span, d), dtype=complex)
+    amps.reshape(len(keys), -1, d)[:, ::span + 1] = anc_init
+    offsets = np.arange(0, amps.size, d).reshape(amps.shape[:-1] + (1,))
+    for op in ops:
+        if isinstance(op, int):                  # a segment's row in phases, shifts
+            amps = phases[:, op, None] * amps.take(offsets + shifts[:, op, None])
+        elif isinstance(op, AncillaProjectedGate):
+            j = mixed.index(op.target)
+            col = amps[..., op.level].reshape(
+                amps.shape[:2] + (2 ** j, 2, span // 2 ** (j + 1)))
+            amps[..., op.level] = np.einsum(
+                "ab,oixbj->oixaj", np.asarray(op.gate, dtype=complex),
+                col).reshape(amps.shape[:-1])
+        else:                                    # a rotation and its control bit
+            rotation, on = op
+            if on is None:
+                amps *= rotation
+            else:
+                on = keys[:, on, None, None] if isinstance(on, int) else on
+                amps *= np.where(on[..., None] == 1, rotation, 1.0)
+
+    bra = np.conj(anc_init)
+    returned = amps @ bra                                 # [class, a, c]
+    # Rows an input cannot reach are zero, so its Schmidt weight is that of
+    # its (2^k, d) block, a product state when k = 0.  The uniform input's
+    # rows are the blocks' input sums times their phases, which its ancilla
+    # state does not see.
+    residual = 0.0
+    if span > 1:
+        residual = 1.0 - float(np.linalg.svd(amps, compute_uv=False)[..., 0].min()) ** 2
+    share = np.bincount(index, minlength=len(keys)) / 2 ** n
+    uniform = (amps.sum(axis=1) * np.sqrt(share)[:, None, None]).reshape(-1, d)
+    residual = max(0.0, residual, 1.0 - largest_schmidt_weight(uniform))
+    back = uniform @ bra
+    fidelity = min(1.0, float((returned * returned.conj()).real.sum(axis=-1).min()),
+                   float(np.vdot(back, back).real))
+    return rows, index, exponent, returned, fidelity, residual
 
 
 def extract_register_gate(seq: InteractionSequence, anc_init: np.ndarray | None = None,
@@ -244,18 +343,22 @@ def extract_register_gate(seq: InteractionSequence, anc_init: np.ndarray | None 
 
     Each basis state (and, as an entanglement witness, the uniform register
     superposition) is propagated with the ancilla starting in ``anc_init``
-    (default: position level |0>_x; a unit vector, else ValueError).  The
-    worst-case ancilla return fidelity and residual entanglement are always
-    reported, and the register unitary only when both the residual and 1 -
-    fidelity are below ``DISENTANGLE_TOL`` (:func:`amqc.report.gate_exists`):
-    every output factorises with the ancilla back in ``anc_init`` up to
-    phase.  Non-disentangling sequences are reported, never rejected.
+    (default: position level |0>_x; a finite unit vector, else ValueError).
+    Every element is checked before anything runs: a projected gate needs a
+    level in range(d) and a finite 2x2 unitary, a rotation a finite angle.
+    The worst-case ancilla return fidelity and residual entanglement are
+    always reported, and the register unitary only when both the residual
+    and 1 - fidelity are below ``DISENTANGLE_TOL``
+    (:func:`amqc.report.gate_exists`): every output factorises with the
+    ancilla back in ``anc_init`` up to phase.  Non-disentangling sequences
+    are reported, never rejected.
 
     A sequence of interactions only runs on the branch engine
     (:func:`amqc.branches.torus_gate`, which groups branches into label
-    classes).  Any other sequence runs all basis inputs in one batch, each
-    over just the register rows it can reach (:func:`_propagate_rows`), and
-    gets the uniform input's output by linearity as the sum of theirs.
+    classes).  Any other sequence runs on label classes of register row
+    blocks (:func:`_class_gate`): a generalized Toffoli has n + 1 of them
+    and a mod-d gate at most 2 min(n + 1, d), whatever 2^n is.  Only the
+    dense unitary is gathered over all 2^n rows.
     """
     n, d = seq.n_qubits, seq.d
     if anc_init is None:
@@ -264,33 +367,25 @@ def extract_register_gate(seq: InteractionSequence, anc_init: np.ndarray | None 
     anc_init = np.asarray(anc_init, dtype=complex)
     if anc_init.shape != (d,):
         raise ValueError("ancilla initial state has wrong dimension")
-    if abs(math.sqrt(np.vdot(anc_init, anc_init).real) - 1.0) > 1e-12:
+    # Written so that a NaN norm fails too.
+    if not abs(math.sqrt(np.vdot(anc_init, anc_init).real) - 1.0) <= 1e-12:
         raise ValueError("ancilla initial state is not normalised")
+    for element in seq.elements:
+        _check_element(element, n, d)
 
-    dim_reg = 2 ** n
     if all(isinstance(e, Interaction) for e in seq.elements):
-        for element in seq.elements:
-            _check_interaction(element, n, d)
         # Basis inputs stay product states, so the uniform input's residual is
         # the worst, and its fidelity is the mean of the basis ones.
         return diagonal_report(*torus_gate(
             n, d, [(e.qubit, e.label.x, e.label.p, e.polarity == SYMMETRIC)
                    for e in seq.elements], anc_init, convention), len(seq.elements))
 
-    rows, amps = _propagate_rows(seq, anc_init, convention)
-    returned = amps @ np.conj(anc_init)                  # [o, a, c]
-    # Rows an input cannot reach are zero, so its Schmidt weight is that of
-    # its (2^k, d) block; the uniform input's rows are in (o, c) order.
-    weights = np.linalg.svd(amps.reshape(dim_reg, -1, d), compute_uv=False)[:, 0] ** 2
-    uniform = amps.sum(axis=1).reshape(dim_reg, d) / np.sqrt(dim_reg)
-    residual = max(0.0, float(np.max(1.0 - weights)),
-                   1.0 - largest_schmidt_weight(uniform))
-    fidelity = min(1.0, float(np.min(np.sum(np.abs(returned) ** 2, axis=-1))),
-                   float(np.linalg.norm(uniform @ np.conj(anc_init)) ** 2))
+    rows, index, exponent, returned, fidelity, residual = _class_gate(seq, anc_init, convention)
     unitary = None
     if gate_exists(fidelity, residual):
-        unitary = np.zeros((dim_reg, dim_reg), dtype=complex)
-        unitary[rows[:, None, :], rows[:, :, None]] = returned
+        unitary = np.zeros((2 ** n, 2 ** n), dtype=complex)
+        unitary[rows[:, None, :], rows[:, :, None]] = \
+            _roots(d).take(exponent, mode="wrap")[:, None, None] * returned[index]
     return GateReport(unitary, fidelity, residual, len(seq.elements))
 
 

@@ -7,6 +7,7 @@ import math
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -36,8 +37,11 @@ from amqc.qudit_model import (
     Interaction,
     InteractionSequence,
     LocalAncillaRotation,
+    _class_gate,
     extract_register_gate,
     fan_bipartite,
+    generalized_toffoli,
+    mod_d_phase_gate,
     run_sequence,
     two_qubit_sequence,
 )
@@ -177,10 +181,10 @@ def test_torus_engine_matches_dense_extraction(case):
 
 
 @st.composite
-def mixed_cases(draw):
+def mixed_cases(draw, n_min=2, n_max=4):
     """Sequences with projected gates on 1-3 targets and ancilla rotations,
     optionally inside a counting loop whose inverse closes it."""
-    n = draw(st.integers(2, 4))
+    n = draw(st.integers(n_min, n_max))
     convention = draw(st.sampled_from(CONVENTIONS))
     d = draw(st.sampled_from((3, 5) if convention == MOD_INVERSE else (2, 3, 4, 5, 6)))
     targets = draw(st.permutations(range(n)))[:draw(st.integers(1, min(3, n)))]
@@ -226,6 +230,67 @@ def test_batched_rows_match_dense_extraction(case):
     seq = InteractionSequence(n, d, elements)
     _assert_matches_dense(extract_register_gate(seq, anc, convention),
                           dense_extract(seq, anc, convention))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(mixed_cases(5, 8))
+def test_label_classes_match_dense_extraction_up_to_8_qubits(case):
+    n, d, elements, convention, anc = case
+    seq = InteractionSequence(n, d, elements)
+    _assert_matches_dense(extract_register_gate(seq, anc, convention),
+                          dense_extract(seq, anc, convention))
+
+
+def _two_targets_symmetric_count(d):
+    # Qubit 0 counts symmetrically, qubit 1 on one; qubits 2 and 3 are
+    # projected targets and qubit 4 controls a rotation.
+    lab = lambda x: LatticeLabel(x, 0, d)
+    rng = np.random.default_rng(11)
+    counting = [Interaction(0, lab(1), SYMMETRIC), Interaction(1, lab(2))]
+    return InteractionSequence(5, d, counting + [
+        AncillaProjectedGate(2, 1, random_unitary(2, rng)),
+        ControlledAncillaRotation(4, 0.9),
+        AncillaProjectedGate(3, d - 1, random_unitary(2, rng)),
+        AncillaProjectedGate(2, 3, random_unitary(2, rng)),
+    ] + [Interaction(e.qubit, -e.label, e.polarity) for e in reversed(counting)])
+
+
+_U = random_unitary(2, np.random.default_rng(5))
+
+
+@pytest.mark.parametrize("seq, oracle", [
+    (generalized_toffoli(8, _U, 10), toffoli(8, _U)),
+    (mod_d_phase_gate(2.3, 8, 10), mod_d(2.3, 8, 10)),
+    (mod_d_phase_gate(1.1, 5, 3), mod_d(1.1, 5, 3)),         # the count wraps mod d
+    (_two_targets_symmetric_count(5), None),
+], ids=["toffoli-8", "modd-8", "modd-wrapping", "two-targets"])
+def test_label_classes_match_dense_at_bench_sizes(seq, oracle):
+    dense = dense_extract(seq)
+    report = extract_register_gate(seq)
+    _assert_matches_dense(report, dense)
+    if oracle is not None:
+        assert phase_distance(report.register_unitary, oracle) < 1e-10
+
+
+def test_label_class_stage_at_16_controls():
+    # Classes by Hamming weight (Toffoli) and by the count mod d times the
+    # target bit (mod-d).  An int64 row over the 2^16 or 2^17 row blocks
+    # takes 0.5 or 1 MiB; the batch over register rows took 162 MiB.
+    n, d = 16, 18
+    anc = np.eye(d, dtype=complex)[0]
+    # n < d, so the mod-d count never wraps and reaches its bound.
+    for seq, classes in ((generalized_toffoli(n, _U, d), n + 1),
+                         (mod_d_phase_gate(0.7, n, d), 2 * min(n + 1, d))):
+        tracemalloc.start()
+        try:
+            rows, index, exponent, returned, fidelity, residual = _class_gate(
+                seq, anc, HALF_ROOT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(returned) == classes and rows.size == 2 ** (n + 1)
+        assert gate_exists(fidelity, residual)
+        assert peak < 20 * 2 ** 20
 
 
 @PROPERTY

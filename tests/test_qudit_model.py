@@ -116,9 +116,52 @@ def test_empty_sequence_extracts_identity():
     np.testing.assert_allclose(rep.register_unitary, identity(4), atol=1e-15)
 
 
+@pytest.mark.parametrize("anc", [np.full(3, np.nan), np.array([np.inf, 0, 0])])
+@pytest.mark.parametrize("seq", [
+    two_qubit_sequence(0, 1, 1, 1, 3),                # branch engine
+    generalized_toffoli(2, PAULI_X, 3),               # label classes
+])
+def test_extraction_rejects_non_finite_ancilla(seq, anc):
+    with pytest.raises(ValueError, match="not normalised"):
+        extract_register_gate(seq, anc)
+
+
+def _toffoli_2_3(projected=None, rotation=None):
+    # A generalized_toffoli-style 2-control sequence on d = 3 with one
+    # replaced element.
+    lab = lambda x: LatticeLabel(x, 0, 3)
+    middle = [AncillaProjectedGate(2, 2, PAULI_X) if projected is None else projected]
+    if rotation is not None:
+        middle.append(rotation)
+    return InteractionSequence(3, 3, [Interaction(0, lab(1)), Interaction(1, lab(1)), *middle,
+                                      Interaction(0, lab(-1)), Interaction(1, lab(-1))])
+
+
+@pytest.mark.parametrize("element, message", [
+    (AncillaProjectedGate(2, -1, PAULI_X), "level"),
+    (AncillaProjectedGate(2, 5, PAULI_X), "level"),
+    (AncillaProjectedGate(2, 1.0, PAULI_X), "level"),
+    (AncillaProjectedGate(2, 1, np.eye(3)), "unitary"),
+    (AncillaProjectedGate(2, 1, 2 * PAULI_X), "unitary"),
+    (AncillaProjectedGate(2, 1, np.full((2, 2), np.nan)), "unitary"),
+    (ControlledAncillaRotation(0, np.nan), "angle"),
+    (ControlledAncillaRotation(0, np.inf), "angle"),
+    (LocalAncillaRotation(np.nan), "angle"),
+    (LocalAncillaRotation(-np.inf), "angle"),
+])
+def test_invalid_elements_are_rejected_before_running(element, message):
+    projected = element if isinstance(element, AncillaProjectedGate) else None
+    rotation = None if projected is not None else element
+    with pytest.raises(ValueError, match=message):
+        extract_register_gate(_toffoli_2_3(projected, rotation))
+    # The dense simulator refuses the same element.
+    with pytest.raises(ValueError, match=message):
+        apply_element(HybridState.basis(3, 7, basis_anc(3)), element)
+
+
 @pytest.mark.parametrize("seq", [
     two_qubit_sequence(0, 1, 2, 3, 5),                # branch engine
-    generalized_toffoli(2, PAULI_X, 5),               # batched rows
+    generalized_toffoli(2, PAULI_X, 5),               # label classes
 ])
 def test_extraction_rejects_unnormalised_ancilla(seq):
     with pytest.raises(ValueError, match="not normalised"):
@@ -303,8 +346,8 @@ def test_toffoli_control_permutation_invariance():
 
 
 def test_toffoli_extraction_memory_stays_small():
-    # The batch holds 2^(n+k) d amplitudes (k = 1 mixed qubit) and the 9-qubit
-    # unitary takes 4 MB; one dense state per input took 45 MB.
+    # The 9-qubit unitary takes 4 MB and the n + 1 label classes almost
+    # nothing; one dense state per input took 45 MB.
     seq = generalized_toffoli(8, PAULI_X, 10)
     tracemalloc.start()
     try:
@@ -316,21 +359,18 @@ def test_toffoli_extraction_memory_stays_small():
     assert peak < 12 * 2 ** 20
 
 
-def test_extraction_builds_each_label_once_without_dense_states(monkeypatch):
+@pytest.mark.parametrize("seq", [generalized_toffoli(3, PAULI_X, 5),
+                                 mod_d_phase_gate(0.4, 3, 5)])
+def test_extraction_builds_no_displacement_matrix_or_dense_state(monkeypatch, seq):
     import amqc.qudit_model as qm
 
     def dense(*args, **kwargs):
         raise AssertionError("extraction ran the dense simulator")
 
-    calls = []
-    build = qm.displacement
-    monkeypatch.setattr(qm, "displacement", lambda *a: calls.append(a) or build(*a))
-    for name in ("run_sequence", "apply_element", "HybridState"):
+    for name in ("displacement", "run_sequence", "apply_element", "HybridState"):
         monkeypatch.setattr(qm, name, dense)
-    seq = generalized_toffoli(3, PAULI_X, 5)
+    # Label classes act on the ancilla by index shifts and phases only.
     assert extract_register_gate(seq).register_unitary is not None
-    # Six interactions, but only the labels (1, 0) and (-1, 0).
-    assert sorted(calls) == [(5, -1, 0, HALF_ROOT), (5, 1, 0, HALF_ROOT)]
 
 
 def test_mod_d_phase_gate_exhaustive():
