@@ -64,6 +64,9 @@ def grouped_residual(weights: np.ndarray, labels: np.ndarray, overlap) -> float:
     if (labels == labels[0]).all():
         return max(0.0, float(1.0 - weights.sum()))
     root_w, rest = np.sqrt(weights), weights * overlap(labels, labels).real
+    if not np.isfinite(rest).all():
+        raise ValueError("branch label is not finite: the sequence overflows "
+                         "double precision")
     factor = np.zeros((0, len(labels)), dtype=complex)   # rows are columns of L
     while rest.sum() > RANK_TOL * weights.sum():
         j = int(np.argmax(rest))

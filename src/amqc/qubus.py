@@ -107,6 +107,8 @@ def field_fan(xs, ps, initial_label: FieldLabel = ORIGIN) -> GateReport:
     n, m = len(xs), len(ps)
     if n < 1 or m < 1:
         raise ValueError("need at least one control and one target")
+    if not all(map(math.isfinite, xs + ps + [initial_label.x, initial_label.p])):
+        raise ValueError("fan coefficients and initial label must be finite")
     steps = [(k, xk, 0.0) for k, xk in enumerate(xs)]
     steps += [(n + j, 0.0, pj) for j, pj in enumerate(ps)]
     steps += [(k, -xk, 0.0) for k, xk in enumerate(xs)]

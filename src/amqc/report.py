@@ -52,8 +52,14 @@ def diagonal_report(phases: np.ndarray, overlaps: np.ndarray, residual: float,
     Branch r returns ``phases[r] * overlaps[r]`` times the initial ancilla
     state: a unit phase times the overlap of its final ancilla state with
     the initial one.  The fidelity is the smallest |overlap|^2, so a walk
-    whose overlaps are exactly 1 reads exactly 1 whatever the phases.
+    whose overlaps are exactly 1 reads exactly 1 whatever the phases.  A
+    non-finite phase or overlap, left by a walk that overflowed double
+    precision, raises ValueError.
     """
+    returns = phases * overlaps
+    if not np.isfinite(returns).all():
+        raise ValueError("branch phase or overlap is not finite: the sequence "
+                         "overflows double precision")
     fidelity = min(1.0, float(np.abs(overlaps).min()) ** 2)
-    unitary = np.diag(phases * overlaps) if gate_exists(fidelity, residual) else None
+    unitary = np.diag(returns) if gate_exists(fidelity, residual) else None
     return GateReport(unitary, fidelity, residual, interaction_count)

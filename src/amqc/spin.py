@@ -112,23 +112,24 @@ def loop_close(eta: float) -> LoopSolution:
 
     tau(eta) = (1 - eta^2 - sqrt(eta^4 - 6 eta^2 + 1)) / (2 eta), evaluated as
     2 eta / (1 - eta^2 + sqrt(...)) to avoid cancellation at small eta; the
-    discriminant is nonnegative only for |eta| <= sqrt(2) - 1, beyond which a
-    :class:`LoopUnclosableError` is raised.  eta = 0 returns the flat limit
+    discriminant is nonnegative only for |eta| <= sqrt(2) - 1, beyond which
+    (and for NaN) a :class:`LoopUnclosableError` is raised.  The phase per
+    spin, phi_t = atan2(4 eta^2, (1 + eta^2) sqrt(...)) / 2, obeys
+    sin(2 phi_t) = (2 eta / (1 - eta^2))^2 = tan(2a)^2 for eta = tan(a),
+    which :func:`eta_for_phase` inverts.  eta = 0 returns the flat limit
     (tau = 0, phi_t = 0).  Recomposing the four legs with
     :func:`compose_on_origin` lands back on the origin to 1e-12.
     """
     eta = float(eta)
     if eta == 0.0:
         return LoopSolution(0.0, 0.0, 0.0)
-    if abs(eta) > ETA_MAX + 1e-15:
+    if not abs(eta) <= ETA_MAX + 1e-15:
         raise LoopUnclosableError(
             f"|eta| = {abs(eta):.6f} exceeds sqrt(2)-1 = {ETA_MAX:.6f}")
-    disc = eta ** 4 - 6.0 * eta ** 2 + 1.0
-    disc = max(disc, 0.0)
-    tau = 2.0 * eta / (1.0 - eta ** 2 + math.sqrt(disc))
-    num = 2.0 * eta * tau + tau ** 2 - eta ** 2
-    den = 1.0 + 2.0 * eta * tau - eta ** 2 * tau ** 2
-    return LoopSolution(eta, tau, math.atan2(num, den))
+    root = math.sqrt(max(eta ** 4 - 6.0 * eta ** 2 + 1.0, 0.0))
+    tau = 2.0 * eta / (1.0 - eta ** 2 + root)
+    return LoopSolution(eta, tau, 0.5 * math.atan2(4.0 * eta ** 2,
+                                                   (1.0 + eta ** 2) * root))
 
 
 @dataclass
@@ -218,6 +219,8 @@ def spin_two_qubit_gate(eta: float, n_spins: int) -> GateReport:
     fidelity 1 and the register acquires exp(i*N*phi_t Z (x) Z).  Control bit
     0 displaces by +leg, bit 1 by -leg.
     """
+    if not n_spins >= 1:
+        raise ValueError("need at least one spin")
     sol = loop_close(eta)
     signs = 1.0 - 2.0 * branches.register_bits(2)
     legs = (signs[:, 0] * sol.eta, signs[:, 1] * (1j * sol.tau),
@@ -226,25 +229,19 @@ def spin_two_qubit_gate(eta: float, n_spins: int) -> GateReport:
 
 
 def eta_for_phase(target_phi: float, n_spins: int) -> float:
-    """Bisection for the eta whose closed loop gives N * phi_t = target_phi.
+    """The eta whose closed loop gives N * phi_t = target_phi, in closed form.
 
-    N * phi_t(eta) increases monotonically from 0 to N * pi/4 on
-    (0, sqrt(2)-1]; the test suite checks that on a dense grid.
+    Inverting sin(2 phi_t) = (2 eta / (1 - eta^2))^2 of :func:`loop_close`:
+    t = sqrt(sin(2 target_phi / N)) is tan(2a) for eta = tan(a), so
+    eta = t / (1 + sqrt(1 + t^2)), the root in (0, sqrt(2)-1].  N * phi_t
+    rises monotonically from 0 to N * pi/4 on that interval.
     """
     top = n_spins * loop_close(ETA_MAX).phi_t
     if not 0.0 < target_phi <= top:
         raise ValueError(f"target phase {target_phi} outside reachable "
                          f"(0, {top}]")
-    lo, hi = 0.0, ETA_MAX
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if n_spins * loop_close(mid).phi_t < target_phi:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    t = math.sqrt(math.sin(2.0 * target_phi / n_spins))
+    return t / (1.0 + math.sqrt(1.0 + t * t))
 
 
 @dataclass(frozen=True)
@@ -386,6 +383,10 @@ def fan_sequence_simulate(xs, ps, n_spins: int) -> SpinFanReport:
     n, m = len(xs), len(ps)
     if n < 1 or m < 1:
         raise ValueError("need at least one control and one target")
+    if not n_spins >= 1:
+        raise ValueError("need at least one spin")
+    if not all(map(math.isfinite, xs + ps)):
+        raise ValueError("fan coefficients must be finite")
     scale = 1.0 / math.sqrt(2.0 * n_spins)
 
     signs = 1.0 - 2.0 * branches.register_bits(n + m)

@@ -45,7 +45,7 @@ from amqc.qudit_model import (
     run_sequence,
     two_qubit_sequence,
 )
-from amqc.report import gate_exists
+from amqc.report import diagonal_report, gate_exists
 from amqc.spin import (
     ETA_MAX,
     SpinBranchState,
@@ -609,6 +609,16 @@ def test_spin_grouped_residual_matches_full_density(walk):
     full = _full_residual(state.branches,
                           lambda z1, z2: coherent_overlap(z1, z2, n_spins))
     assert abs(state.residual_entanglement() - full) < TOL
+
+
+@pytest.mark.parametrize("phases, overlaps", [
+    (np.array([np.nan, 1.0]), np.ones(2)),
+    (np.ones(2), np.array([1.0, np.nan])),
+    (np.ones(2), np.array([np.inf, 1.0])),
+])
+def test_diagonal_report_refuses_non_finite_returns(phases, overlaps):
+    with pytest.raises(ValueError, match="not finite"):
+        diagonal_report(phases, overlaps, 0.0, 4)
 
 
 @PROPERTY

@@ -156,3 +156,15 @@ def test_overlap_of_identical_labels_is_one():
 def test_fan_rejects_empty_sides():
     with pytest.raises(ValueError):
         field_fan([], [0.3])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: field_fan([np.nan], [1.0]),
+    lambda: field_two_qubit(1.0, 1.0, FieldLabel(np.nan, 0.0)),
+    lambda: field_fan([1e200], [1e200]),    # finite legs, overflowing phases
+    lambda: field_fan([1e308], [1.0]),      # finite legs, overflowing labels
+], ids=["nan-leg", "nan-initial-label", "overflowing-phases", "overflowing-labels"])
+def test_fan_refuses_non_finite_walks(call):
+    with pytest.raises(ValueError, match="finite") as info:
+        call()
+    assert "\n" not in str(info.value)

@@ -302,6 +302,54 @@ def test_eta_for_phase_rejects_unreachable():
         eta_for_phase(10.0, 1)  # max per spin is pi/4
 
 
+def test_loop_phase_closed_form_identity():
+    # sin(2 phi_t) = (2 eta / (1 - eta^2))^2, the relation eta_for_phase inverts.
+    grid = np.concatenate([np.geomspace(1e-150, 1e-3, 300),
+                           np.linspace(1e-3, ETA_MAX, 20_001)])
+    for eta in grid.tolist():
+        want = (2 * eta / (1 - eta ** 2)) ** 2
+        got = math.sin(2 * loop_close(eta).phi_t)
+        assert abs(got - want) <= 1e-14 * want, eta
+    assert abs(math.sin(2 * loop_close(ETA_MAX).phi_t) - 1.0) < 1e-15
+
+
+@pytest.mark.parametrize("n_spins", range(1, 13))
+def test_eta_for_phase_round_trip(n_spins):
+    top = n_spins * loop_close(ETA_MAX).phi_t
+    for theta in np.linspace(1e-9, 0.99 * top, 1001).tolist():
+        got = n_spins * loop_close(eta_for_phase(theta, n_spins)).phi_t
+        assert abs(got - theta) <= 1e-12, theta
+    eta_top = eta_for_phase(top, n_spins)
+    assert eta_top <= ETA_MAX
+    assert abs(n_spins * loop_close(eta_top).phi_t - top) <= 1e-11
+
+
+@pytest.mark.parametrize("n_spins", range(2, 13))
+def test_eta_for_phase_gate_matches_zz_rotation(n_spins):
+    top = n_spins * loop_close(ETA_MAX).phi_t
+    zz = np.array([1.0, -1.0, -1.0, 1.0])
+    for theta in np.linspace(0.01, 0.9 * top, 25).tolist():
+        rep = spin_two_qubit_gate(eta_for_phase(theta, n_spins), n_spins)
+        assert phase_distance(rep.register_unitary,
+                              np.diag(np.exp(1j * theta * zz))) < 1e-10
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: loop_close(math.nan), "exceeds"),
+    (lambda: spin_two_qubit_gate(math.nan, 4), "exceeds"),
+    (lambda: spin_two_qubit_gate(0.1, 0), "need at least one spin"),
+    (lambda: spin_two_qubit_gate(0.1, -3), "need at least one spin"),
+    (lambda: fan_sequence_simulate([1.0], [1.0], 0), "need at least one spin"),
+    (lambda: fan_sequence_simulate([1.0], [1.0], -5), "need at least one spin"),
+    (lambda: fan_sequence_simulate([math.nan], [1.0], 100), "must be finite"),
+], ids=["loop-nan", "gate-nan", "gate-0-spins", "gate-negative-spins",
+        "fan-0-spins", "fan-negative-spins", "fan-nan-leg"])
+def test_sphere_gates_refuse_inputs_they_cannot_simulate(call, message):
+    with pytest.raises(ValueError, match=message) as info:
+        call()
+    assert "\n" not in str(info.value)
+
+
 # ----------------------------------------------------------------------------
 # closed-form error surfaces
 # ----------------------------------------------------------------------------
