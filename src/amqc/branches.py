@@ -29,6 +29,7 @@ is a few when they nearly coincide.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -219,11 +220,24 @@ def flat_labels(n_qubits: int, steps, z0: complex):
     steps X = sum_q S_q (1 - 2 b_q), S_q the sum of qubit q's steps, so its
     constant is minus half its bit coefficients, likewise P: a walk whose bit
     coefficients are all exactly zero returns every branch to z0 exactly.
+
+    A branch's value of a row is a signed sum of the row's coefficients, so
+    the sums of their magnitudes bound every number the evaluation makes; a
+    walk whose bounds leave double precision raises ValueError before any
+    branch is evaluated.
     """
     x, p, k, pair = _phase_polynomial(
         n_qubits, 1, [(q, dx, dp, True) for q, dx, dp in steps])
     x[0], p[0] = -sum(x[1:]) / 2, -sum(p[1:]) / 2
     k = [kq + z0.real * pq - z0.imag * xq for kq, xq, pq in zip(k, x, p)]
+    bound_x, bound_p = sum(map(abs, x)), sum(map(abs, p))
+    if not math.isfinite(bound_x + bound_p + abs(z0)):
+        raise ValueError("branch label is not finite: the sequence overflows "
+                         "double precision")
+    bound_k = sum(map(abs, k)) + sum(abs(c) for row in pair for c in row)
+    if not math.isfinite(bound_k + bound_x * bound_p):
+        raise ValueError("branch phase or overlap is not finite: the sequence "
+                         "overflows double precision")
     k, x, p = _evaluate([k, x, p], pair, dtype=np.float64)
     z = x + 1j * p
     z += z0

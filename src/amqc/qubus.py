@@ -68,9 +68,14 @@ class FieldBranchState:
 
 def apply_controlled_field(state: FieldBranchState, qubit: int, x: float,
                            p: float) -> FieldBranchState:
-    """Symmetric controlled displacement: bit 0 gets +(x, p), bit 1 -(x, p)."""
+    """Symmetric controlled displacement: bit 0 gets +(x, p), bit 1 -(x, p).
+
+    A non-finite x or p raises ValueError before any branch moves.
+    """
     if not 0 <= qubit < state.n_qubits:
         raise ValueError(f"qubit {qubit} out of range")
+    if not (math.isfinite(x) and math.isfinite(p)):
+        raise ValueError(f"displacement ({x!r}, {p!r}) is not finite")
     rs = list(state.branches)
     z = np.array([complex(lab.x, lab.p) for lab, _ in state.branches.values()])
     amps = np.array([a for _, a in state.branches.values()], dtype=complex)

@@ -37,7 +37,8 @@ import numpy as np
 
 from . import branches
 from .branches import SingularCompositionError
-from .linalg import controlled, kron, phase_distance
+from .linalg import (HADAMARD, PAULI_X, PAULI_Y, controlled, identity, kron,
+                     phase_distance, phase_gate)
 from .report import GateReport, diagonal_report
 
 # Largest |eta| for which the closing leg tau(eta) is real.
@@ -173,10 +174,13 @@ def apply_controlled_spin(state: SpinBranchState, qubit: int,
     """Controlled displacement: bit 0 branches get D(+zeta), bit 1 D(-zeta).
 
     Labels, phases and the :class:`SingularCompositionError` for a branch
-    driven to the south pole follow :func:`amqc.branches.sphere_step`.
+    driven to the south pole follow :func:`amqc.branches.sphere_step`; a
+    non-finite ``zeta`` raises ValueError before any branch moves.
     """
     if not 0 <= qubit < state.n_qubits:
         raise ValueError(f"qubit {qubit} out of range")
+    if not cmath.isfinite(zeta):
+        raise ValueError(f"displacement {zeta!r} is not finite")
     rs = list(state.branches)
     z = np.array([z for z, _ in state.branches.values()], dtype=complex)
     amps = np.array([a for _, a in state.branches.values()], dtype=complex)
@@ -186,6 +190,18 @@ def apply_controlled_spin(state: SpinBranchState, qubit: int,
     amps = amps * np.exp(1j * angle)
     return SpinBranchState(state.n_qubits, state.n_spins,
                            dict(zip(rs, zip(z.tolist(), amps.tolist()))))
+
+
+def _check_spins(n_spins) -> None:
+    """Refuse an ensemble size that is not a whole number of at least one."""
+    try:
+        whole = n_spins == int(n_spins)
+    except (OverflowError, ValueError):   # inf, NaN
+        whole = False
+    if not whole:
+        raise ValueError(f"ensemble size must be a whole number, got {n_spins!r}")
+    if not n_spins >= 1:
+        raise ValueError("need at least one spin")
 
 
 def _sphere_walk(legs, n_spins: int):
@@ -217,10 +233,9 @@ def spin_two_qubit_gate(eta: float, n_spins: int) -> GateReport:
     The legs (eta on qubit 0, i*tau on qubit 1, -tau on qubit 0, -i*eta on
     qubit 1) close exactly for every branch, so the ancilla factors out with
     fidelity 1 and the register acquires exp(i*N*phi_t Z (x) Z).  Control bit
-    0 displaces by +leg, bit 1 by -leg.
+    0 displaces by +leg, bit 1 by -leg.  N must be a whole number.
     """
-    if not n_spins >= 1:
-        raise ValueError("need at least one spin")
+    _check_spins(n_spins)
     sol = loop_close(eta)
     signs = 1.0 - 2.0 * branches.register_bits(2)
     legs = (signs[:, 0] * sol.eta, signs[:, 1] * (1j * sol.tau),
@@ -234,9 +249,11 @@ def eta_for_phase(target_phi: float, n_spins: int) -> float:
     Inverting sin(2 phi_t) = (2 eta / (1 - eta^2))^2 of :func:`loop_close`:
     t = sqrt(sin(2 target_phi / N)) is tan(2a) for eta = tan(a), so
     eta = t / (1 + sqrt(1 + t^2)), the root in (0, sqrt(2)-1].  N * phi_t
-    rises monotonically from 0 to N * pi/4 on that interval.
+    rises monotonically from 0 to N * pi/4 on that interval; the top is
+    taken as N * pi / 4 directly, which equals N * loop_close(ETA_MAX).phi_t
+    bitwise (phi_t is pi/4 exactly there, and dividing by 4 is exact).
     """
-    top = n_spins * loop_close(ETA_MAX).phi_t
+    top = n_spins * math.pi / 4
     if not 0.0 < target_phi <= top:
         raise ValueError(f"target phase {target_phi} outside reachable "
                          f"(0, {top}]")
@@ -377,14 +394,14 @@ def fan_sequence_simulate(xs, ps, n_spins: int) -> SpinFanReport:
 
     The all-zeros branch is the extremal one (largest displacement for
     positive coefficients); its phase and final label reproduce the
-    closed-form values of :func:`fan_error` exactly.
+    closed-form values of :func:`fan_error` exactly.  N must be a whole
+    number.
     """
     xs, ps = [float(v) for v in xs], [float(v) for v in ps]
     n, m = len(xs), len(ps)
     if n < 1 or m < 1:
         raise ValueError("need at least one control and one target")
-    if not n_spins >= 1:
-        raise ValueError("need at least one spin")
+    _check_spins(n_spins)
     if not all(map(math.isfinite, xs + ps)):
         raise ValueError("fan coefficients must be finite")
     scale = 1.0 / math.sqrt(2.0 * n_spins)
@@ -459,6 +476,12 @@ def collective_operator(single: np.ndarray, n_spins: int) -> np.ndarray:
     return total
 
 
+def _exp_i(hermitian: np.ndarray, t: float) -> np.ndarray:
+    """exp(i t H) of a Hermitian H, from its eigendecomposition."""
+    w, v = np.linalg.eigh(hermitian)
+    return (v * np.exp(1j * t * w)) @ v.conj().T
+
+
 def spin_generator_check(theta: float, phi: float, n_spins: int) -> float:
     """Deviation of the controlled displacement from its Hamiltonian generator.
 
@@ -470,29 +493,22 @@ def spin_generator_check(theta: float, phi: float, n_spins: int) -> float:
        phase, with J_mu the plain Pauli sums (so [J_x, J_y] = 2i J_z).
     2. U^dag exp(i theta J_x) U = exp(i theta J_y) with U the tensor power of
        R(pi/2) H, showing one interaction axis suffices.
+
+    Per spin, D_1(theta, phi) = cos(theta/2) I + i sin(theta/2) n.sigma; the
+    collective exponentials come from eigendecompositions of the generators.
     """
-    from scipy.linalg import expm
-
-    from .linalg import HADAMARD, PAULI_X, PAULI_Y, phase_gate
-
     if n_spins > 8:
         raise ValueError(f"dense generator check limited to 8 spins, "
                          f"got {n_spins}")
     jx = collective_operator(PAULI_X, n_spins)
     jy = collective_operator(PAULI_Y, n_spins)
     axis = math.sin(phi) * PAULI_X - math.cos(phi) * PAULI_Y
-    single_plus = expm(1j * (theta / 2.0) * axis)
-    single_minus = expm(-1j * (theta / 2.0) * axis)
-    d_plus = kron(*([single_plus] * n_spins))
-    d_minus = kron(*([single_minus] * n_spins))
-
-    z = np.diag([1.0, -1.0]).astype(complex)
-    generator = np.kron(z, math.sin(phi) * jx - math.cos(phi) * jy)
-    target = expm(1j * (theta / 2.0) * generator)
-    dist1 = phase_distance(target, controlled(d_plus, d_minus))
-
-    w = phase_gate(math.pi / 2.0) @ HADAMARD
-    u = kron(*([w] * n_spins))
-    dist2 = float(np.max(np.abs(
-        u.conj().T @ expm(1j * theta * jx) @ u - expm(1j * theta * jy))))
-    return max(dist1, dist2)
+    d_plus = kron(*[math.cos(theta / 2.0) * identity(2)
+                    + 1j * math.sin(theta / 2.0) * axis] * n_spins)
+    # Z (x) A is block diagonal, and each -theta block is the +theta block's adjoint.
+    block = _exp_i(math.sin(phi) * jx - math.cos(phi) * jy, theta / 2.0)
+    dist1 = phase_distance(controlled(block, block.conj().T),
+                           controlled(d_plus, d_plus.conj().T))
+    u = kron(*[phase_gate(math.pi / 2.0) @ HADAMARD] * n_spins)
+    conjugated = u.conj().T @ _exp_i(jx, theta) @ u
+    return max(dist1, float(np.abs(conjugated - _exp_i(jy, theta)).max()))

@@ -1,6 +1,7 @@
 """Field-mode bus: label algebra, rectangle and fan gates, exact closure."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -146,6 +147,16 @@ def test_branch_state_walk_matches_symbolic_phases():
     assert abs(amp - expected) < 1e-14
     assert abs(label.x) < 1e-14 and abs(label.p) < 1e-14
     assert abs(state.total_norm() - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("x, p", [(math.nan, 0.1), (0.1, math.inf), (-math.inf, math.nan)])
+def test_branch_update_refuses_a_non_finite_leg(x, p):
+    state = FieldBranchState.from_register(np.array([1, 1], dtype=complex) / np.sqrt(2))
+    before = dict(state.branches)
+    with pytest.raises(ValueError, match="not finite") as info:
+        apply_controlled_field(state, 0, x, p)
+    assert "\n" not in str(info.value)
+    assert state.branches == before
 
 
 def test_overlap_of_identical_labels_is_one():

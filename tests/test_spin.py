@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import amqc.spin
+
 from amqc.cli import main
 from amqc.linalg import PAULI_X, PAULI_Y, identity, kron, phase_distance, phase_gate
 from amqc.spin import (
@@ -255,6 +257,17 @@ def test_both_walks_refuse_a_step_near_the_south_pole():
         _sphere_walk([np.array([z]), np.array([leg])], 5)   # origin to z, then leg
 
 
+@pytest.mark.parametrize("zeta", [math.nan, math.inf, complex(0.1, math.nan),
+                                  complex(-math.inf, 0.0)])
+def test_branch_update_refuses_a_non_finite_leg(zeta):
+    state = SpinBranchState.from_register(np.array([1, 1], dtype=complex) / np.sqrt(2), 4)
+    before = dict(state.branches)
+    with pytest.raises(ValueError, match="not finite") as info:
+        apply_controlled_spin(state, 0, zeta)
+    assert "\n" not in str(info.value)
+    assert state.branches == before
+
+
 def test_branch_update_agrees_with_compose():
     state = SpinBranchState.from_register(np.array([0, 1], dtype=complex), 7)
     state = apply_controlled_spin(state, 0, 0.3)          # bit 1: -0.3
@@ -342,12 +355,28 @@ def test_eta_for_phase_gate_matches_zz_rotation(n_spins):
     (lambda: fan_sequence_simulate([1.0], [1.0], 0), "need at least one spin"),
     (lambda: fan_sequence_simulate([1.0], [1.0], -5), "need at least one spin"),
     (lambda: fan_sequence_simulate([math.nan], [1.0], 100), "must be finite"),
+    (lambda: spin_two_qubit_gate(0.1, 2.5), "whole number"),
+    (lambda: spin_two_qubit_gate(0.1, math.nan), "whole number"),
+    (lambda: spin_two_qubit_gate(0.1, math.inf), "whole number"),
+    (lambda: fan_sequence_simulate([1.0], [1.0], 2.5), "whole number"),
+    (lambda: fan_sequence_simulate([1.0], [1.0], math.nan), "whole number"),
+    (lambda: fan_sequence_simulate([1.0], [1.0], math.inf), "whole number"),
 ], ids=["loop-nan", "gate-nan", "gate-0-spins", "gate-negative-spins",
-        "fan-0-spins", "fan-negative-spins", "fan-nan-leg"])
+        "fan-0-spins", "fan-negative-spins", "fan-nan-leg",
+        "gate-fractional-spins", "gate-nan-spins", "gate-inf-spins",
+        "fan-fractional-spins", "fan-nan-spins", "fan-inf-spins"])
 def test_sphere_gates_refuse_inputs_they_cannot_simulate(call, message):
     with pytest.raises(ValueError, match=message) as info:
         call()
     assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("n_spins", [4, np.int64(4), 4.0, np.float64(4.0)])
+def test_sphere_gates_take_a_whole_ensemble_size_of_any_type(n_spins):
+    gate = spin_two_qubit_gate(0.1, n_spins).register_unitary
+    assert phase_distance(gate, spin_two_qubit_gate(0.1, 4).register_unitary) == 0.0
+    fan = fan_sequence_simulate([1.0, 2.0], [0.5], n_spins)
+    assert fan.extremal_phase == fan_sequence_simulate([1.0, 2.0], [0.5], 4).extremal_phase
 
 
 # ----------------------------------------------------------------------------
@@ -557,3 +586,20 @@ def test_spin_generator_examples():
 def test_spin_generator_resource_limit():
     with pytest.raises(ValueError):
         spin_generator_check(0.1, 0.1, 9)
+
+
+@pytest.mark.parametrize("n_spins", range(1, 9))
+def test_spin_generator_holds_up_to_eight_spins(n_spins):
+    # verify draws N <= 4 only; the check's dense limit is 8.
+    worst = max(spin_generator_check(theta, phi, n_spins)
+                for theta in np.linspace(-math.pi, math.pi, 4).tolist()
+                for phi in np.linspace(0.0, 2 * math.pi, 3, endpoint=False).tolist())
+    assert worst < 1e-12
+
+
+def test_spin_generator_catches_a_wrong_generator(monkeypatch):
+    # Every collective operator replaced by -J_y: the eigendecomposed
+    # exponentials must no longer match the per-spin rotations.
+    wrong = -amqc.spin.collective_operator(PAULI_Y, 2)
+    monkeypatch.setattr(amqc.spin, "collective_operator", lambda single, n: wrong)
+    assert spin_generator_check(0.9, 0.4, 2) > 0.1

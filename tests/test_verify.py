@@ -1,6 +1,10 @@
 """Identity suites: stacked displacements, check timings, injected faults."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,3 +196,22 @@ def test_sphere_walk_fault_fails_the_dense_walk_check(monkeypatch, fault):
     monkeypatch.setattr(amqc.branches, "sphere_step", fault(amqc.branches.sphere_step))
     failed = [c.name for c in verify.run_spin_suite().checks if not c.passed]
     assert "array walk vs dense 4-spin vectors, 3 qubits x 8 random steps" in failed
+
+
+def test_verify_all_runs_without_scipy():
+    # numpy is the only runtime dependency: a fresh `python -m amqc verify all`
+    # must pass without importing any scipy module.
+    script = ("import runpy, sys\n"
+              "sys.argv = ['amqc', 'verify', 'all']\n"
+              "try:\n"
+              "    runpy.run_module('amqc', run_name='__main__')\n"
+              "finally:\n"
+              "    print(sorted(m for m in sys.modules if m.startswith('scipy')),"
+              " file=sys.stderr)\n")
+    src = str(Path(amqc.spin.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stderr.strip().splitlines()[-1] == "[]"
