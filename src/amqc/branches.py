@@ -235,7 +235,9 @@ def flat_labels(n_qubits: int, steps, z0: complex):
         raise ValueError("branch label is not finite: the sequence overflows "
                          "double precision")
     bound_k = sum(map(abs, k)) + sum(abs(c) for row in pair for c in row)
-    if not math.isfinite(bound_k + bound_x * bound_p):
+    x0, p0 = abs(z0.real), abs(z0.imag)
+    bound_z0 = x0 * (p0 + bound_p) + p0 * (x0 + bound_x)   # flat_overlap's products
+    if not math.isfinite(bound_k + bound_x * bound_p + bound_z0):
         raise ValueError("branch phase or overlap is not finite: the sequence "
                          "overflows double precision")
     k, x, p = _evaluate([k, x, p], pair, dtype=np.float64)
@@ -247,7 +249,8 @@ def flat_labels(n_qubits: int, steps, z0: complex):
 def flat_overlap(z1, z2):
     """Coherent overlaps <z1|z2> = e^{-|z2 - z1|^2/4} e^{i Im(conj(z1) z2)/2}
     of labels z = x + ip, elementwise."""
-    return np.exp(-np.abs(z2 - z1) ** 2 / 4.0 + 0.5j * (np.conj(z1) * z2).imag)
+    # Im(conj(z1) z2) alone: the real part of the product can overflow.
+    return np.exp(-np.abs(z2 - z1) ** 2 / 4.0 + 0.5j * (z1.real * z2.imag - z1.imag * z2.real))
 
 
 def sphere_step(z: np.ndarray, leg: np.ndarray, n_spins: int):

@@ -33,9 +33,9 @@ from .verify import SUITES, run_suites
 
 _FMT = "%.11e"   # 12 significant digits, scientific
 _BLOCK = 1024     # CSV rows formatted by one % operation and written at once
-# Largest register ``demo`` builds.  It holds three dense 2^q x 2^q matrices at
-# once (the extracted unitary, the oracle and phase_distance's one temporary),
-# 16 * 4^q bytes each: 768 MB at q = 12.
+# Largest register ``demo`` builds.  It holds two dense 2^q x 2^q matrices at
+# once (the extracted unitary and the oracle; phase_distance streams them),
+# 16 * 4^q bytes each: 512 MB at q = 12.
 MAX_DENSE_QUBITS = 12
 
 

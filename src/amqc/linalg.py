@@ -14,6 +14,10 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
+# Entries per block of phase_distance's second pass: 128 KiB of complex128,
+# so a block's two operand slices and its difference (384 KiB) stay in L2.
+_BLOCK = 8192
+
 
 def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
@@ -100,6 +104,9 @@ def phase_distance(u: np.ndarray, v: np.ndarray) -> float:
     minimised at phi = arg t.  If t vanishes (e.g. identity vs Pauli Z) the
     objective is flat in phi and equals sqrt(||u||^2 + ||v||^2).  Returns 0
     iff u and v agree up to a global phase.
+
+    The second pass sums ||e^{i phi} v - u||^2 over blocks of whole rows, at
+    most _BLOCK entries while a row fits, so no dense temporary is made.
     """
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
@@ -109,9 +116,13 @@ def phase_distance(u: np.ndarray, v: np.ndarray) -> float:
     t = np.vdot(v, u)
     if abs(t) <= 1e-12 * u.shape[0]:
         return float(np.hypot(np.linalg.norm(u), np.linalg.norm(v)))
-    diff = (t / abs(t)) * v   # the one dense temporary
-    diff -= u
-    return float(np.linalg.norm(diff))
+    phase, rows = t / abs(t), max(1, _BLOCK // u.shape[0])
+    total = 0.0
+    for r in range(0, u.shape[0], rows):
+        diff = phase * v[r:r + rows]
+        diff -= u[r:r + rows]
+        total += np.vdot(diff, diff).real
+    return float(np.sqrt(total))
 
 
 def state_fidelity(a: np.ndarray, b: np.ndarray) -> float:

@@ -1,7 +1,11 @@
 """Tensor products, controlled embeddings and the comparison metrics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amqc.linalg import (
     HADAMARD,
@@ -108,8 +112,64 @@ def test_phase_distance_removes_global_phase():
 
 
 def test_phase_distance_identity_vs_z_is_two():
-    # tr(Z^dag I) = 0, so the scan fallback runs; the objective is flat at 2.
+    # tr(Z^dag I) = 0, so the zero-overlap hypot branch runs; the objective is flat at 2.
     assert abs(phase_distance(identity(2), PAULI_Z) - 2.0) < 1e-12
+
+
+@st.composite
+def distance_operands(draw):
+    """Equal square operands of complex, real or integer entries, as C-ordered
+    arrays, transposes or strided slices; the sizes straddle the 8,192-entry
+    blocks of the second pass.  A disjoint pair has tr(v^dag u) = 0 exactly."""
+    dim = draw(st.sampled_from((1, 2, 4, 90, 91, 128, 181, 256)))
+    kind = draw(st.sampled_from(("complex", "real", "int")))
+    layout = draw(st.sampled_from(("c", "transpose", "strided")))
+    relation = draw(st.sampled_from(("independent", "near", "disjoint")))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def operand():
+        shape = (2 * dim, 2 * dim) if layout == "strided" else (dim, dim)
+        if kind == "int":
+            m = rng.integers(-3, 4, shape)
+        else:
+            m = rng.standard_normal(shape)
+            if kind == "complex":
+                m = m + 1j * rng.standard_normal(shape)
+        return {"c": m, "transpose": m.T, "strided": m[::2, ::2]}[layout]
+
+    u, v = operand(), operand()
+    if relation == "near":
+        v = (np.exp(0.7j) if kind == "complex" else -1) * u + 1e-9 * v
+    elif relation == "disjoint":
+        u[dim // 2:] = 0
+        v[:dim // 2] = 0
+    return u, v
+
+
+@settings(max_examples=200, deadline=None)
+@given(distance_operands())
+def test_phase_distance_matches_the_dense_formula(operands):
+    u, v = operands
+    uc, vc = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+    t = np.vdot(vc, uc)
+    phase = t / abs(t) if abs(t) > 1e-12 * u.shape[0] else 1.0
+    expected = np.linalg.norm(phase * vc - uc)
+    assert abs(phase_distance(u, v) - expected) <= 1e-12 * expected + 1e-15
+
+
+def test_phase_distance_makes_no_dense_temporary():
+    # One 512 x 512 complex matrix is 4 MiB; a block of the second pass, 128 KiB.
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal((512, 512)) + 1j * rng.standard_normal((512, 512))
+    v = np.exp(0.4j) * u
+    tracemalloc.start()
+    try:
+        distance = phase_distance(u, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert distance < 1e-10
+    assert peak < 2 ** 20
 
 
 def test_phase_distance_rejects_mismatch():

@@ -164,6 +164,21 @@ def test_overlap_of_identical_labels_is_one():
     assert abs(flat_overlap(0j, complex(3.0, 0.0))) < 0.2
 
 
+def test_overlap_of_large_labels_skips_the_unused_real_part():
+    # Re(conj(z1) z2) = 1e400 overflows; the overlap needs only the imaginary part.
+    z = complex(1e200, 0.0)
+    assert flat_overlap(z, z) == 1.0
+    assert abs(flat_overlap(z, z + 2j)) == pytest.approx(math.exp(-1.0))
+
+
+def test_fan_from_a_far_initial_label_keeps_its_gate():
+    # Every label closes on z0 = 1e200, so the gate is the one from the origin;
+    # pytest turns any overflow warning on the way into an error.
+    report = field_fan([1.0], [1.0], FieldLabel(1e200, 0.0))
+    assert report.ancilla_return_fidelity == 1.0
+    assert phase_distance(report.register_unitary, fan_target_unitary([1.0], [1.0])) < 1e-12
+
+
 def test_fan_rejects_empty_sides():
     with pytest.raises(ValueError):
         field_fan([], [0.3])
@@ -174,7 +189,9 @@ def test_fan_rejects_empty_sides():
     lambda: field_two_qubit(1.0, 1.0, FieldLabel(np.nan, 0.0)),
     lambda: field_fan([1e200], [1e200]),    # finite legs, overflowing phases
     lambda: field_fan([1e308], [1.0]),      # finite legs, overflowing labels
-], ids=["nan-leg", "nan-initial-label", "overflowing-phases", "overflowing-labels"])
+    lambda: field_fan([1.0], [1.0], FieldLabel(1e200, 1e200)),  # overflowing overlap
+], ids=["nan-leg", "nan-initial-label", "overflowing-phases", "overflowing-labels",
+        "overflowing-overlap"])
 def test_fan_refuses_non_finite_walks(call):
     with pytest.raises(ValueError, match="finite") as info:
         call()
