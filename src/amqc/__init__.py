@@ -23,7 +23,6 @@ from .linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    embed_controlled,
     controlled,
     identity,
     is_unitary,

@@ -54,6 +54,19 @@ def register_bits(n_qubits: int) -> np.ndarray:
     return bits
 
 
+def fan_steps(xs, ps) -> list:
+    """The bipartite fan's 2(n+m) controlled displacements (qubit, x, p) in
+    application order: controls 0..n-1 by (x_k, 0), targets n..n+m-1 by
+    (0, p_j), then the same steps negated.  Its register gate holds all n*m
+    pairwise phases x_k p_j; a per-pair rectangle would spend 4nm steps."""
+    xs, ps = list(xs), list(ps)
+    if not xs or not ps:
+        raise ValueError("need at least one control and one target")
+    out = [(k, x, 0) for k, x in enumerate(xs)]
+    out += [(len(xs) + j, 0, p) for j, p in enumerate(ps)]
+    return out + [(q, -x, -p) for q, x, p in out]
+
+
 def grouped_residual(weights: np.ndarray, labels: np.ndarray, overlap) -> float:
     """1 - largest eigenvalue of sum_r weights_r |l_r><l_r|, at least 0.
 
@@ -276,10 +289,14 @@ def sphere_step(z: np.ndarray, leg: np.ndarray, n_spins: int):
 def sphere_overlap(z1, z2, n_spins: int):
     """<z1|z2> = ((1 + conj(z1) z2) / sqrt((1 + |z1|^2)(1 + |z2|^2)))^N,
     elementwise and in the log domain, which stays accurate for N up to 1e10
-    and underflows gracefully to 0."""
+    and underflows gracefully to 0.  Antipodal labels, 1 + conj(z1) z2 = 0,
+    give exactly 0."""
     w = np.conj(z1) * z2
-    # log(1 + w) for small complex w; numpy's log1p is real-only.
-    log_num = 0.5 * np.log1p(2.0 * w.real + np.abs(w) ** 2) + \
+    # log|1 + w| = log1p(|1 + w|^2 - 1) / 2 stays accurate for small complex w
+    # (numpy's log1p is real-only); at the antipodes its argument is -1.
+    mag = 2.0 * w.real + np.abs(w) ** 2
+    apart = mag > -1.0
+    log_num = 0.5 * np.log1p(np.where(apart, mag, 0.0)) + \
         1j * np.arctan2(w.imag, 1.0 + w.real)
     log_den = 0.5 * (np.log1p(np.abs(z1) ** 2) + np.log1p(np.abs(z2) ** 2))
-    return np.exp(n_spins * (log_num - log_den))
+    return np.where(apart, np.exp(n_spins * (log_num - log_den)), 0.0)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import decimal
 import math
 import sys
 
@@ -24,10 +25,8 @@ from .qudit_model import (
     Interaction,
     extract_register_gate,
     fan_bipartite,
-    fan_one_target,
     generalized_toffoli,
     mod_d_phase_gate,
-    two_qubit_sequence,
 )
 from .verify import SUITES, run_suites
 
@@ -46,13 +45,18 @@ def _require(ok: bool, message: str) -> None:
 
 
 def _parse_n_list(text: str) -> list[int]:
-    try:
-        values = [int(float(chunk)) for chunk in text.split(",") if chunk.strip()]
-    except (ValueError, OverflowError):
-        values = []
-    if not values or any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError(
-            f"--n-list must be positive integers, got {text!r}")
+    """Ensemble sizes: whole numbers of at least 1, each parsed exactly (1e19
+    is 10^19) and finite as a double, the precision fan_error works in."""
+    values = []
+    for chunk in filter(str.strip, text.split(",")):
+        try:
+            value = decimal.Decimal(chunk)
+            whole = value >= 1 and math.isfinite(float(value)) and value == int(value)
+        except decimal.InvalidOperation:
+            whole = False
+        _require(whole, f"--n-list must be positive integers, got {text!r}")
+        values.append(int(value))
+    _require(values, f"--n-list must be positive integers, got {text!r}")
     return values
 
 
@@ -114,13 +118,13 @@ def cmd_sweep(args) -> int:
     _require(args.zeta_steps >= 1, "--zeta-steps must be at least 1")
     _require(0 < args.zeta_min < math.inf and 0 < args.zeta_max < math.inf,
              "--zeta-min and --zeta-max must be positive and finite")
+    n_list = _parse_n_list(args.n_list)
     # One array pass over the grid, rows ordered by (zeta_n, N).
     zeta = np.repeat(np.linspace(args.zeta_min, args.zeta_max, args.zeta_steps),
-                     len(args.n_list))
-    p = spin.fan_error(zeta, np.tile(np.array(args.n_list, dtype=float),
-                                     args.zeta_steps))
+                     len(n_list))
+    p = spin.fan_error(zeta, np.tile(np.array(n_list, dtype=float), args.zeta_steps))
     _write_csv(args.out, "zeta_n,N,phi_f,phi_E,infidelity,phi_series,infid_series",
-               [zeta, args.n_list * args.zeta_steps, p.phi_f, p.phi_E,
+               [zeta, n_list * args.zeta_steps, p.phi_f, p.phi_E,
                 p.infidelity, p.phi_series, p.infid_series])
     return 0
 
@@ -142,30 +146,23 @@ def cmd_demo(args) -> int:
     _require(d >= 2, f"--d must be at least 2, got {d}")
     _require(args.n >= 1 and args.m >= 1, "--n and --m must be at least 1")
     _require(math.isfinite(args.theta), "--theta must be finite")
-    qubits = {"two-qubit": 2, "fan-bipartite": args.n + args.m}.get(
-        args.sequence, args.n + 1)
-    _require(qubits <= MAX_DENSE_QUBITS,
-             f"a {qubits}-qubit register needs dense 2^{qubits} x 2^{qubits} "
+    # A fan has n controls and m targets, toffoli and modd n controls and one.
+    n = 1 if args.sequence == "two-qubit" else args.n
+    m = args.m if args.sequence == "fan-bipartite" else 1
+    _require(n + m <= MAX_DENSE_QUBITS,
+             f"a {n + m}-qubit register needs dense 2^{n + m} x 2^{n + m} "
              f"matrices; demo builds at most {MAX_DENSE_QUBITS} qubits")
-    if args.sequence == "two-qubit":
-        seq = two_qubit_sequence(0, 1, args.x, args.p, d)
-        theta = 2 * math.pi * args.x * args.p / d
-        oracle = oracles.fan([args.x], [args.p], 2 * math.pi / d, signed=False)
-        naive, gates = 4, 1
-        described = f"CR({theta:.6f}) on qubits (0, 1)"
-    elif args.sequence == "fan-one":
-        xs = [1 + (k % d) for k in range(args.n)]
-        seq = fan_one_target(xs, args.p, d)
-        oracle = oracles.fan(xs, [args.p], 2 * math.pi / d, signed=False)
-        naive, gates = 4 * args.n, args.n
-        described = f"prod_k C^k_t R(2 pi x_k p / {d}), xs={xs}, p={args.p}"
-    elif args.sequence == "fan-bipartite":
-        xs = [1 + (k % d) for k in range(args.n)]
-        ps = [1 + (j % d) for j in range(args.m)]
+    if args.sequence in ("two-qubit", "fan-one", "fan-bipartite"):
+        xs = [args.x] if args.sequence == "two-qubit" else [1 + (k % d) for k in range(n)]
+        ps = [1 + (j % d) for j in range(m)] if args.sequence == "fan-bipartite" else [args.p]
         seq = fan_bipartite(xs, ps, d)
         oracle = oracles.fan(xs, ps, 2 * math.pi / d, signed=False)
-        naive, gates = 4 * args.n * args.m, args.n * args.m
-        described = f"all n*m controlled rotations, xs={xs}, ps={ps}"
+        naive, gates = 4 * n * m, n * m
+        described = {
+            "two-qubit": f"CR({2 * math.pi * args.x * args.p / d:.6f}) on qubits (0, 1)",
+            "fan-one": f"prod_k C^k_t R(2 pi x_k p / {d}), xs={xs}, p={args.p}",
+            "fan-bipartite": f"all n*m controlled rotations, xs={xs}, ps={ps}",
+        }[args.sequence]
     elif args.sequence == "toffoli":
         _require(d > args.n, f"toffoli needs --d > --n, got d={d} n={args.n}")
         seq = generalized_toffoli(args.n, PAULI_X, d)
@@ -230,8 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--zeta-min", type=float, default=1.0)
     p_sweep.add_argument("--zeta-max", type=float, default=50.0)
     p_sweep.add_argument("--zeta-steps", type=int, default=50)
-    p_sweep.add_argument("--n-list", type=_parse_n_list,
-                         default=[10 ** 4, 10 ** 5, 10 ** 6, 10 ** 7, 10 ** 8, 10 ** 9],
+    p_sweep.add_argument("--n-list", default="1e4,1e5,1e6,1e7,1e8,1e9",
                          help="comma-separated ensemble sizes, e.g. 1e4,1e6")
     p_sweep.add_argument("--out", default="-", help="output path ('-' = stdout)")
     p_sweep.set_defaults(func=cmd_sweep)

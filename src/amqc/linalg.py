@@ -38,63 +38,26 @@ def kron(*factors) -> np.ndarray:
     return out
 
 
-def is_unitary(u: np.ndarray, tol: float = 1e-12) -> bool:
+def is_unitary(u: np.ndarray) -> bool:
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
-    return bool(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < tol)
-
-
-def embed_controlled(control_qubit: int, n_qubits: int, anc_dim: int,
-                     u0: np.ndarray, u1: np.ndarray) -> np.ndarray:
-    """Embed |0><0|_c x u0 + |1><1|_c x u1 into an n-qubit + ancilla space.
-
-    The full space is ordered (qubit 0, ..., qubit n-1, ancilla) with qubit 0
-    as the most significant index bit, so a basis index decomposes as
-    ``register_bits * anc_dim + ancilla_level``.  ``u0`` and ``u1`` act on the
-    trailing ancilla, selected by the state of ``control_qubit``; every other
-    qubit is untouched.
-
-    Parameters
-    ----------
-    control_qubit : int
-        Index of the controlling qubit (0-based, < n_qubits).
-    n_qubits : int
-        Number of register qubits.
-    anc_dim : int
-        Dimension of the trailing ancilla system.
-    u0, u1 : ndarray
-        (anc_dim, anc_dim) operators applied for control 0 / control 1.
-
-    Returns
-    -------
-    ndarray of shape (2**n_qubits * anc_dim,) * 2
-    """
-    u0 = np.asarray(u0, dtype=complex)
-    u1 = np.asarray(u1, dtype=complex)
-    if u0.shape != (anc_dim, anc_dim) or u1.shape != (anc_dim, anc_dim):
-        raise ValueError(
-            f"controlled operators must be {anc_dim}x{anc_dim}, "
-            f"got {u0.shape} and {u1.shape}")
-    if not 0 <= control_qubit < n_qubits:
-        raise ValueError(f"control qubit {control_qubit} out of range for "
-                         f"{n_qubits} qubits")
-    # Block-diagonal over register basis states: register state r carries u0
-    # or u1 on the ancilla as the control bit of r is 0 or 1.
-    dim = 2 ** n_qubits
-    reg = np.arange(dim)
-    bit = (reg >> (n_qubits - 1 - control_qubit)) & 1
-    out = np.zeros((dim, anc_dim, dim, anc_dim), dtype=complex)
-    for b, u in ((0, u0), (1, u1)):
-        r = reg[bit == b]
-        out[r, :, r, :] = u
-    return out.reshape(dim * anc_dim, dim * anc_dim)
+    return bool(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < 1e-12)
 
 
 def controlled(u0: np.ndarray, u1: np.ndarray) -> np.ndarray:
-    """Single control qubit in front of one target system: C(u0, u1)."""
+    """Single control qubit in front of one target system:
+    C(u0, u1) = |0><0| (x) u0 + |1><1| (x) u1, for equal square u0 and u1."""
     u0 = np.asarray(u0, dtype=complex)
-    return embed_controlled(0, 1, u0.shape[0], u0, np.asarray(u1, dtype=complex))
+    u1 = np.asarray(u1, dtype=complex)
+    if u0.ndim != 2 or u0.shape[0] != u0.shape[1] or u1.shape != u0.shape:
+        raise ValueError(f"controlled operators must be equal square matrices, "
+                         f"got {u0.shape} and {u1.shape}")
+    dim = u0.shape[0]
+    out = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    out[:dim, :dim] = u0
+    out[dim:, dim:] = u1
+    return out
 
 
 def phase_distance(u: np.ndarray, v: np.ndarray) -> float:

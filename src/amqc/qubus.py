@@ -109,19 +109,14 @@ def field_fan(xs, ps, initial_label: FieldLabel = ORIGIN) -> GateReport:
     A per-gate construction would spend 4nm interactions.
     """
     xs, ps = [float(v) for v in xs], [float(v) for v in ps]
-    n, m = len(xs), len(ps)
-    if n < 1 or m < 1:
-        raise ValueError("need at least one control and one target")
+    steps = branches.fan_steps(xs, ps)
     if not all(map(math.isfinite, xs + ps + [initial_label.x, initial_label.p])):
         raise ValueError("fan coefficients and initial label must be finite")
-    steps = [(k, xk, 0.0) for k, xk in enumerate(xs)]
-    steps += [(n + j, 0.0, pj) for j, pj in enumerate(ps)]
-    steps += [(k, -xk, 0.0) for k, xk in enumerate(xs)]
-    steps += [(n + j, 0.0, -pj) for j, pj in enumerate(ps)]
+    qubits = len(xs) + len(ps)
     z0 = complex(initial_label.x, initial_label.p)
-    z, angle = branches.flat_labels(n + m, steps, z0)
+    z, angle = branches.flat_labels(qubits, steps, z0)
     residual = branches.grouped_residual(
-        np.full(2 ** (n + m), 2.0 ** -(n + m)), z, branches.flat_overlap)
+        np.full(2 ** qubits, 2.0 ** -qubits), z, branches.flat_overlap)
     return diagonal_report(np.exp(1j * angle), branches.flat_overlap(z0, z), residual,
                            len(steps))
 

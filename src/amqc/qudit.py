@@ -181,10 +181,6 @@ def displacement(d: int, x: int, p: int, convention: str = HALF_ROOT) -> np.ndar
     return displacements(d, x, p, convention)
 
 
-def displacement_from_label(label: LatticeLabel, convention: str = HALF_ROOT) -> np.ndarray:
-    return displacement(label.d, label.x, label.p, convention)
-
-
 def compose_labels(l1: LatticeLabel, l2: LatticeLabel,
                    convention: str = HALF_ROOT) -> tuple[LatticeLabel, complex]:
     """Combine two displacements applied in sequence (l1 first, then l2).

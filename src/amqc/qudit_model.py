@@ -39,7 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .branches import _evaluate, _roots, _torus_polynomial, register_bits, torus_gate
+from .branches import (_evaluate, _roots, _torus_polynomial, fan_steps, register_bits,
+                       torus_gate)
 from .linalg import is_unitary, largest_schmidt_weight
 from .qudit import HALF_ROOT, LatticeLabel, displacement, rotation
 from .report import GateReport, diagonal_report, gate_exists
@@ -394,7 +395,6 @@ def extract_register_gate(seq: InteractionSequence, anc_init: np.ndarray | None 
 # ----------------------------------------------------------------------------
 
 def two_qubit_sequence(j: int, k: int, x: int, p: int, d: int,
-                       n_qubits: int | None = None,
                        polarity: str = APPLY_ON_ONE) -> InteractionSequence:
     """Four-interaction rectangle giving a controlled phase between qubits j, k.
 
@@ -403,8 +403,6 @@ def two_qubit_sequence(j: int, k: int, x: int, p: int, d: int,
     """
     if j == k:
         raise ValueError("control and target must differ")
-    if n_qubits is None:
-        n_qubits = max(j, k) + 1
     lab = lambda xx, pp: LatticeLabel(xx, pp, d)
     elements = [
         Interaction(j, lab(x, 0), polarity),
@@ -412,7 +410,7 @@ def two_qubit_sequence(j: int, k: int, x: int, p: int, d: int,
         Interaction(j, lab(-x, 0), polarity),
         Interaction(k, lab(0, -p), polarity),
     ]
-    return InteractionSequence(n_qubits, d, elements)
+    return InteractionSequence(max(j, k) + 1, d, elements)
 
 
 def fan_one_target(xs, p: int, d: int, polarity: str = APPLY_ON_ONE) -> InteractionSequence:
@@ -428,19 +426,13 @@ def fan_bipartite(xs, ps, d: int, polarity: str = APPLY_ON_ONE) -> InteractionSe
     """2(n+m) interactions implementing all n*m controlled rotations.
 
     Controls are qubits 0..n-1 with position displacements x_k, targets are
-    qubits n..n+m-1 with momentum displacements p_j; the register gate is
+    qubits n..n+m-1 with momentum displacements p_j, in the order of
+    :func:`amqc.branches.fan_steps`; the register gate is
     prod_j prod_k C^k_j R(2*pi*x_k*p_j/d).  Per-gate construction: 4nm.
     """
-    xs, ps = list(xs), list(ps)
-    n, m = len(xs), len(ps)
-    if n < 1 or m < 1:
-        raise ValueError("need at least one control and one target")
-    lab = lambda xx, pp: LatticeLabel(xx, pp, d)
-    elements = [Interaction(k, lab(xk, 0), polarity) for k, xk in enumerate(xs)]
-    elements += [Interaction(n + j, lab(0, pj), polarity) for j, pj in enumerate(ps)]
-    elements += [Interaction(k, lab(-xk, 0), polarity) for k, xk in enumerate(xs)]
-    elements += [Interaction(n + j, lab(0, -pj), polarity) for j, pj in enumerate(ps)]
-    return InteractionSequence(n + m, d, elements)
+    steps = fan_steps(xs, ps)
+    return InteractionSequence(len(steps) // 2, d, [
+        Interaction(q, LatticeLabel(sx, sp, d), polarity) for q, sx, sp in steps])
 
 
 def generalized_toffoli(n: int, u: np.ndarray, d: int) -> InteractionSequence:

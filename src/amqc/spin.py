@@ -104,9 +104,6 @@ class LoopSolution:
     tau: float
     phi_t: float
 
-    def total_phase(self, n_spins: int) -> float:
-        return n_spins * self.phi_t
-
 
 def loop_close(eta: float) -> LoopSolution:
     """Solve the curved-rectangle closure for legs (eta, i*tau, -tau, -i*eta).
@@ -381,15 +378,18 @@ class SpinFanReport(GateReport):
 
 
 def fan_sequence_simulate(xs, ps, n_spins: int) -> SpinFanReport:
-    """Simulate the 2(n+m) fan with displacements scaled by 1/sqrt(2N).
+    """Simulate the 2(n+m) fan with displacements scaled by 1/sqrt(2N), in
+    the block model.
 
     Controls are qubits 0..n-1 (real legs +-x_k / sqrt(2N)), targets qubits
-    n..n+m-1 (imaginary legs +-i p_j / sqrt(2N)).  Displacements within one
-    quadrature block commute and are composed additively in the label, so each
-    branch traverses the four-leg rectangle with net legs
-    (X(r), i P(r), -X(r), -i P(r)) / sqrt(2N) where X(r), P(r) are the
-    sign-weighted coefficient sums of that branch.  The flat-space target
-    phase per branch is X(r) * P(r), i.e. the gate
+    n..n+m-1 (imaginary legs +-i p_j / sqrt(2N)).  Each quadrature block is
+    summed into one leg before the walk: branch r runs the four-leg
+    rectangle X(r)/sqrt(2N), i P(r)/sqrt(2N), -X(r)/sqrt(2N), -i P(r)/sqrt(2N)
+    on the sphere, where X(r), P(r) are the sign-weighted coefficient sums of
+    that branch.  This is not the walk of the 2(n+m) per-qubit legs: legs
+    along one axis of the sphere add their angles, not their labels, so the
+    per-qubit walk's phases differ at the order of the intrinsic error.  The
+    flat-space target phase per branch is X(r) * P(r), i.e. the gate
     prod_j prod_k exp(i x_k p_j Z_k (x) Z_j).
 
     The all-zeros branch is the extremal one (largest displacement for

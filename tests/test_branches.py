@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amqc.branches import (
+    fan_steps,
     flat_labels,
     register_bits,
     sphere_overlap,
@@ -632,6 +633,33 @@ def test_spin_fan_residual_matches_full_gram(xs, seed, n_spins):
     z = np.array([rep.branch_labels[r] for r in range(2 ** 8)])
     gram = sphere_overlap(z[:, None], z[None, :], n_spins) / 2 ** 8
     assert abs(rep.residual_entanglement - (1.0 - np.linalg.eigvalsh(gram)[-1])) < TOL
+
+
+def test_fan_steps_order_and_refusal():
+    assert fan_steps([1, 2], [3]) == [(0, 1, 0), (1, 2, 0), (2, 0, 3),
+                                      (0, -1, 0), (1, -2, 0), (2, 0, -3)]
+    for xs, ps in (([], [1]), ([1], []), ([], [])):
+        with pytest.raises(ValueError, match="at least one control and one target"):
+            fan_steps(xs, ps)
+
+
+def test_sphere_overlap_is_zero_at_antipodes():
+    # Each pair has 1 + conj(z1) z2 = 0 exactly; a numpy warning fails the test.
+    z1 = np.array([1.0, 2.0, 1j, 1 + 1j, 4j, 0.3 + 0.1j])
+    z2 = np.array([-1.0, -0.5, -1j, -0.5 - 0.5j, -0.25j, 0.2 - 0.7j])
+    for n_spins in range(1, 9):
+        overlap = sphere_overlap(z1, z2, n_spins)
+        np.testing.assert_array_equal(overlap[:5], 0.0)
+        assert abs(overlap[5] - coherent_overlap(z1[5], z2[5], n_spins)) == 0.0
+        assert coherent_overlap(2.0, -0.5, n_spins) == 0.0
+
+
+def test_spin_fan_through_antipodal_labels():
+    # Two branches end on -i and two on +i, antipodal labels with half the
+    # weight each, so the ancilla is left in an even mixture.
+    rep = fan_sequence_simulate([8 ** 0.5], [8 ** 0.5], 4)
+    np.testing.assert_allclose(rep.branch_labels, [-1j, 1j, -1j, 1j], atol=1e-15)
+    assert abs(rep.residual_entanglement - 0.5) < TOL
 
 
 # ----------------------------------------------------------------------------

@@ -175,6 +175,9 @@ def test_contraction_complex_zeta(tmp_path):
     ["sweep", "--zeta-min", "nan", "--zeta-steps", "2", "--n-list", "1e4"],
     ["contraction", "--zeta", "0"],
     ["contraction", "--n-min", "0"],
+    ["sweep", "--zeta-steps", "2", "--n-list", "1e4,2.5"],
+    ["sweep", "--zeta-steps", "2", "--n-list", "1e400"],
+    ["sweep", "--zeta-steps", "2", "--n-list", "nan"],
 ])
 def test_bad_argument_values_exit_two_with_one_line(argv, tmp_path, capsys):
     out = tmp_path / "out.csv"
@@ -222,6 +225,15 @@ def test_stdout_bytes_equal_file_bytes(argv, rows, tmp_path, capsys):
         # Every 5th row is N = 1e19, written exactly although it exceeds int64.
         assert text.splitlines()[-1].split(",")[1] == str(10 ** 19)
         assert text.count(",10000000000000000000,") == rows // 5
+
+
+def test_sweep_writes_ensemble_sizes_exactly(tmp_path):
+    # Neither size is a double; each is parsed and written as given.
+    out = tmp_path / "n.csv"
+    assert main(["sweep", "--zeta-steps", "1", "--n-list", "12345678901234567891,1e23",
+                 "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["12345678901234567891", str(10 ** 23)]
 
 
 def _traced_peak(argv) -> float:

@@ -1,4 +1,4 @@
-"""Tensor products, controlled embeddings and the comparison metrics."""
+"""Tensor products, controlled pairs and the comparison metrics."""
 
 import tracemalloc
 
@@ -11,7 +11,7 @@ from amqc.linalg import (
     HADAMARD,
     PAULI_X,
     PAULI_Z,
-    embed_controlled,
+    controlled,
     identity,
     is_unitary,
     kron,
@@ -52,53 +52,46 @@ def test_kron_associative_exactly():
 
 
 def test_embed_controlled_equals_projector_sum():
-    # The defining form |0><0|_c x u0 + |1><1|_c x u1, identity elsewhere.
+    # controlled(u0, u1) is |0><0| x u0 + |1><1| x u1, bitwise.
     rng = np.random.default_rng(3)
     p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-    for n_qubits in (1, 2, 3):
-        for control in range(n_qubits):
-            for anc_dim in (1, 2, 3):
-                u0, u1 = random_unitary(anc_dim, rng), random_unitary(anc_dim, rng)
-                left, right = np.eye(2 ** control), np.eye(2 ** (n_qubits - control - 1))
-                oracle = (np.kron(np.kron(np.kron(left, p0), right), u0)
-                          + np.kron(np.kron(np.kron(left, p1), right), u1))
-                np.testing.assert_array_equal(
-                    embed_controlled(control, n_qubits, anc_dim, u0, u1), oracle)
+    for anc_dim in (1, 2, 3):
+        u0, u1 = random_unitary(anc_dim, rng), random_unitary(anc_dim, rng)
+        np.testing.assert_array_equal(controlled(u0, u1),
+                                      np.kron(p0, u0) + np.kron(p1, u1))
 
 
 def test_embed_controlled_identity_pair():
-    m = embed_controlled(0, 2, 3, identity(3), identity(3))
-    np.testing.assert_allclose(m, identity(12), atol=0)
+    m = controlled(identity(3), identity(3))
+    np.testing.assert_allclose(m, identity(6), atol=0)
 
 
 def test_embed_controlled_cnot():
-    m = embed_controlled(0, 1, 2, identity(2), PAULI_X)
+    m = controlled(identity(2), PAULI_X)
     cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
                     dtype=complex)
     np.testing.assert_array_equal(m, cnot)
 
 
 def test_embed_controlled_against_basis_enumeration():
-    # n=2, control qubit 1, qutrit ancilla with u1 = Z_3.
+    # Qutrit target with u1 = Z_3.
     z3 = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
-    m = embed_controlled(1, 2, 3, identity(3), z3)
-    expected = np.zeros((12, 12), dtype=complex)
-    for q0 in range(2):
-        for q1 in range(2):
-            for a in range(3):
-                col = (q0 * 2 + q1) * 3 + a
-                amp = z3[:, a] if q1 == 1 else identity(3)[:, a]
-                for a_out in range(3):
-                    expected[(q0 * 2 + q1) * 3 + a_out, col] = amp[a_out]
+    m = controlled(identity(3), z3)
+    expected = np.zeros((6, 6), dtype=complex)
+    for q in range(2):
+        for a in range(3):
+            amp = z3[:, a] if q == 1 else identity(3)[:, a]
+            for a_out in range(3):
+                expected[q * 3 + a_out, q * 3 + a] = amp[a_out]
     np.testing.assert_allclose(m, expected, atol=1e-15)
     assert is_unitary(m)
 
 
 def test_embed_controlled_rejects_bad_dims():
-    with pytest.raises(ValueError):
-        embed_controlled(0, 1, 3, identity(2), identity(3))
-    with pytest.raises(ValueError):
-        embed_controlled(2, 2, 2, identity(2), identity(2))
+    for u0, u1 in ((identity(2), identity(3)), (identity(3), identity(2)),
+                   (np.ones((2, 3)), np.ones((2, 3))), (np.ones(3), np.ones(3))):
+        with pytest.raises(ValueError):
+            controlled(u0, u1)
 
 
 def test_phase_distance_zero_on_equal():
@@ -200,8 +193,7 @@ def test_state_fidelity_basics():
 def test_constructed_operators_unitary():
     rng = np.random.default_rng(3)
     for mat in (PAULI_X, PAULI_Z, HADAMARD, phase_gate(0.37),
-                embed_controlled(0, 2, 3, random_unitary(3, rng),
-                                 random_unitary(3, rng))):
+                controlled(random_unitary(3, rng), random_unitary(3, rng))):
         assert is_unitary(mat)
 
 

@@ -12,7 +12,6 @@ from amqc.qudit import (
     OpenLoopError,
     compose_labels,
     displacement,
-    displacement_from_label,
     displacement_prefactor,
     fourier,
     generalized_pauli,
@@ -157,8 +156,8 @@ def test_phased_permutation_composes_like_labels(d):
             l1, l2 = (LatticeLabel(*(int(v) for v in rng.integers(-2 * d, 2 * d + 1, 2)), d)
                       for _ in range(2))
             total, scalar = compose_labels(l1, l2, conv)
-            lhs = displacement_from_label(l2, conv) @ displacement_from_label(l1, conv)
-            np.testing.assert_allclose(lhs, scalar * displacement_from_label(total, conv),
+            lhs = displacement(d, l2.x, l2.p, conv) @ displacement(d, l1.x, l1.p, conv)
+            np.testing.assert_allclose(lhs, scalar * displacement(d, total.x, total.p, conv),
                                        rtol=0, atol=1e-12)
 
 
@@ -181,9 +180,9 @@ def test_compose_example_d5_modular_inverse():
     assert total == LatticeLabel(2, 3, 5)
     # 2^{-1} = 3 mod 5 and 3*6 = 18 = 3 mod 5.
     assert abs(scalar - omega(5, 3)) < 1e-15
-    lhs = displacement_from_label(l2, MOD_INVERSE) @ \
-        displacement_from_label(l1, MOD_INVERSE)
-    rhs = scalar * displacement_from_label(total, MOD_INVERSE)
+    lhs = displacement(l2.d, l2.x, l2.p, MOD_INVERSE) @ \
+        displacement(l1.d, l1.x, l1.p, MOD_INVERSE)
+    rhs = scalar * displacement(total.d, total.x, total.p, MOD_INVERSE)
     np.testing.assert_allclose(lhs, rhs, atol=1e-14)
 
 
@@ -191,9 +190,9 @@ def test_compose_example_d4_half_root():
     l1, l2 = LatticeLabel(1, 0, 4), LatticeLabel(0, 1, 4)
     total, scalar = compose_labels(l1, l2, HALF_ROOT)
     assert abs(scalar - np.exp(1j * np.pi / 4)) < 1e-15
-    lhs = displacement_from_label(l2, HALF_ROOT) @ \
-        displacement_from_label(l1, HALF_ROOT)
-    rhs = scalar * displacement_from_label(total, HALF_ROOT)
+    lhs = displacement(l2.d, l2.x, l2.p, HALF_ROOT) @ \
+        displacement(l1.d, l1.x, l1.p, HALF_ROOT)
+    rhs = scalar * displacement(total.d, total.x, total.p, HALF_ROOT)
     np.testing.assert_allclose(lhs, rhs, atol=1e-14)
 
 
@@ -209,9 +208,9 @@ def test_compose_matches_matrix_oracle_randomly():
             l2 = LatticeLabel(int(rng.integers(-d, d + 1)),
                               int(rng.integers(-d, d + 1)), d)
             total, scalar = compose_labels(l1, l2, conv)
-            lhs = displacement_from_label(l2, conv) @ \
-                displacement_from_label(l1, conv)
-            rhs = scalar * displacement_from_label(total, conv)
+            lhs = displacement(l2.d, l2.x, l2.p, conv) @ \
+                displacement(l1.d, l1.x, l1.p, conv)
+            rhs = scalar * displacement(total.d, total.x, total.p, conv)
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -231,7 +230,7 @@ def test_loop_phase_rectangle_examples():
         assert abs(loop_phase(rect(2, 3, 5), conv) - omega(5, 1)) < 1e-13
     prod = identity(5)
     for lab in rect(2, 3, 5):
-        prod = displacement_from_label(lab, MOD_INVERSE) @ prod
+        prod = displacement(lab.d, lab.x, lab.p, MOD_INVERSE) @ prod
     np.testing.assert_allclose(prod, omega(5, 1) * identity(5), atol=1e-13)
 
     assert abs(loop_phase(rect(0, 3, 7), HALF_ROOT) - 1.0) < 1e-15
@@ -259,7 +258,7 @@ def test_loop_phase_wraparound_closure():
         scalar = loop_phase(labels, conv)
         prod = identity(d)
         for lab in labels:
-            prod = displacement_from_label(lab, conv) @ prod
+            prod = displacement(lab.d, lab.x, lab.p, conv) @ prod
         np.testing.assert_allclose(prod, scalar * identity(d), atol=1e-13)
 
 

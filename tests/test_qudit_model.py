@@ -7,7 +7,7 @@ import pytest
 
 from amqc.linalg import (
     PAULI_X,
-    embed_controlled,
+    controlled,
     identity,
     kron,
     phase_distance,
@@ -207,7 +207,7 @@ def test_two_qubit_examples(d, x, p, theta):
     for conv in conventions_for(d):
         rep = extract_register_gate(two_qubit_sequence(0, 1, x, p, d),
                                     convention=conv)
-        oracle = embed_controlled(0, 1, 2, identity(2), phase_gate(theta))
+        oracle = controlled(identity(2), phase_gate(theta))
         assert phase_distance(rep.register_unitary, oracle) < 1e-10
         assert abs(rep.ancilla_return_fidelity - 1.0) < 1e-12
 
@@ -420,7 +420,6 @@ def test_spin_z_operator():
 
 def test_generator_composition_reaches_momentum_step():
     # theta = -pi p/d turns C(R(t), R(-t)) . (I x R(-t)) into C(I, Z_d^p).
-    from amqc.linalg import controlled
     from amqc.qudit import generalized_pauli, rotation
 
     d, p = 5, 1
