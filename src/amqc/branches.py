@@ -141,7 +141,7 @@ def _evaluate(rows, pair, moves=None, dtype=np.int64) -> np.ndarray:
     width, coeffs = len(rows), list(zip(*rows))
     table = np.array([[*coeffs[q + 1], *pair[q][:q:-1]] + [0] * (q + 1)
                       for q in range(n)] + [[*coeffs[0]] + [0] * n], dtype=dtype)
-    deltas = np.multiply.outer(table[:n, :, None], (0, 1))
+    deltas = table[:n, :, None, None] * (0, 1)
     f = table[n, :, None]
     for q in range(n):
         new = f[:-1, :, None] + deltas[q, :len(f) - 1]
@@ -193,7 +193,7 @@ def torus_gate(n_qubits: int, d: int, steps, anc_init: np.ndarray, convention: s
     exponent.  Each class has one ancilla vector v = D(X, P) anc_init up to
     phase, so branch r returns exp(i pi k_r / d) <anc_init|v_class>, and the
     residual is that of the classes weighted by their share of branches; a
-    closed loop is one class.
+    closed loop is one class, whose residual is exactly 0.
     """
     x, p, k, pair = _torus_polynomial(n_qubits, d, steps, convention)
     classes = {(x[0] % d, p[0] % d): 0}
@@ -207,11 +207,13 @@ def torus_gate(n_qubits: int, d: int, steps, anc_init: np.ndarray, convention: s
     exponent, index = _evaluate([k], pair, moves)
     m = np.arange(d)
     roots = _roots(d)
-    phase = np.multiply.outer([2 * cp for _, cp in classes], m)
-    shift = np.add.outer([-cx for cx, _ in classes], m)
-    vectors = roots.take(phase, mode="wrap") * anc_init.take(shift, mode="wrap")
-    residual = grouped_residual(np.bincount(index) / 2 ** n_qubits, vectors,
-                                lambda v1, v2: np.sum(np.conj(v1) * v2, axis=-1))
+    labels = np.array(list(classes))
+    vectors = (roots.take(2 * labels[:, 1:] * m, mode="wrap")
+               * anc_init.take(m - labels[:, :1], mode="wrap"))
+    # One class holds every branch: grouped_residual's max(0, 1 - 1.0).
+    residual = 0.0 if len(classes) == 1 else grouped_residual(
+        np.bincount(index) / 2 ** n_qubits, vectors,
+        lambda v1, v2: np.sum(np.conj(v1) * v2, axis=-1))
     return (roots.take(exponent, mode="wrap"), (vectors @ anc_init.conj()).take(index),
             residual)
 

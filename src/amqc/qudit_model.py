@@ -34,6 +34,7 @@ do not (symmetric branches separate twice as fast).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -137,13 +138,20 @@ def _check_qubit(qubit: int, n_qubits: int, role: str) -> None:
         raise ValueError(f"{role} qubit {qubit} out of range for {n_qubits} qubits")
 
 
-def _check_element(element, n_qubits: int, d: int) -> None:
+def _check_element(element, n_qubits: int, d: int):
     """ValueError unless ``element`` can act on n_qubits and a d-level
-    ancilla; TypeError for anything that is not a sequence element."""
+    ancilla; TypeError for anything that is not a sequence element.  Returns
+    an interaction's branch-engine step (qubit, x, p, symmetric), else None."""
     if isinstance(element, Interaction):
-        if element.label.d != d:
+        label = element.label
+        if label.d != d:
             raise ValueError("interaction label dimension does not match state")
+        if not isinstance(label.x, (int, np.integer)) or \
+                not isinstance(label.p, (int, np.integer)):
+            raise ValueError(f"interaction label ({label.x!r}, {label.p!r}) is not "
+                             f"a pair of integers")
         _check_qubit(element.qubit, n_qubits, "interaction")
+        return element.qubit, label.x, label.p, element.polarity == SYMMETRIC
     elif isinstance(element, AncillaProjectedGate):
         _check_qubit(element.target, n_qubits, "projected gate target")
         if not isinstance(element.level, (int, np.integer)) or not 0 <= element.level < d:
@@ -160,6 +168,7 @@ def _check_element(element, n_qubits: int, d: int) -> None:
             raise ValueError(f"ancilla rotation angle {element.theta!r} is not finite")
     else:
         raise TypeError(f"unknown sequence element {element!r}")
+    return None
 
 
 def apply_element(state: HybridState, element, convention: str = HALF_ROOT) -> HybridState:
@@ -338,15 +347,25 @@ def _class_gate(seq: InteractionSequence, anc_init: np.ndarray, convention: str)
     return rows, index, exponent, returned, fidelity, residual
 
 
+@functools.lru_cache(maxsize=8)
+def _ground(d: int) -> np.ndarray:
+    """Read-only position level |0>_x, the default initial ancilla state."""
+    ground = np.zeros(d, dtype=complex)
+    ground[0] = 1.0
+    ground.setflags(write=False)
+    return ground
+
+
 def extract_register_gate(seq: InteractionSequence, anc_init: np.ndarray | None = None,
                           convention: str = HALF_ROOT) -> GateReport:
     """Run a sequence on every register basis state and extract the gate.
 
     Each basis state (and, as an entanglement witness, the uniform register
     superposition) is propagated with the ancilla starting in ``anc_init``
-    (default: position level |0>_x; a finite unit vector, else ValueError).
-    Every element is checked before anything runs: a projected gate needs a
-    level in range(d) and a finite 2x2 unitary, a rotation a finite angle.
+    (default: one shared read-only |0>_x; a given one must be a finite unit
+    vector, else ValueError).  Every element is checked before anything runs:
+    an interaction needs an integer label, a projected gate a level in
+    range(d) and a finite 2x2 unitary, a rotation a finite angle.
     The worst-case ancilla return fidelity and residual entanglement are
     always reported, and the register unitary only when both the residual
     and 1 - fidelity are below ``DISENTANGLE_TOL``
@@ -363,23 +382,20 @@ def extract_register_gate(seq: InteractionSequence, anc_init: np.ndarray | None 
     """
     n, d = seq.n_qubits, seq.d
     if anc_init is None:
-        anc_init = np.zeros(d, dtype=complex)
-        anc_init[0] = 1.0
-    anc_init = np.asarray(anc_init, dtype=complex)
-    if anc_init.shape != (d,):
-        raise ValueError("ancilla initial state has wrong dimension")
-    # Written so that a NaN norm fails too.
-    if not abs(math.sqrt(np.vdot(anc_init, anc_init).real) - 1.0) <= 1e-12:
-        raise ValueError("ancilla initial state is not normalised")
-    for element in seq.elements:
-        _check_element(element, n, d)
+        anc_init = _ground(d)
+    else:
+        anc_init = np.asarray(anc_init, dtype=complex)
+        if anc_init.shape != (d,):
+            raise ValueError("ancilla initial state has wrong dimension")
+        # Written so that a NaN norm fails too.
+        if not abs(math.sqrt(np.vdot(anc_init, anc_init).real) - 1.0) <= 1e-12:
+            raise ValueError("ancilla initial state is not normalised")
+    steps = [_check_element(element, n, d) for element in seq.elements]
 
-    if all(isinstance(e, Interaction) for e in seq.elements):
+    if None not in steps:
         # Basis inputs stay product states, so the uniform input's residual is
         # the worst, and its fidelity is the mean of the basis ones.
-        return diagonal_report(*torus_gate(
-            n, d, [(e.qubit, e.label.x, e.label.p, e.polarity == SYMMETRIC)
-                   for e in seq.elements], anc_init, convention), len(seq.elements))
+        return diagonal_report(*torus_gate(n, d, steps, anc_init, convention), len(steps))
 
     rows, index, exponent, returned, fidelity, residual = _class_gate(seq, anc_init, convention)
     unitary = None

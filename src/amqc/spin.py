@@ -302,7 +302,7 @@ def fan_error(zeta_n, n_spins) -> ErrorPoint:
         raise ValueError("need at least one spin")
     with np.errstate(all="ignore"):
         z2 = zeta ** 2
-        w = z2 / (2.0 * n)
+        w = 0.5 * z2 / n   # not z2 / (2.0 * n): 2N overflows past about 9e307
         # arctan2, not arctan: the per-spin angle passes pi/2 once w > 1 + sqrt(2).
         phi_f = n * np.arctan2(2.0 * w, 1.0 + 2.0 * w - w * w)
         columns = (phi_f, (z2 - phi_f) / z2,

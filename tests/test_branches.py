@@ -39,6 +39,7 @@ from amqc.qudit_model import (
     InteractionSequence,
     LocalAncillaRotation,
     _class_gate,
+    _ground,
     extract_register_gate,
     fan_bipartite,
     generalized_toffoli,
@@ -179,6 +180,51 @@ def test_torus_engine_matches_dense_extraction(case):
     seq = InteractionSequence(n, d, elements)
     _assert_matches_dense(extract_register_gate(seq, anc, convention),
                           dense_extract(seq, anc, convention))
+
+
+def _report_bytes(report):
+    unitary = report.register_unitary
+    return (None if unitary is None else unitary.tobytes(),
+            np.float64(report.ancilla_return_fidelity).tobytes(),
+            np.float64(report.residual_entanglement).tobytes(), report.interaction_count)
+
+
+@PROPERTY
+@given(torus_cases())
+def test_default_ancilla_reports_like_an_explicit_ground_state(case):
+    n, d, elements, convention, _ = case
+    seq = InteractionSequence(n, d, elements)
+    assert _report_bytes(extract_register_gate(seq, None, convention)) == \
+        _report_bytes(extract_register_gate(seq, np.eye(d)[0], convention))
+
+
+@pytest.mark.parametrize("seq", [
+    two_qubit_sequence(0, 1, 2, 3, 5),                                          # branch engine
+    generalized_toffoli(2, random_unitary(2, np.random.default_rng(6)), 5),     # label classes
+])
+def test_shared_ground_ancilla_is_read_only_and_reports_are_fresh(seq):
+    ground = _ground(seq.d)
+    assert ground is _ground(seq.d) and not ground.flags.writeable
+    with pytest.raises(ValueError):
+        ground[0] = 0.0
+    first = extract_register_gate(seq)
+    expected = first.register_unitary.tobytes()
+    first.register_unitary[:] = np.nan
+    assert extract_register_gate(seq).register_unitary.tobytes() == expected
+    assert np.array_equal(ground, np.eye(seq.d)[0])
+
+
+@PROPERTY
+@given(torus_cases(), seeds)
+def test_closed_loops_have_exactly_zero_residual(case, seed):
+    # Every step undone in reverse order: all branches share one label class.
+    n, d, elements, convention, _ = case
+    elements += [Interaction(e.qubit, -e.label, e.polarity) for e in reversed(elements)]
+    seq = InteractionSequence(n, d, elements)
+    anc = random_state(d, np.random.default_rng(seed))
+    report = extract_register_gate(seq, anc, convention)
+    assert report.residual_entanglement == 0.0
+    _assert_matches_dense(report, dense_extract(seq, anc, convention))
 
 
 @st.composite

@@ -236,6 +236,13 @@ def test_sweep_writes_ensemble_sizes_exactly(tmp_path):
     assert [row.split(",")[1] for row in rows] == ["12345678901234567891", str(10 ** 23)]
 
 
+def test_sweep_writes_the_largest_ensembles(tmp_path):
+    out = tmp_path / "big.csv"
+    assert main(["sweep", "--zeta-steps", "1", "--n-list", "1e308", "--out", str(out)]) == 0
+    row = out.read_text().splitlines()[1].split(",")
+    assert row[1] == str(10 ** 308) and abs(float(row[2]) - 1.0) <= 1e-15
+
+
 def _traced_peak(argv) -> float:
     """Peak traced allocation of one CLI run, in MiB."""
     tracemalloc.start()

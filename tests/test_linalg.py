@@ -139,7 +139,7 @@ def distance_operands(draw):
     return u, v
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(distance_operands())
 def test_phase_distance_matches_the_dense_formula(operands):
     u, v = operands

@@ -159,6 +159,26 @@ def test_invalid_elements_are_rejected_before_running(element, message):
         apply_element(HybridState.basis(3, 7, basis_anc(3)), element)
 
 
+@pytest.mark.parametrize("x, p", [(1.5, 1), (1.0, 1), (np.float64(2.0), 1), (np.nan, 1),
+                                  (1, 0.5), (1, np.inf)])
+def test_non_integer_labels_are_rejected(x, p):
+    # Refused by the branch engine, the label classes and the dense simulator.
+    seq = two_qubit_sequence(0, 1, x, p, 5)
+    rotated = InteractionSequence(2, 5, seq.elements + [LocalAncillaRotation(0.1)])
+    for run in (lambda: extract_register_gate(seq), lambda: extract_register_gate(rotated),
+                lambda: apply_element(HybridState.basis(2, 3, basis_anc(5)),
+                                      Interaction(0, LatticeLabel(x, p, 5)))):
+        with pytest.raises(ValueError, match="not a pair of integers"):
+            run()
+
+
+def test_numpy_integer_labels_extract_like_python_integers():
+    seq = two_qubit_sequence(0, 1, np.int64(2), np.int32(3), 5)
+    want = extract_register_gate(two_qubit_sequence(0, 1, 2, 3, 5))
+    assert extract_register_gate(seq).register_unitary.tobytes() == \
+        want.register_unitary.tobytes()
+
+
 @pytest.mark.parametrize("seq", [
     two_qubit_sequence(0, 1, 2, 3, 5),                # branch engine
     generalized_toffoli(2, PAULI_X, 5),               # label classes

@@ -478,6 +478,13 @@ def test_fan_error_broadcasts_and_rejects_bad_points():
         fan_error(np.array([1.0, 1e60]), 7)
 
 
+@pytest.mark.parametrize("n_spins", [1e307, 1e308, 1.7976931348623157e308])
+def test_fan_error_holds_up_to_the_largest_double_ensemble(n_spins):
+    # 2N overflows past about 9e307; phi_f tends to zeta_n^2 as N grows.
+    assert abs(fan_error(1.0, n_spins).phi_f - 1.0) <= 1e-15
+    assert abs(fan_error(np.array([1.0]), n_spins).phi_f[0] - 1.0) <= 1e-15
+
+
 def test_sweep_csv_matches_math_reference(tmp_path):
     # The README's 50 x 6 grid, parsed back: 12 significant digits.
     out = tmp_path / "errors.csv"
