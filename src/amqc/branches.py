@@ -155,24 +155,20 @@ def _evaluate(rows, pair, moves=None, dtype=np.int64) -> np.ndarray:
 
 def _torus_polynomial(n_qubits: int, d: int, steps, convention: str):
     """:func:`_phase_polynomial` on the torus, from the origin: u = pi / d,
-    and c = d + 1 under MOD_INVERSE, else 1."""
+    and c = d + 1 under MOD_INVERSE, else 1.
+
+    The pass is exact on Python integers; what it returns are residues, the
+    X and P coefficients mod d and the k and pair coefficients mod 2d, which
+    fix every branch's label class and phase exp(i pi k/d).  So whatever the
+    labels, every exponent :func:`_evaluate` makes of them is below
+    2d (n + 1)^2, and so is every index ``take(mode="wrap")`` reduces.
+    """
     if steps:
         _check_convention(d, convention)
-    return _phase_polynomial(n_qubits, d + 1 if convention == MOD_INVERSE else 1, steps)
-
-
-def torus_labels(n_qubits: int, d: int, steps, convention: str):
-    """Net labels X, P and phase exponent k of every register branch, as
-    int64 arrays over register indices.
-
-    ``steps`` lists (qubit, x, p, symmetric) in application order: an
-    apply-on-one step displaces branches whose control bit is 1 by (x, p), a
-    symmetric one displaces bit 0 by +(x, p) and bit 1 by -(x, p).  Branch r
-    ends in exp(i pi k/d) D(X, P) times the initial ancilla state.
-    """
-    x, p, k, pair = _torus_polynomial(n_qubits, d, steps, convention)
-    k_net, x_net, p_net = _evaluate([k, x, p], pair)
-    return x_net, p_net, k_net
+    x, p, k, pair = _phase_polynomial(n_qubits, d + 1 if convention == MOD_INVERSE else 1,
+                                      steps)
+    return ([v % d for v in x], [v % d for v in p], [v % (2 * d) for v in k],
+            [[v % (2 * d) for v in row] for row in pair])
 
 
 @functools.lru_cache(maxsize=8)
@@ -185,8 +181,12 @@ def _roots(d: int) -> np.ndarray:
 
 def torus_gate(n_qubits: int, d: int, steps, anc_init: np.ndarray, convention: str):
     """Phase exp(i pi k/d) and overlap <anc_init|D(X, P) anc_init> of every
-    register branch, with the labels of :func:`torus_labels`, and the
-    residual entanglement of the uniform input.
+    register branch, and the residual entanglement of the uniform input.
+
+    ``steps`` lists (qubit, x, p, symmetric) in application order: an
+    apply-on-one step displaces branches whose control bit is 1 by (x, p), a
+    symmetric one displaces bit 0 by +(x, p) and bit 1 by -(x, p).  Branch r
+    ends in exp(i pi k/d) D(X, P) times the initial ancilla state.
 
     Branches fall into label classes by (X mod d, P mod d), at most
     min(d^2, 2^n) of them, numbered by doubling over qubits like the phase
@@ -196,10 +196,10 @@ def torus_gate(n_qubits: int, d: int, steps, anc_init: np.ndarray, convention: s
     closed loop is one class, whose residual is exactly 0.
     """
     x, p, k, pair = _torus_polynomial(n_qubits, d, steps, convention)
-    classes = {(x[0] % d, p[0] % d): 0}
+    classes = {(x[0], p[0]): 0}
     moves = [None] * n_qubits
     for q in range(n_qubits):
-        if x[q + 1] % d or p[q + 1] % d:
+        if x[q + 1] or p[q + 1]:
             moves[q] = np.array([
                 classes.setdefault(((cx + x[q + 1]) % d, (cp + p[q + 1]) % d),
                                    len(classes))

@@ -131,9 +131,8 @@ def cmd_sweep(args) -> int:
 
 def _format_element(element) -> str:
     if isinstance(element, Interaction):
-        lab = element.label
         tag = "" if element.polarity == "apply-on-one" else "~"
-        return f"D{tag}^{element.qubit}({lab.x:+d},{lab.p:+d})"
+        return f"D{tag}^{element.qubit}({element.x:+d},{element.p:+d})"
     if isinstance(element, AncillaProjectedGate):
         return f"[U on q{element.target} iff anc=|{element.level}>]"
     if isinstance(element, ControlledAncillaRotation):
@@ -156,7 +155,9 @@ def cmd_demo(args) -> int:
         xs = [args.x] if args.sequence == "two-qubit" else [1 + (k % d) for k in range(n)]
         ps = [1 + (j % d) for j in range(m)] if args.sequence == "fan-bipartite" else [args.p]
         seq = fan_bipartite(xs, ps, d)
-        oracle = oracles.fan(xs, ps, 2 * math.pi / d, signed=False)
+        # Residues mod d: the same gate, without rounding 2 pi X P / d in floats.
+        oracle = oracles.fan([x % d for x in xs], [p % d for p in ps], 2 * math.pi / d,
+                             signed=False)
         naive, gates = 4 * n * m, n * m
         described = {
             "two-qubit": f"CR({2 * math.pi * args.x * args.p / d:.6f}) on qubits (0, 1)",

@@ -37,13 +37,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .branches import (_evaluate, _roots, _torus_polynomial, fan_steps, register_bits,
                        torus_gate)
 from .linalg import is_unitary, largest_schmidt_weight
-from .qudit import HALF_ROOT, LatticeLabel, displacement, rotation
+from .qudit import HALF_ROOT, displacement, rotation
 from .report import GateReport, diagonal_report, gate_exists
 
 APPLY_ON_ONE = "apply-on-one"
@@ -51,17 +52,15 @@ SYMMETRIC = "symmetric"
 POLARITIES = (APPLY_ON_ONE, SYMMETRIC)
 
 
-@dataclass(frozen=True)
-class Interaction:
-    """One controlled displacement of the ancilla by a register qubit."""
+class Interaction(NamedTuple):
+    """One controlled displacement D(x, p) of the ancilla by a register
+    qubit.  The labels are integers of any size: the sequence holds d, and
+    only x and p mod 2d matter."""
 
     qubit: int
-    label: LatticeLabel
+    x: int
+    p: int
     polarity: str = APPLY_ON_ONE
-
-    def __post_init__(self):
-        if self.polarity not in POLARITIES:
-            raise ValueError(f"unknown polarity {self.polarity!r}")
 
 
 @dataclass(frozen=True)
@@ -134,24 +133,26 @@ class HybridState:
 
 
 def _check_qubit(qubit: int, n_qubits: int, role: str) -> None:
-    if not 0 <= qubit < n_qubits:
-        raise ValueError(f"{role} qubit {qubit} out of range for {n_qubits} qubits")
+    # bool is an int, but True is no qubit index.
+    if isinstance(qubit, bool) or not isinstance(qubit, (int, np.integer)) \
+            or not 0 <= qubit < n_qubits:
+        raise ValueError(f"{role} qubit {qubit!r} out of range: need an integer "
+                         f"in range({n_qubits})")
 
 
 def _check_element(element, n_qubits: int, d: int):
     """ValueError unless ``element`` can act on n_qubits and a d-level
     ancilla; TypeError for anything that is not a sequence element.  Returns
-    an interaction's branch-engine step (qubit, x, p, symmetric), else None."""
+    an interaction's branch-engine step (qubit, x, p, symmetric), its labels
+    as Python integers, else None."""
     if isinstance(element, Interaction):
-        label = element.label
-        if label.d != d:
-            raise ValueError("interaction label dimension does not match state")
-        if not isinstance(label.x, (int, np.integer)) or \
-                not isinstance(label.p, (int, np.integer)):
-            raise ValueError(f"interaction label ({label.x!r}, {label.p!r}) is not "
-                             f"a pair of integers")
-        _check_qubit(element.qubit, n_qubits, "interaction")
-        return element.qubit, label.x, label.p, element.polarity == SYMMETRIC
+        qubit, x, p, polarity = element
+        if polarity not in POLARITIES:
+            raise ValueError(f"unknown polarity {polarity!r}")
+        if not isinstance(x, (int, np.integer)) or not isinstance(p, (int, np.integer)):
+            raise ValueError(f"interaction label ({x!r}, {p!r}) is not a pair of integers")
+        _check_qubit(qubit, n_qubits, "interaction")
+        return qubit, int(x), int(p), polarity == SYMMETRIC
     elif isinstance(element, AncillaProjectedGate):
         _check_qubit(element.target, n_qubits, "projected gate target")
         if not isinstance(element.level, (int, np.integer)) or not 0 <= element.level < d:
@@ -180,11 +181,11 @@ def apply_element(state: HybridState, element, convention: str = HALF_ROOT) -> H
 
     if isinstance(element, Interaction):
         mask = register_bits(n)[:, element.qubit] == 1
-        dm = displacement(d, element.label.x, element.label.p, convention)
+        dm = displacement(d, element.x, element.p, convention)
         if element.polarity == APPLY_ON_ONE:
             amps[mask] = amps[mask] @ dm.T
         else:
-            dm_neg = displacement(d, -element.label.x, -element.label.p, convention)
+            dm_neg = displacement(d, -element.x, -element.p, convention)
             amps[~mask] = amps[~mask] @ dm.T
             amps[mask] = amps[mask] @ dm_neg.T
     elif isinstance(element, AncillaProjectedGate):
@@ -208,16 +209,18 @@ def run_sequence(seq: InteractionSequence, state: HybridState,
     return state
 
 
-def _class_gate(seq: InteractionSequence, anc_init: np.ndarray, convention: str):
+def _class_gate(seq: InteractionSequence, steps: list, anc_init: np.ndarray,
+                convention: str):
     """Propagate a sequence with projected gates or ancilla rotations over
-    label classes of register row blocks.
+    label classes of register row blocks; ``steps`` are
+    :func:`_check_element`'s results for its elements.
 
     Only a projected gate mixes register rows, and only on the bit of its
     target; with k distinct targets (the mixed qubits, bits c) basis input
     (o, a) reaches the 2^k rows (o, c), o being the other qubits' bits.  Cut
     at its other elements, the sequence is displacement-only segments, and
     segment s takes row (o, c) to exp(i pi k_s/d) D(X_s, P_s) times its input
-    (:func:`amqc.branches.torus_labels`).  So block o's (2^k, 2^k, d) outputs
+    (:func:`amqc.branches.torus_gate`).  So block o's (2^k, 2^k, d) outputs
     are fixed, up to the phase exp(i pi sum_s k_s(o, 0)/d), by its key: every
     segment's (X_s, P_s) mod d and k_s(o, c) - k_s(o, 0) mod 2d per c, and
     each rotation's control bit.  The key is affine in o's bits, so blocks
@@ -248,15 +251,14 @@ def _class_gate(seq: InteractionSequence, anc_init: np.ndarray, convention: str)
     # sum_s k_s(o, 0) and the row index of (o, 0), as _evaluate rows.
     glob = [[0] * (len(others) + 1), [0] + [1 << (n - 1 - q) for q in others]]
     glob_pair = [[0] * len(others) for _ in others]
-    ops, steps, consts, cols = [], [], [], []
-    for element in seq.elements + [None]:
-        if isinstance(element, Interaction):
-            steps.append((element.qubit, element.label.x, element.label.p,
-                          element.polarity == SYMMETRIC))
+    ops, segment, consts, cols = [], [], [], []
+    for element, step in zip(seq.elements + [None], steps + [None]):
+        if step is not None:
+            segment.append(step)
             continue
-        if steps:
-            x, p, k, pair = _torus_polynomial(n, d, steps, convention)
-            steps = []
+        if segment:
+            x, p, k, pair = _torus_polynomial(n, d, segment, convention)
+            segment = []
             xp = [column([x[q + 1] for q in others], d), column([p[q + 1] for q in others], d)]
             pairs = {t: [pair[min(t, q)][max(t, q)] for q in range(n)] for t in mixed}
             ops.append(len(consts))
@@ -397,7 +399,8 @@ def extract_register_gate(seq: InteractionSequence, anc_init: np.ndarray | None 
         # the worst, and its fidelity is the mean of the basis ones.
         return diagonal_report(*torus_gate(n, d, steps, anc_init, convention), len(steps))
 
-    rows, index, exponent, returned, fidelity, residual = _class_gate(seq, anc_init, convention)
+    rows, index, exponent, returned, fidelity, residual = _class_gate(
+        seq, steps, anc_init, convention)
     unitary = None
     if gate_exists(fidelity, residual):
         unitary = np.zeros((2 ** n, 2 ** n), dtype=complex)
@@ -419,14 +422,9 @@ def two_qubit_sequence(j: int, k: int, x: int, p: int, d: int,
     """
     if j == k:
         raise ValueError("control and target must differ")
-    lab = lambda xx, pp: LatticeLabel(xx, pp, d)
-    elements = [
-        Interaction(j, lab(x, 0), polarity),
-        Interaction(k, lab(0, p), polarity),
-        Interaction(j, lab(-x, 0), polarity),
-        Interaction(k, lab(0, -p), polarity),
-    ]
-    return InteractionSequence(max(j, k) + 1, d, elements)
+    return InteractionSequence(max(j, k) + 1, d, [
+        Interaction(j, x, 0, polarity), Interaction(k, 0, p, polarity),
+        Interaction(j, -x, 0, polarity), Interaction(k, 0, -p, polarity)])
 
 
 def fan_one_target(xs, p: int, d: int, polarity: str = APPLY_ON_ONE) -> InteractionSequence:
@@ -448,7 +446,7 @@ def fan_bipartite(xs, ps, d: int, polarity: str = APPLY_ON_ONE) -> InteractionSe
     """
     steps = fan_steps(xs, ps)
     return InteractionSequence(len(steps) // 2, d, [
-        Interaction(q, LatticeLabel(sx, sp, d), polarity) for q, sx, sp in steps])
+        Interaction(q, sx, sp, polarity) for q, sx, sp in steps])
 
 
 def generalized_toffoli(n: int, u: np.ndarray, d: int) -> InteractionSequence:
@@ -462,11 +460,10 @@ def generalized_toffoli(n: int, u: np.ndarray, d: int) -> InteractionSequence:
     if d <= n:
         raise ValueError(f"ancilla dimension {d} too small to count {n} "
                          f"controls without wraparound")
-    lab = lambda xx: LatticeLabel(xx, 0, d)
-    elements = [Interaction(k, lab(1)) for k in range(n)]
+    elements = [Interaction(k, 1, 0) for k in range(n)]
     elements.append(AncillaProjectedGate(target=n, level=n % d,
                                          gate=np.asarray(u, dtype=complex)))
-    elements += [Interaction(k, lab(-1)) for k in range(n)]
+    elements += [Interaction(k, -1, 0) for k in range(n)]
     return InteractionSequence(n + 1, d, elements)
 
 
@@ -478,10 +475,9 @@ def mod_d_phase_gate(theta: float, n: int, d: int) -> InteractionSequence:
     """
     if n < 1:
         raise ValueError("need at least one control")
-    lab = lambda xx: LatticeLabel(xx, 0, d)
-    elements = [Interaction(k, lab(1)) for k in range(n)]
+    elements = [Interaction(k, 1, 0) for k in range(n)]
     elements.append(ControlledAncillaRotation(control=n, theta=theta))
-    elements += [Interaction(k, lab(-1)) for k in range(n)]
+    elements += [Interaction(k, -1, 0) for k in range(n)]
     return InteractionSequence(n + 1, d, elements)
 
 
@@ -492,11 +488,10 @@ def single_pair_arbitrary_rotation(theta: float, d: int) -> InteractionSequence:
     one qubit-controlled ancilla rotation any phase is reachable (the ancilla
     must start in |0>_x).
     """
-    lab = lambda xx: LatticeLabel(xx, 0, d)
     return InteractionSequence(2, d, [
-        Interaction(0, lab(1)),
+        Interaction(0, 1, 0),
         ControlledAncillaRotation(control=1, theta=theta),
-        Interaction(0, lab(-1)),
+        Interaction(0, -1, 0),
     ])
 
 

@@ -125,8 +125,8 @@ def _powers(m: np.ndarray, count: int) -> np.ndarray:
 # qudit suite
 # ----------------------------------------------------------------------------
 
-def run_qudit_suite(rng: np.random.Generator | None = None) -> SuiteResult:
-    rng = rng or np.random.default_rng(20240901)
+def run_qudit_suite() -> SuiteResult:
+    rng = np.random.default_rng(20240901)
     t0 = time.perf_counter()
     checks = _Checks()
 
@@ -276,8 +276,8 @@ def run_qudit_suite(rng: np.random.Generator | None = None) -> SuiteResult:
 # spin suite
 # ----------------------------------------------------------------------------
 
-def run_spin_suite(rng: np.random.Generator | None = None) -> SuiteResult:
-    rng = rng or np.random.default_rng(20240902)
+def run_spin_suite() -> SuiteResult:
+    rng = np.random.default_rng(20240902)
     t0 = time.perf_counter()
     checks = _Checks()
 
@@ -414,8 +414,8 @@ def run_spin_suite(rng: np.random.Generator | None = None) -> SuiteResult:
 # qubus suite
 # ----------------------------------------------------------------------------
 
-def run_qubus_suite(rng: np.random.Generator | None = None) -> SuiteResult:
-    rng = rng or np.random.default_rng(20240903)
+def run_qubus_suite() -> SuiteResult:
+    rng = np.random.default_rng(20240903)
     t0 = time.perf_counter()
     checks = _Checks()
 
@@ -460,7 +460,7 @@ def run_qubus_suite(rng: np.random.Generator | None = None) -> SuiteResult:
 # cross-backend suite
 # ----------------------------------------------------------------------------
 
-def run_cross_suite(rng: np.random.Generator | None = None) -> SuiteResult:
+def run_cross_suite() -> SuiteResult:
     t0 = time.perf_counter()
     checks = _Checks()
 

@@ -12,12 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amqc.branches import (
+    _evaluate,
+    _torus_polynomial,
     fan_steps,
     flat_labels,
     register_bits,
     sphere_overlap,
     torus_gate,
-    torus_labels,
 )
 from amqc.linalg import largest_schmidt_weight, phase_distance, random_state, random_unitary
 from amqc.oracles import fan, mod_d, toffoli
@@ -28,7 +29,7 @@ from amqc.qubus import (
     fan_target_unitary,
     field_fan,
 )
-from amqc.qudit import CONVENTIONS, HALF_ROOT, MOD_INVERSE, LatticeLabel
+from amqc.qudit import CONVENTIONS, HALF_ROOT, MOD_INVERSE
 from amqc.qudit_model import (
     POLARITIES,
     SYMMETRIC,
@@ -38,6 +39,7 @@ from amqc.qudit_model import (
     Interaction,
     InteractionSequence,
     LocalAncillaRotation,
+    _check_element,
     _class_gate,
     _ground,
     extract_register_gate,
@@ -166,7 +168,7 @@ def torus_cases(draw):
     anc = None
     if draw(st.booleans()):
         anc = random_state(d, np.random.default_rng(draw(seeds)))
-    elements = [Interaction(q, LatticeLabel(x, p, d), pol) for q, x, p, pol in steps]
+    elements = [Interaction(q, x, p, pol) for q, x, p, pol in steps]
     return n, d, elements, convention, anc
 
 
@@ -174,7 +176,7 @@ def torus_cases(draw):
 @given(torus_cases())
 # Every branch lands on the class (2, 0), orthogonal to |0>_x: no residual,
 # no return, no gate.
-@example((1, 4, [Interaction(0, LatticeLabel(2, 0, 4), SYMMETRIC)], HALF_ROOT, None))
+@example((1, 4, [Interaction(0, 2, 0, SYMMETRIC)], HALF_ROOT, None))
 def test_torus_engine_matches_dense_extraction(case):
     n, d, elements, convention, anc = case
     seq = InteractionSequence(n, d, elements)
@@ -219,7 +221,7 @@ def test_shared_ground_ancilla_is_read_only_and_reports_are_fresh(seq):
 def test_closed_loops_have_exactly_zero_residual(case, seed):
     # Every step undone in reverse order: all branches share one label class.
     n, d, elements, convention, _ = case
-    elements += [Interaction(e.qubit, -e.label, e.polarity) for e in reversed(elements)]
+    elements += [Interaction(e.qubit, -e.x, -e.p, e.polarity) for e in reversed(elements)]
     seq = InteractionSequence(n, d, elements)
     anc = random_state(d, np.random.default_rng(seed))
     report = extract_register_gate(seq, anc, convention)
@@ -237,8 +239,7 @@ def mixed_cases(draw, n_min=2, n_max=4):
     targets = draw(st.permutations(range(n)))[:draw(st.integers(1, min(3, n)))]
     rng = np.random.default_rng(draw(seeds))
     qubit, label = st.integers(0, n - 1), st.integers(-2 * d, 2 * d)
-    interaction = st.builds(lambda q, x, p, pol: Interaction(q, LatticeLabel(x, p, d), pol),
-                            qubit, label, label, st.sampled_from(POLARITIES))
+    interaction = st.builds(Interaction, qubit, label, label, st.sampled_from(POLARITIES))
     projected = st.builds(lambda t, level: AncillaProjectedGate(t, level, random_unitary(2, rng)),
                           st.sampled_from(targets), st.integers(0, d - 1))
     angle = st.floats(-4.0, 4.0, allow_nan=False)
@@ -251,7 +252,7 @@ def mixed_cases(draw, n_min=2, n_max=4):
     counting = draw(st.lists(interaction, max_size=4))
     elements = counting + middle
     if draw(st.booleans()):
-        elements += [Interaction(e.qubit, -e.label, e.polarity) for e in reversed(counting)]
+        elements += [Interaction(e.qubit, -e.x, -e.p, e.polarity) for e in reversed(counting)]
     anc = None
     if draw(st.booleans()):
         anc = random_state(d, np.random.default_rng(draw(seeds)))
@@ -260,12 +261,11 @@ def mixed_cases(draw, n_min=2, n_max=4):
 
 def _toffoli_like(d):
     # Qubit 2 is both a counting control and the target of two projected gates.
-    lab = lambda x: LatticeLabel(x, 0, d)
-    return [Interaction(0, lab(1)), Interaction(2, lab(1), SYMMETRIC),
+    return [Interaction(0, 1, 0), Interaction(2, 1, 0, SYMMETRIC),
             AncillaProjectedGate(2, 1, random_unitary(2, np.random.default_rng(1))),
             ControlledAncillaRotation(1, 0.7),
             AncillaProjectedGate(2, d - 1, random_unitary(2, np.random.default_rng(2))),
-            Interaction(2, lab(-1), SYMMETRIC), Interaction(0, lab(-1))]
+            Interaction(2, -1, 0, SYMMETRIC), Interaction(0, -1, 0)]
 
 
 @PROPERTY
@@ -288,18 +288,38 @@ def test_label_classes_match_dense_extraction_up_to_8_qubits(case):
                           dense_extract(seq, anc, convention))
 
 
+@PROPERTY
+@given(st.one_of(torus_cases(), mixed_cases()), st.data())
+@example((2, 5, two_qubit_sequence(0, 1, 10 ** 30, 2 ** 40 + 1, 5).elements,
+          HALF_ROOT, None), None)
+def test_large_labels_report_like_their_residues(case, data):
+    # Only x, p mod 2d matter, and both engines reduce the polynomial's
+    # coefficients before int64 sees them: labels up to 1e30 give the
+    # report bytes of their residues mod 2d.
+    n, d, elements, convention, anc = case
+    if data is not None:
+        lift = st.integers(-10 ** 30 // (2 * d), 10 ** 30 // (2 * d)).map(lambda t: 2 * d * t)
+        elements = [e._replace(x=e.x + data.draw(lift), p=e.p + data.draw(lift))
+                    if isinstance(e, Interaction) else e for e in elements]
+    residues = [e._replace(x=e.x % (2 * d), p=e.p % (2 * d)) if isinstance(e, Interaction)
+                else e for e in elements]
+    assert _report_bytes(extract_register_gate(InteractionSequence(n, d, elements), anc,
+                                               convention)) == \
+        _report_bytes(extract_register_gate(InteractionSequence(n, d, residues), anc,
+                                            convention))
+
+
 def _two_targets_symmetric_count(d):
     # Qubit 0 counts symmetrically, qubit 1 on one; qubits 2 and 3 are
     # projected targets and qubit 4 controls a rotation.
-    lab = lambda x: LatticeLabel(x, 0, d)
     rng = np.random.default_rng(11)
-    counting = [Interaction(0, lab(1), SYMMETRIC), Interaction(1, lab(2))]
+    counting = [Interaction(0, 1, 0, SYMMETRIC), Interaction(1, 2, 0)]
     return InteractionSequence(5, d, counting + [
         AncillaProjectedGate(2, 1, random_unitary(2, rng)),
         ControlledAncillaRotation(4, 0.9),
         AncillaProjectedGate(3, d - 1, random_unitary(2, rng)),
         AncillaProjectedGate(2, 3, random_unitary(2, rng)),
-    ] + [Interaction(e.qubit, -e.label, e.polarity) for e in reversed(counting)])
+    ] + [Interaction(e.qubit, -e.x, -e.p, e.polarity) for e in reversed(counting)])
 
 
 _U = random_unitary(2, np.random.default_rng(5))
@@ -328,10 +348,11 @@ def test_label_class_stage_at_16_controls():
     # n < d, so the mod-d count never wraps and reaches its bound.
     for seq, classes in ((generalized_toffoli(n, _U, d), n + 1),
                          (mod_d_phase_gate(0.7, n, d), 2 * min(n + 1, d))):
+        steps = [_check_element(e, n + 1, d) for e in seq.elements]
         tracemalloc.start()
         try:
             rows, index, exponent, returned, fidelity, residual = _class_gate(
-                seq, anc, HALF_ROOT)
+                seq, steps, anc, HALF_ROOT)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -346,7 +367,7 @@ def test_torus_branches_match_dense_run_sequence(case):
     n, d, elements, convention, anc = case
     if anc is None:
         anc = np.eye(d, dtype=complex)[0]
-    final = loop_ancilla(n, d, [(e.qubit, e.label.x, e.label.p, e.polarity == SYMMETRIC)
+    final = loop_ancilla(n, d, [(e.qubit, e.x, e.p, e.polarity == SYMMETRIC)
                                 for e in elements], anc, convention)
     seq = InteractionSequence(n, d, elements)
     for r in range(2 ** n):
@@ -401,11 +422,15 @@ def torus_step_lists(draw):
 @PROPERTY
 @given(torus_step_lists())
 def test_phase_polynomial_matches_per_step_loop(case):
+    # The polynomial holds residues, so the branches' labels agree mod d and
+    # their phase exponents mod 2d.
     n, d, steps, convention = case
-    for new, old in zip(torus_labels(n, d, steps, convention),
-                        loop_labels(n, d, steps, convention)):
-        assert new.dtype == np.int64
-        assert np.array_equal(new, old)
+    x, p, k, pair = _torus_polynomial(n, d, steps, convention)
+    k_net, x_net, p_net = new = _evaluate([k, x, p], pair)
+    assert new.dtype == np.int64
+    for new_row, old_row, modulus in zip((x_net, p_net, k_net),
+                                         loop_labels(n, d, steps, convention), (d, d, 2 * d)):
+        assert np.array_equal(new_row % modulus, old_row % modulus)
 
 
 @PROPERTY
@@ -431,7 +456,7 @@ def test_default_rectangles_are_bitwise_the_loop_gates():
             for x in range(d):
                 for p in range(d):
                     seq = two_qubit_sequence(0, 1, x, p, d)
-                    steps = [(e.qubit, e.label.x, e.label.p, False) for e in seq.elements]
+                    steps = [(e.qubit, e.x, e.p, False) for e in seq.elements]
                     loop = np.diag(loop_ancilla(2, d, steps, anc, convention) @ np.conj(anc))
                     rep = extract_register_gate(seq, convention=convention)
                     assert rep.register_unitary.tobytes() == loop.tobytes()
@@ -443,7 +468,7 @@ def test_torus_gate_memory_stays_linear_in_branches():
     d = 5
     seq = fan_bipartite([1 + k % 4 for k in range(8)], [1 + 3 * j % 4 for j in range(8)],
                         d, SYMMETRIC)
-    steps = [(e.qubit, e.label.x, e.label.p, True) for e in seq.elements]
+    steps = [(e.qubit, e.x, e.p, True) for e in seq.elements]
     anc = np.eye(d, dtype=complex)[0]
     tracemalloc.start()
     try:

@@ -129,6 +129,17 @@ def test_demo_modd(capsys):
     assert "phase distance" in out
 
 
+@pytest.mark.parametrize("x, p", [(10 ** 4, 10 ** 4 + 1), (10 ** 6, 10 ** 6 + 1),
+                                  (10 ** 12, 7)])
+def test_demo_verifies_large_labels(x, p, capsys):
+    # The engine reduces the labels mod 2d and the oracle mod d, so neither
+    # rounds 2 pi x p / d in floats nor loops over huge indices.
+    start = time.perf_counter()
+    assert main(["demo", "two-qubit", "--d", "5", "--x", str(x), "--p", str(p)]) == 0
+    assert time.perf_counter() - start < 5.0
+    assert f"D^0({x:+d},+0)" in capsys.readouterr().out
+
+
 def test_contraction_csv(tmp_path, capsys):
     out = tmp_path / "contraction.csv"
     assert main(["contraction", "--zeta", "2", "--n-min", "1000",

@@ -13,7 +13,7 @@ from amqc.linalg import (
     phase_distance,
     phase_gate,
 )
-from amqc.qudit import CONVENTIONS, HALF_ROOT, LatticeLabel
+from amqc.qudit import CONVENTIONS, HALF_ROOT
 from amqc.qudit_model import (
     APPLY_ON_ONE,
     SYMMETRIC,
@@ -62,19 +62,19 @@ def cr_oracle(n_qubits, control, target, theta):
 
 def test_zero_label_is_identity():
     state = HybridState.basis(1, 1, basis_anc(3))
-    out = apply_element(state, Interaction(0, LatticeLabel(0, 0, 3)))
+    out = apply_element(state, Interaction(0, 0, 0))
     np.testing.assert_array_equal(out.amplitudes, state.amplitudes)
 
 
 def test_control_off_leaves_ancilla():
     state = HybridState.basis(1, 0, basis_anc(3))
-    out = apply_element(state, Interaction(0, LatticeLabel(1, 2, 3)))
+    out = apply_element(state, Interaction(0, 1, 2))
     np.testing.assert_array_equal(out.amplitudes, state.amplitudes)
 
 
 def test_control_on_shifts_position():
     state = HybridState.basis(1, 1, basis_anc(3, 0))
-    out = apply_element(state, Interaction(0, LatticeLabel(1, 0, 3)))
+    out = apply_element(state, Interaction(0, 1, 0))
     np.testing.assert_allclose(out.amplitudes,
                                HybridState.basis(1, 1, basis_anc(3, 1)).amplitudes,
                                atol=1e-15)
@@ -86,16 +86,15 @@ def test_interaction_preserves_norm():
     amps /= np.linalg.norm(amps)
     state = HybridState(2, 5, amps)
     for conv in CONVENTIONS:
-        out = apply_element(state, Interaction(1, LatticeLabel(2, 3, 5)), conv)
+        out = apply_element(state, Interaction(1, 2, 3), conv)
         assert abs(out.norm() - 1.0) < 1e-14
 
 
 def test_interaction_dimension_mismatch():
+    # Only the sequence holds d; an out-of-range qubit is still refused.
     state = HybridState.basis(1, 0, basis_anc(3))
     with pytest.raises(ValueError):
-        apply_element(state, Interaction(0, LatticeLabel(1, 0, 4)))
-    with pytest.raises(ValueError):
-        apply_element(state, Interaction(1, LatticeLabel(1, 0, 3)))
+        apply_element(state, Interaction(1, 1, 0))
 
 
 @pytest.mark.parametrize("element", [
@@ -107,6 +106,24 @@ def test_interaction_dimension_mismatch():
 def test_extraction_rejects_out_of_range_qubits(element):
     with pytest.raises(ValueError, match="out of range"):
         extract_register_gate(InteractionSequence(2, 3, [element]))
+
+
+@pytest.mark.parametrize("qubit", [0.0, 1.0, np.float64(1.0), True, np.bool_(False)])
+@pytest.mark.parametrize("element", [
+    lambda q: Interaction(q, 1, 0),
+    lambda q: AncillaProjectedGate(target=q, level=0, gate=PAULI_X),
+    lambda q: ControlledAncillaRotation(control=q, theta=0.3),
+], ids=["interaction", "projected-target", "rotation-control"])
+def test_non_integer_qubits_are_rejected(element, qubit):
+    # One message from the branch engine, the label classes and the dense
+    # simulator alike.
+    element = element(qubit)
+    for run in (lambda: extract_register_gate(InteractionSequence(2, 3, [element])),
+                lambda: extract_register_gate(InteractionSequence(
+                    2, 3, [element, LocalAncillaRotation(0.1)])),
+                lambda: apply_element(HybridState.basis(2, 3, basis_anc(3)), element)):
+        with pytest.raises(ValueError, match=r"out of range: need an integer in range\(2\)"):
+            run()
 
 
 def test_empty_sequence_extracts_identity():
@@ -129,12 +146,11 @@ def test_extraction_rejects_non_finite_ancilla(seq, anc):
 def _toffoli_2_3(projected=None, rotation=None):
     # A generalized_toffoli-style 2-control sequence on d = 3 with one
     # replaced element.
-    lab = lambda x: LatticeLabel(x, 0, 3)
     middle = [AncillaProjectedGate(2, 2, PAULI_X) if projected is None else projected]
     if rotation is not None:
         middle.append(rotation)
-    return InteractionSequence(3, 3, [Interaction(0, lab(1)), Interaction(1, lab(1)), *middle,
-                                      Interaction(0, lab(-1)), Interaction(1, lab(-1))])
+    return InteractionSequence(3, 3, [Interaction(0, 1, 0), Interaction(1, 1, 0), *middle,
+                                      Interaction(0, -1, 0), Interaction(1, -1, 0)])
 
 
 @pytest.mark.parametrize("element, message", [
@@ -167,7 +183,7 @@ def test_non_integer_labels_are_rejected(x, p):
     rotated = InteractionSequence(2, 5, seq.elements + [LocalAncillaRotation(0.1)])
     for run in (lambda: extract_register_gate(seq), lambda: extract_register_gate(rotated),
                 lambda: apply_element(HybridState.basis(2, 3, basis_anc(5)),
-                                      Interaction(0, LatticeLabel(x, p, 5)))):
+                                      Interaction(0, x, p))):
         with pytest.raises(ValueError, match="not a pair of integers"):
             run()
 
@@ -175,6 +191,10 @@ def test_non_integer_labels_are_rejected(x, p):
 def test_numpy_integer_labels_extract_like_python_integers():
     seq = two_qubit_sequence(0, 1, np.int64(2), np.int32(3), 5)
     want = extract_register_gate(two_qubit_sequence(0, 1, 2, 3, 5))
+    assert extract_register_gate(seq).register_unitary.tobytes() == \
+        want.register_unitary.tobytes()
+    # numpy integer qubits too.
+    seq = InteractionSequence(2, 5, [e._replace(qubit=np.int8(e.qubit)) for e in seq.elements])
     assert extract_register_gate(seq).register_unitary.tobytes() == \
         want.register_unitary.tobytes()
 
@@ -197,7 +217,7 @@ def test_extraction_rejects_unnormalised_ancilla(seq):
 def test_disentangled_but_unreturned_ancilla_has_no_gate(tail):
     # Both branches end on |2>_x, orthogonal to the initial |0>_x: the ancilla
     # factors out but does not come back, so there is no register gate.
-    seq = InteractionSequence(1, 4, [Interaction(0, LatticeLabel(2, 0, 4), SYMMETRIC)] + tail)
+    seq = InteractionSequence(1, 4, [Interaction(0, 2, 0, SYMMETRIC)] + tail)
     rep = extract_register_gate(seq)
     assert rep.register_unitary is None
     assert rep.ancilla_return_fidelity == 0.0
@@ -207,7 +227,7 @@ def test_disentangled_but_unreturned_ancilla_has_no_gate(tail):
 def test_single_interaction_leaves_entanglement():
     # One controlled shift entangles the superposed control with the ancilla:
     # the uniform input has Schmidt weights (1/2, 1/2).
-    seq = InteractionSequence(1, 3, [Interaction(0, LatticeLabel(1, 0, 3))])
+    seq = InteractionSequence(1, 3, [Interaction(0, 1, 0)])
     rep = extract_register_gate(seq)
     assert rep.register_unitary is None
     assert abs(rep.residual_entanglement - 0.5) < 1e-12
@@ -451,7 +471,7 @@ def test_generator_composition_reaches_momentum_step():
     assert phase_distance(lhs, rhs) < 1e-13
     # And that target is exactly the apply-on-one interaction with label (0, p).
     state = HybridState.basis(1, 1, basis_anc(d, 2))
-    out = apply_element(state, Interaction(0, LatticeLabel(0, p, d)))
+    out = apply_element(state, Interaction(0, 0, p))
     np.testing.assert_allclose(out.amplitudes,
                                (rhs @ state.amplitudes), atol=1e-14)
 

@@ -485,6 +485,29 @@ def test_fan_error_holds_up_to_the_largest_double_ensemble(n_spins):
     assert abs(fan_error(np.array([1.0]), n_spins).phi_f[0] - 1.0) <= 1e-15
 
 
+@pytest.mark.parametrize("n_spins", [1e307, 1e308, 1.7976931348623157e308])
+def test_fan_scales_hold_up_to_the_largest_double_ensemble(n_spins):
+    # The fan's legs, the contraction's u and the series defect's w all
+    # divide by 2N, which overflows past about 9e307.
+    rep = fan_sequence_simulate([1.0], [1.0], n_spins)
+    assert abs(rep.extremal_phase - fan_error(1.0, n_spins).phi_f) <= 1e-15
+    row = contraction_probe(2.0, [n_spins])[0]
+    assert abs(row.phi_f - 4.0) <= 1e-15 and abs(row.prefactor - 1.0) <= 1e-15
+    assert abs(row.overlap - math.exp(-2.0)) <= 1e-15
+    assert abs(phi_series_defect(1.0, n_spins)) <= 1e-300
+
+
+def test_contraction_writes_the_largest_ensembles(tmp_path):
+    out = tmp_path / "big.csv"
+    n = str(10 ** 308)
+    assert main(["contraction", "--zeta", "2", "--n-min", n, "--n-max", n,
+                 "--out", str(out)]) == 0
+    row = out.read_text().splitlines()[1].split(",")
+    # 12 significant digits.
+    assert row[0] == n and abs(float(row[1]) - 4.0) <= 1e-11
+    assert abs(float(row[3]) - math.exp(-2.0)) <= 1e-12
+
+
 def test_sweep_csv_matches_math_reference(tmp_path):
     # The README's 50 x 6 grid, parsed back: 12 significant digits.
     out = tmp_path / "errors.csv"
