@@ -31,7 +31,46 @@ from .qudit_model import (
 from .verify import SUITES, run_suites
 
 _FMT = "%.11e"   # 12 significant digits, scientific
-_BLOCK = 1024     # CSV rows formatted by one % operation and written at once
+_BLOCK = 512      # CSV rows formatted and written at once; about 0.3 MiB of work arrays
+
+# The _FMT kernel (_sci).  A finite v != 0 with decimal exponent guess
+# e = floor(log10|v|) is scaled to y = |v| 10^k, k = 11 - e, and its digits
+# are M = round(y), 10^11 <= M < 10^12.  10^k comes from two correctly rounded
+# factors, the second 1.0 unless 10^k overflows (|v| below about 1e-297,
+# subnormals included), so y_c = y (1 + d1)(1 + d2)(1 + d3)(1 + d4) with each
+# |d| <= 2^-53: two table entries and two products, all normal doubles.  For
+# y_c < 10^12 that is |y_c - y| < 4.0000001 * 2^-53 * 10^12 < 4.45e-4, so a
+# cell whose y_c lies more than _TIE from every half-integer rounds like y,
+# the correctly rounded (ties-to-even) value that _FMT writes.  Any other
+# cell, and one whose y_c misses [10^11, 10^12) because log10 rounded across
+# a power of ten, is written by _FMT itself.
+_TIE = 5e-4
+_EXP_MIN, _EXP_MAX = -324, 308                 # decimal exponents of doubles
+_K = np.arange(11 - _EXP_MAX, 12 - _EXP_MIN)   # every k = 11 - e
+_POW_SPLIT = np.where(_K > 308, 1e30, 1.0)     # 10^k = 10^(k - 30) * 10^30
+_POW = np.array([float(f"1e{k}") for k in (_K - 30 * (_K > 308)).tolist()])
+# A cell is _WIDTH bytes whose NULs are dropped on output: "-d.dd" (sign or
+# NUL first), three "ddd" and "e+dd"/"e+ddd", each read from a table of 8- or
+# 4-byte words, so each is one take of machine words, not of bytes.
+_DIGITS = (np.arange(1000)[:, None] // np.array([100, 10, 1]) % 10 + 48).astype(np.uint8)
+_HEADS = np.zeros((2, 1000, 8), dtype=np.uint8)       # [signbit, first 3 digits]
+_HEADS[1, :, 0] = ord("-")
+_HEADS[:, :, 1] = _DIGITS[:, 0]
+_HEADS[:, :, 2] = ord(".")
+_HEADS[:, :, 3:5] = _DIGITS[:, 1:]
+_HEADS = _HEADS.view(np.uint64).ravel()
+_TRIPLES = np.zeros((1000, 4), dtype=np.uint8)
+_TRIPLES[:, :3] = _DIGITS
+_TRIPLES = _TRIPLES.view(np.uint32).ravel()
+_EXPONENTS = np.zeros((_EXP_MAX - _EXP_MIN + 1, 8), dtype=np.uint8)
+_EXPONENTS[:, 0] = ord("e")
+_EXPONENTS[:, 1] = np.where(np.arange(_EXP_MIN, _EXP_MAX + 1) < 0, ord("-"), ord("+"))
+_EXPONENTS[:, 2:5] = _DIGITS[np.abs(np.arange(_EXP_MIN, _EXP_MAX + 1))]
+_EXPONENTS[-_EXP_MIN - 99:100 - _EXP_MIN, 2] = 0     # two digits below 100
+_EXPONENTS = _EXPONENTS.view(np.uint64).ravel()
+_GROUPS = np.array([[10 ** 9], [10 ** 6], [10 ** 3], [1]])
+_WIDTH = 28
+
 # Largest register ``demo`` builds.  It holds two dense 2^q x 2^q matrices at
 # once (the extracted unitary and the oracle; phase_distance streams them),
 # 16 * 4^q bytes each: 512 MB at q = 12.
@@ -84,32 +123,94 @@ def cmd_verify(args) -> int:
     return 0 if all_passed else 1
 
 
+def _scaled(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(y_c, e) for finite |v| values ``a``: the exponent guess
+    e = floor(log10 a) (0 for a zero) and y_c = a 10^(11 - e) in doubles."""
+    e = np.floor(np.log10(a, out=np.zeros_like(a), where=a > 0)).astype(np.int64)
+    k = 11 - e - _K[0]
+    return a * _POW.take(k, mode="clip") * _POW_SPLIT.take(k, mode="clip"), e
+
+
+def _decided(y: np.ndarray) -> np.ndarray:
+    """True where y_c is in [10^11, 10^12) and more than _TIE from every
+    half-integer, so round(y_c) gives the 12 digits of _FMT."""
+    return (y >= 1e11) & (y < 1e12) & (np.abs(y - np.floor(y) - 0.5) > _TIE)
+
+
+def _sci(values: np.ndarray) -> np.ndarray:
+    """``_FMT % v`` for each finite double of a 1-d ``values``, as ASCII rows
+    of _WIDTH bytes padded with NULs."""
+    y, e = _scaled(np.abs(values))
+    fast = _decided(y) | (values == 0)           # a zero is y = 0, e = 0
+    y[~fast] = 0.0
+    digits = np.rint(y).astype(np.int64)
+    carry = digits == 10 ** 12                   # 9.9999999999996 -> 1.00000000000e+01
+    digits[carry] = 10 ** 11
+    e += carry
+    groups = digits // _GROUPS                   # the 4 three-digit groups of M,
+    groups[1:] -= 1000 * groups[:-1]             # the first offset by 1000 if v < 0
+    groups[0] += 1000 * np.signbit(values)
+    out = np.empty((values.size, _WIDTH // 4), dtype=np.uint32)
+    out[:, :2] = _HEADS.take(groups[0]).view(np.uint32).reshape(-1, 2)
+    out[:, 2:5] = _TRIPLES.take(groups[1:]).T
+    out[:, 5:] = _EXPONENTS.take(e - _EXP_MIN, mode="clip").view(np.uint32).reshape(-1, 2)
+    out = out.view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        out[slow] = np.array([_FMT % v for v in values[slow].tolist()],
+                             dtype=f"S{_WIDTH}").view(np.uint8).reshape(-1, _WIDTH)
+    return out
+
+
+def _exact(values: list) -> np.ndarray:
+    """str(v) of each integer of ``values`` as ASCII rows padded with NULs,
+    converting each distinct value once."""
+    index = {}
+    rows = [index.setdefault(v, len(index)) for v in values]
+    table = np.array([str(v) for v in index], dtype=bytes)
+    return table.view(np.uint8).reshape(len(index), -1).take(rows, axis=0)
+
+
+def _csv_rows(columns: list, exact: list) -> str:
+    """The CSV rows of equal-length column slices, as one NUL-padded byte
+    block written out without its NULs."""
+    floats = [c for c, e in zip(columns, exact) if not e]
+    cells = iter(_sci(np.concatenate(floats)).reshape(len(floats), len(floats[0]), -1))
+    fields = [_exact(c) if e else next(cells) for c, e in zip(columns, exact)]
+    block = np.zeros((len(floats[0]), sum(f.shape[1] + 1 for f in fields)), dtype=np.uint8)
+    at = 0
+    for field in fields:
+        block[:, at:at + field.shape[1]] = field
+        at += field.shape[1] + 1
+        block[:, at - 1] = ord(",")
+    block[:, -1] = ord("\n")
+    return block.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _write_csv(out: str, header: str, columns: list) -> None:
     """Stream a header and one row per index of ``columns`` to ``out``
     ('-' = stdout).
 
     A list column holds exact values written with str() (ensemble sizes,
-    which may exceed int64); any other column is a float array written with
-    _FMT.  A nan or inf in a float column refuses the run before ``out`` is
-    opened, so nothing is written.  Each block of _BLOCK rows is formatted by
-    one ``%`` operation over all its cells.
+    which may exceed int64); any other column is a float array written as
+    _FMT writes it.  A nan or inf in a float column refuses the run before
+    ``out`` is opened, so nothing is written.  Each block of _BLOCK rows is
+    assembled as one NUL-padded byte array and written at once without its
+    NULs.  Its float cells come from a vectorised kernel (_sci) that is
+    byte-identical to ``_FMT % v``: a cell within the kernel's rounding-error
+    bound of a decimal tie is handed to Python's own conversion, into the
+    same field.
     """
     exact = [isinstance(c, list) for c in columns]
     columns = [c if e else np.asarray(c, dtype=float) for c, e in zip(columns, exact)]
     _require(all(np.isfinite(c).all() for c, e in zip(columns, exact) if not e),
              "non-finite value in the computed rows; nothing written")
-    row = ",".join("%s" if e else _FMT for e in exact) + "\n"
     count = len(columns[0])
     with (contextlib.nullcontext(sys.stdout) if out == "-"
           else open(out, "w", encoding="ascii")) as handle:
         handle.write(header + "\n")
         for start in range(0, count, _BLOCK):
-            rows = min(_BLOCK, count - start)
-            cells = [None] * (rows * len(columns))    # row-major
-            for j, (c, e) in enumerate(zip(columns, exact)):
-                block = c[start:start + rows]
-                cells[j::len(columns)] = block if e else block.tolist()
-            handle.write(row * rows % tuple(cells))
+            handle.write(_csv_rows([c[start:start + _BLOCK] for c in columns], exact))
     if out != "-":
         print(f"wrote {count} rows to {out}")
 

@@ -27,6 +27,7 @@ so the ordering matters for d > 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,6 +135,17 @@ def rotation(d: int, theta: float) -> np.ndarray:
     return np.diag(np.exp(1j * theta * np.arange(d))).astype(complex)
 
 
+def _residue(a, modulus: int):
+    """``a`` mod ``modulus`` with the sign of ``a`` kept (C's %), as floats.
+
+    Exact for Python integers of any size and for integer arrays, and equal
+    to float(a) wherever |a| < modulus, so an angle formed from it rounds as
+    one formed from ``a`` there.  A scalar stays a Python float, which keeps
+    the scalar call as cheap as the unreduced angle.
+    """
+    return (math.copysign if np.isscalar(a) else np.copysign)(abs(a) % modulus, a)
+
+
 def displacement_prefactor(d: int, x, p, convention: str):
     """The prefactor multiplying Z_d^p X_d^x in D_d(x, p), elementwise.
 
@@ -145,8 +157,10 @@ def displacement_prefactor(d: int, x, p, convention: str):
     _check_convention(d, convention)
     if convention == MOD_INVERSE:
         return omega(d, -((d + 1) // 2) * x * p)
-    # The angle in real arithmetic: numpy's complex division rounds differently.
-    return np.exp(1j * (-np.pi * x * p / d))
+    # HALF_ROOT is 2d-periodic in x and in p, so each is reduced mod 2d in
+    # integers before the angle is formed; labels below 2d are unchanged.  The
+    # angle in real arithmetic: numpy's complex division rounds differently.
+    return np.exp(1j * (-np.pi * _residue(x, 2 * d) * _residue(p, 2 * d) / d))
 
 
 def displacements(d: int, x, p, convention: str = HALF_ROOT) -> np.ndarray:
@@ -201,7 +215,7 @@ def compose_labels(l1: LatticeLabel, l2: LatticeLabel,
     if convention == MOD_INVERSE:
         scalar = complex(omega(d, ((d + 1) // 2) * cross))
     else:
-        scalar = complex(np.exp(1j * np.pi * cross / d))
+        scalar = complex(np.exp(1j * np.pi * _residue(cross, 2 * d) / d))
     return l1 + l2, scalar
 
 

@@ -155,7 +155,9 @@ def _check_element(element, n_qubits: int, d: int):
         return qubit, int(x), int(p), polarity == SYMMETRIC
     elif isinstance(element, AncillaProjectedGate):
         _check_qubit(element.target, n_qubits, "projected gate target")
-        if not isinstance(element.level, (int, np.integer)) or not 0 <= element.level < d:
+        # bool is an int too, and numpy would read True as a mask.
+        if isinstance(element.level, bool) or not isinstance(element.level, (int, np.integer)) \
+                or not 0 <= element.level < d:
             raise ValueError(f"projected gate level {element.level!r} is not an "
                              f"ancilla level in range({d})")
         # is_unitary is False for a NaN or infinite entry.

@@ -1,13 +1,16 @@
 """Command line contract: subcommands, exit codes, deterministic CSV output."""
 
+import contextlib
 import io
 import math
+import sys
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from amqc import cli
 from amqc.cli import main
 
 
@@ -289,3 +292,71 @@ def test_demo_refuses_oversized_register_before_building(monkeypatch, capsys):
     assert main(["demo", "fan-bipartite", "--n", "12", "--m", "12"]) == 2
     err = capsys.readouterr().err
     assert "24-qubit" in err and err.count("\n") == 1
+
+
+def _sci_text(values) -> str:
+    """The kernel's cells for ``values``, one per line, NULs dropped."""
+    cells = np.concatenate([cli._sci(values), np.full((len(values), 1), ord("\n"), np.uint8)],
+                           axis=1)
+    return cells.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def test_sci_kernel_writes_what_percent_writes():
+    rng = np.random.default_rng(2014)
+    bits = rng.integers(0, 2 ** 64, size=1_000_000, dtype=np.uint64).view(np.float64)
+    extremes = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                         np.finfo(float).max, -np.finfo(float).max, 9.999999999995,
+                         9.9999999999949, 1e-300, 1e22, 1e23, 100000000000.5])
+    # Halfway cases at the 12th digit (12 digits, then a 5), each within an
+    # ulp of its decimal tie, over the exponent range; powers of ten and their
+    # neighbours, where log10 may round across the exponent.
+    ties = np.array([float(f"{m}5e{e - 12}") for m, e in zip(
+        rng.integers(10 ** 11, 10 ** 12, size=20_000).tolist(),
+        rng.integers(-300, 301, size=20_000).tolist())])
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    powers = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+    values = np.concatenate([bits[np.isfinite(bits)], extremes, ties, -powers])
+    decided = cli._decided(cli._scaled(np.abs(values))[0])
+    # Both the vector and the tie path run; every tie takes the second.
+    assert decided.any() and not decided.all()
+    assert not decided[-powers.size - ties.size:-powers.size].any()
+    for block in np.array_split(values, 8):
+        want = "".join(cli._FMT % v + "\n" for v in block.tolist())
+        assert _sci_text(block) == want
+
+
+def _reference_write_csv(out, header, columns):
+    """The row-by-row ``%`` writer the kernel replaced, kept as its reference."""
+    exact = [isinstance(c, list) for c in columns]
+    columns = [c if e else np.asarray(c, dtype=float) for c, e in zip(columns, exact)]
+    cli._require(all(np.isfinite(c).all() for c, e in zip(columns, exact) if not e),
+                 "non-finite value in the computed rows; nothing written")
+    row = ",".join("%s" if e else cli._FMT for e in exact) + "\n"
+    with (contextlib.nullcontext(sys.stdout) if out == "-"
+          else open(out, "w", encoding="ascii")) as handle:
+        handle.write(header + "\n")
+        for start in range(0, len(columns[0]), cli._BLOCK):
+            block = [c[start:start + cli._BLOCK] for c in columns]
+            cells = [v if e else v.tolist() for v, e in zip(block, exact)]
+            handle.write("".join(row % values for values in zip(*cells)))
+    if out != "-":
+        print(f"wrote {len(columns[0])} rows to {out}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep"],
+    ["sweep", "--zeta-steps", "2000"],
+    ["sweep", "--n-list", "12345678901234567891,1e23,1e308"],
+    ["contraction"],
+    ["contraction", "--zeta", "3+4j", "--n-min", "1", "--n-max", str(10 ** 11)],
+])
+def test_writer_matches_the_percent_reference(argv, tmp_path, monkeypatch, capsys):
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_write_csv", _reference_write_csv)
+        assert main(argv + ["--out", str(tmp_path / "reference.csv")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "kernel.csv")]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--out", "-"]) == 0
+    written = (tmp_path / "kernel.csv").read_bytes()
+    assert written == (tmp_path / "reference.csv").read_bytes()
+    assert capsys.readouterr().out.encode() == written

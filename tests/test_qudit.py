@@ -1,5 +1,7 @@
 """Lattice phase space: shift/clock pair, Fourier, displacements, loops."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,25 @@ def test_compose_rejects_mixed_dimensions():
 def rect(x, p, d):
     return [LatticeLabel(x, 0, d), LatticeLabel(0, p, d),
             LatticeLabel(-x, 0, d), LatticeLabel(0, -p, d)]
+
+
+@pytest.mark.parametrize("reach", [1, 10 ** 6, 10 ** 12])
+@pytest.mark.parametrize("d", [2, 5, 8])
+def test_half_root_phases_of_far_labels_are_their_residues(d, reach):
+    # HALF_ROOT is 2d-periodic in each label.  Labels moved by a multiple of
+    # 2d, up to 1e12, give the operator and phases of their residues (of the
+    # same sign), as the branch engine does, however large the labels are.
+    shift = 2 * d * max(1, reach // (2 * d))
+    for sign, x, p in itertools.product((1, -1), range(2 * d), range(2 * d)):
+        far = sign * (x + shift), sign * (p + shift)
+        np.testing.assert_allclose(displacement(d, *far), displacement(d, sign * x, sign * p),
+                                   rtol=0, atol=1e-15)
+        for x2, p2 in ((1, 2), (2 * d - 1, 3), (0, 2 * d - 1)):
+            far2 = LatticeLabel(sign * (x2 + shift), sign * (p2 + shift), d)
+            near2 = LatticeLabel(sign * x2, sign * p2, d)
+            assert abs(compose_labels(LatticeLabel(*far, d), far2)[1]
+                       - compose_labels(LatticeLabel(sign * x, sign * p, d), near2)[1]) < 1e-15
+        assert abs(loop_phase(rect(*far, d)) - loop_phase(rect(sign * x, sign * p, d))) < 1e-15
 
 
 def test_loop_phase_rectangle_examples():

@@ -164,6 +164,8 @@ def _toffoli_2_3(projected=None, rotation=None):
     (ControlledAncillaRotation(0, np.inf), "angle"),
     (LocalAncillaRotation(np.nan), "angle"),
     (LocalAncillaRotation(-np.inf), "angle"),
+    (AncillaProjectedGate(2, True, PAULI_X), "True is not an ancilla level"),
+    (AncillaProjectedGate(2, np.bool_(True), PAULI_X), "is not an ancilla level"),
 ])
 def test_invalid_elements_are_rejected_before_running(element, message):
     projected = element if isinstance(element, AncillaProjectedGate) else None
