@@ -9,16 +9,17 @@ phase (x1 p2 - p1 x2)/2) and sphere (spin ensemble; Moebius rule, phase
 N arg(1 - z1 conj(z2))).
 
 The torus and the flat law share D(l2) D(l1) = exp(i u c (x1 p2 - p1 x2))
-D(l1 + l2), with u = pi / d and c = 1 or d + 1 on the torus (exponents mod
-2d) and u = 1/2, c = 1 on the plane, so neither is walked step by step: a
-branch's net label (X, P) is affine in its register bits and its phase is a
-quadratic form in them, the phase polynomial of a diagonal Clifford circuit
-(Dehaene and De Moor, PRA 68, 042318, 2003; Hostens, Dehaene and De Moor, PRA
-71, 042315, 2005, for qudits).  One pass over the steps gives the
-coefficients, and doubling over qubits the 2^n values.  On the torus,
-branches that share (X mod d, P mod d) form a label class with one ancilla
-vector, at most min(d^2, 2^n) of them, and a closed loop is one class; on the
-plane a walk is closed when every register-bit coefficient of X and P is 0.
+D(l1 + l2), with u = pi / d and the convention's phase unit c from
+:mod:`amqc.qudit` on the torus (exponents mod 2d) and u = 1/2, c = 1 on the
+plane, so neither is walked step by step: a branch's net label (X, P) is
+affine in its register bits and its phase is a quadratic form in them, the
+phase polynomial of a diagonal Clifford circuit (Dehaene and De Moor, PRA
+68, 042318, 2003; Hostens, Dehaene and De Moor, PRA 71, 042315, 2005, for
+qudits).  One pass over the steps gives the coefficients, and doubling over
+qubits the 2^n values.  On the torus, branches that share (X mod d, P mod d)
+form a label class with one ancilla vector, at most min(d^2, 2^n) of them,
+and a closed loop is one class; on the plane a walk is closed when every
+register-bit coefficient of X and P is 0.
 
 The residual entanglement, 1 minus the top eigenvalue of the ancilla's state
 sum_r |a_r|^2 |l_r><l_r|, comes from a pivoted Cholesky factor of the Gram
@@ -33,7 +34,7 @@ import math
 
 import numpy as np
 
-from .qudit import MOD_INVERSE, _check_convention
+from .qudit import _phase_unit, _roots
 
 # A per-spin |1> component below this is a composition through the south pole.
 SINGULAR_TOL = 1e-12
@@ -155,7 +156,7 @@ def _evaluate(rows, pair, moves=None, dtype=np.int64) -> np.ndarray:
 
 def _torus_polynomial(n_qubits: int, d: int, steps, convention: str):
     """:func:`_phase_polynomial` on the torus, from the origin: u = pi / d,
-    and c = d + 1 under MOD_INVERSE, else 1.
+    and c is the convention's phase unit.
 
     The pass is exact on Python integers; what it returns are residues, the
     X and P coefficients mod d and the k and pair coefficients mod 2d, which
@@ -163,20 +164,9 @@ def _torus_polynomial(n_qubits: int, d: int, steps, convention: str):
     labels, every exponent :func:`_evaluate` makes of them is below
     2d (n + 1)^2, and so is every index ``take(mode="wrap")`` reduces.
     """
-    if steps:
-        _check_convention(d, convention)
-    x, p, k, pair = _phase_polynomial(n_qubits, d + 1 if convention == MOD_INVERSE else 1,
-                                      steps)
+    x, p, k, pair = _phase_polynomial(n_qubits, _phase_unit(d, convention), steps)
     return ([v % d for v in x], [v % d for v in p], [v % (2 * d) for v in k],
             [[v % (2 * d) for v in row] for row in pair])
-
-
-@functools.lru_cache(maxsize=8)
-def _roots(d: int) -> np.ndarray:
-    """Read-only exp(i pi j / d) for j = 0 .. 2d-1."""
-    roots = np.exp(1j * np.pi * np.arange(2 * d) / d)
-    roots.setflags(write=False)
-    return roots
 
 
 def torus_gate(n_qubits: int, d: int, steps, anc_init: np.ndarray, convention: str):

@@ -15,6 +15,13 @@ needs a modular inverse of 2, which only exists for odd d:
 * ``HALF_ROOT``:  exp(-i pi x p / d).  Defined for every d at the cost of the
   prefactor being 2d-periodic in the labels.
 
+Both are one law with a phase unit c: the prefactor is exp(-i pi c x p / d)
+and D(l2) D(l1) = exp(i pi c (x1 p2 - p1 x2) / d) D(l1 + l2), with c = d + 1
+(twice 2^{-1}, mod 2d) for MOD_INVERSE and c = 1 for HALF_ROOT.  So every
+phase on the torus is one entry exp(i pi j / d) of a table of 2d roots, at an
+integer exponent j mod 2d formed from the label residues, and is exact for
+labels of any size.
+
 Every register-level gate built from closed displacement loops is independent
 of this choice (the prefactors cancel pairwise around a loop); the test suite
 asserts that explicitly.
@@ -27,7 +34,7 @@ so the ordering matters for d > 2.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,12 +99,25 @@ class LatticeLabel:
         return LatticeLabel(self.x + other.x, self.p + other.p, self.d)
 
 
-def _check_convention(d: int, convention: str) -> None:
-    if convention not in CONVENTIONS:
+def _phase_unit(d: int, convention: str) -> int:
+    """The phase unit c of ``convention`` on the Z(d) x Z(d) torus: 1 for
+    HALF_ROOT, d + 1 for MOD_INVERSE (odd d only)."""
+    if convention == HALF_ROOT:
+        return 1
+    if convention != MOD_INVERSE:
         raise ValueError(f"unknown phase convention {convention!r}")
-    if convention == MOD_INVERSE and d % 2 == 0:
+    if d % 2 == 0:
         raise ValueError(
             f"{MOD_INVERSE!r} needs an inverse of 2 mod d; d={d} is even")
+    return d + 1
+
+
+@functools.lru_cache(maxsize=8)
+def _roots(d: int) -> np.ndarray:
+    """Read-only exp(i pi j / d) for j = 0 .. 2d-1: every phase on the torus."""
+    roots = np.exp(1j * np.pi * np.arange(2 * d) / d)
+    roots.setflags(write=False)
+    return roots
 
 
 def generalized_pauli(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -135,32 +155,14 @@ def rotation(d: int, theta: float) -> np.ndarray:
     return np.diag(np.exp(1j * theta * np.arange(d))).astype(complex)
 
 
-def _residue(a, modulus: int):
-    """``a`` mod ``modulus`` with the sign of ``a`` kept (C's %), as floats.
-
-    Exact for Python integers of any size and for integer arrays, and equal
-    to float(a) wherever |a| < modulus, so an angle formed from it rounds as
-    one formed from ``a`` there.  A scalar stays a Python float, which keeps
-    the scalar call as cheap as the unreduced angle.
-    """
-    return (math.copysign if np.isscalar(a) else np.copysign)(abs(a) % modulus, a)
-
-
 def displacement_prefactor(d: int, x, p, convention: str):
     """The prefactor multiplying Z_d^p X_d^x in D_d(x, p), elementwise.
 
     ``x`` and ``p`` are integers or integer arrays that broadcast together;
     the result is a complex array of their broadcast shape (a numpy scalar
-    for two integers).  MOD_INVERSE gives omega_d(-2^{-1} x p) with
-    2^{-1} = (d+1)//2, HALF_ROOT gives exp(-i pi x p / d).
+    for two integers): exp(-i pi c x p / d), with x and p reduced mod 2d.
     """
-    _check_convention(d, convention)
-    if convention == MOD_INVERSE:
-        return omega(d, -((d + 1) // 2) * x * p)
-    # HALF_ROOT is 2d-periodic in x and in p, so each is reduced mod 2d in
-    # integers before the angle is formed; labels below 2d are unchanged.  The
-    # angle in real arithmetic: numpy's complex division rounds differently.
-    return np.exp(1j * (-np.pi * _residue(x, 2 * d) * _residue(p, 2 * d) / d))
+    return _roots(d)[-_phase_unit(d, convention) * (x % (2 * d)) * (p % (2 * d)) % (2 * d)]
 
 
 def displacements(d: int, x, p, convention: str = HALF_ROOT) -> np.ndarray:
@@ -179,7 +181,7 @@ def displacements(d: int, x, p, convention: str = HALF_ROOT) -> np.ndarray:
     # broadcast as given and two integers stay cheap Python arithmetic.
     m = np.arange(d).reshape((d,) + (1,) * len(stack))
     rows = (m + x % d) % d
-    phase = displacement_prefactor(d, x, p, convention) * omega(d, p % d * rows % d)
+    phase = displacement_prefactor(d, x, p, convention) * _roots(d)[2 * (p % d) * rows % (2 * d)]
     out = np.zeros(stack + (d, d), dtype=complex)
     out[np.indices(stack, sparse=True) + (rows, m)] = phase
     return out
@@ -203,20 +205,15 @@ def compose_labels(l1: LatticeLabel, l2: LatticeLabel,
 
         D(l2) @ D(l1) = scalar * D(l1 + l2).
 
-    Under MOD_INVERSE the scalar is omega_d(2^{-1} (x1 p2 - p1 x2)); under
-    HALF_ROOT it is exp(i pi (x1 p2 - p1 x2) / d).  Both are antisymmetric in
-    the two labels, so composing a displacement with its inverse gives phase 1.
+    The scalar is exp(i pi c (x1 p2 - p1 x2) / d): omega_d(2^{-1} (x1 p2 -
+    p1 x2)) under MOD_INVERSE.  It is antisymmetric in the two labels, so
+    composing a displacement with its inverse gives phase 1.
     """
     if l1.d != l2.d:
         raise ValueError("labels live on different lattices")
-    _check_convention(l1.d, convention)
     d = l1.d
-    cross = l1.x * l2.p - l1.p * l2.x
-    if convention == MOD_INVERSE:
-        scalar = complex(omega(d, ((d + 1) // 2) * cross))
-    else:
-        scalar = complex(np.exp(1j * np.pi * _residue(cross, 2 * d) / d))
-    return l1 + l2, scalar
+    cross = int(l1.x) * int(l2.p) - int(l1.p) * int(l2.x)
+    return l1 + l2, complex(_roots(d)[_phase_unit(d, convention) * cross % (2 * d)])
 
 
 def loop_phase(labels, convention: str = HALF_ROOT) -> complex:
@@ -232,15 +229,15 @@ def loop_phase(labels, convention: str = HALF_ROOT) -> complex:
     if not labels:
         raise ValueError("empty displacement sequence")
     d = labels[0].d
-    acc = labels[0]
-    scalar = 1.0 + 0.0j
-    for lab in labels[1:]:
-        acc, step = compose_labels(acc, lab, convention)
-        scalar *= step
-    nx, npp = acc.x, acc.p
-    if nx % d != 0 or npp % d != 0:
-        raise OpenLoopError(nx, npp, d)
-    # The residual D(net) with net = 0 mod d reduces to its prefactor times I
-    # (Z^p X^x = I there); in HALF_ROOT mode that prefactor can be -1.
-    scalar *= complex(displacement_prefactor(d, nx, npp, convention))
-    return scalar
+    c = _phase_unit(d, convention)
+    # The composition exponents c (X p - P x), (X, P) the label before each
+    # step, and the closed net label's prefactor -c X P: D(X, P) is that times I.
+    x = p = area = 0
+    for lab in labels:
+        if lab.d != d:
+            raise ValueError("labels live on different lattices")
+        area += x * int(lab.p) - p * int(lab.x)
+        x, p = x + int(lab.x), p + int(lab.p)
+    if x % d or p % d:
+        raise OpenLoopError(x, p, d)
+    return complex(_roots(d)[c * (area - x * p) % (2 * d)])

@@ -41,10 +41,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .branches import (_evaluate, _roots, _torus_polynomial, fan_steps, register_bits,
-                       torus_gate)
+from .branches import _evaluate, _torus_polynomial, fan_steps, register_bits, torus_gate
 from .linalg import is_unitary, largest_schmidt_weight
-from .qudit import HALF_ROOT, displacement, rotation
+from .qudit import HALF_ROOT, _phase_unit, _roots, displacement, rotation
 from .report import GateReport, diagonal_report, gate_exists
 
 APPLY_ON_ONE = "apply-on-one"
@@ -367,9 +366,9 @@ def extract_register_gate(seq: InteractionSequence, anc_init: np.ndarray | None 
     Each basis state (and, as an entanglement witness, the uniform register
     superposition) is propagated with the ancilla starting in ``anc_init``
     (default: one shared read-only |0>_x; a given one must be a finite unit
-    vector, else ValueError).  Every element is checked before anything runs:
-    an interaction needs an integer label, a projected gate a level in
-    range(d) and a finite 2x2 unitary, a rotation a finite angle.
+    vector, else ValueError).  The convention and every element are checked
+    before anything runs: an interaction needs an integer label, a projected
+    gate a level in range(d) and a finite 2x2 unitary, a rotation a finite angle.
     The worst-case ancilla return fidelity and residual entanglement are
     always reported, and the register unitary only when both the residual
     and 1 - fidelity are below ``DISENTANGLE_TOL``
@@ -385,6 +384,7 @@ def extract_register_gate(seq: InteractionSequence, anc_init: np.ndarray | None 
     dense unitary is gathered over all 2^n rows.
     """
     n, d = seq.n_qubits, seq.d
+    _phase_unit(d, convention)
     if anc_init is None:
         anc_init = _ground(d)
     else:

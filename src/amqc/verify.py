@@ -202,6 +202,14 @@ def run_qudit_suite() -> SuiteResult:
     checks.add("rectangle loop phase = w(xp), both conventions", dev, 1e-12)
 
     dev = 0.0
+    for d in range(2, 9):
+        for conv in _conventions_for(d):
+            expected = 1.0 if conv == MOD_INVERSE else (-1.0) ** d
+            dev = max(dev, abs(loop_phase([LatticeLabel(d, d, d)], conv) - expected))
+    checks.add("wrap-around loop D(d, d) = 1 (modular inverse), (-1)^d (half root)",
+               dev, 1e-12)
+
+    dev = 0.0
     for d in range(2, 7):
         theta = float(rng.uniform(0.1, 2.0))
         for x in range(d):

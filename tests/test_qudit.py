@@ -227,22 +227,52 @@ def rect(x, p, d):
 
 
 @pytest.mark.parametrize("reach", [1, 10 ** 6, 10 ** 12])
-@pytest.mark.parametrize("d", [2, 5, 8])
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
 def test_half_root_phases_of_far_labels_are_their_residues(d, reach):
-    # HALF_ROOT is 2d-periodic in each label.  Labels moved by a multiple of
-    # 2d, up to 1e12, give the operator and phases of their residues (of the
-    # same sign), as the branch engine does, however large the labels are.
+    # HALF_ROOT is 2d-periodic in each label, MOD_INVERSE (odd d) d-periodic.
+    # Labels moved by a multiple of 2d, up to 1e12, give the operator and
+    # phases of their residues (of the same sign), as the branch engine does,
+    # however large the labels are.
     shift = 2 * d * max(1, reach // (2 * d))
-    for sign, x, p in itertools.product((1, -1), range(2 * d), range(2 * d)):
+    for conv, sign, x, p in itertools.product(conventions_for(d), (1, -1),
+                                              range(2 * d), range(2 * d)):
         far = sign * (x + shift), sign * (p + shift)
-        np.testing.assert_allclose(displacement(d, *far), displacement(d, sign * x, sign * p),
+        np.testing.assert_allclose(displacement(d, *far, conv),
+                                   displacement(d, sign * x, sign * p, conv),
                                    rtol=0, atol=1e-15)
         for x2, p2 in ((1, 2), (2 * d - 1, 3), (0, 2 * d - 1)):
             far2 = LatticeLabel(sign * (x2 + shift), sign * (p2 + shift), d)
             near2 = LatticeLabel(sign * x2, sign * p2, d)
-            assert abs(compose_labels(LatticeLabel(*far, d), far2)[1]
-                       - compose_labels(LatticeLabel(sign * x, sign * p, d), near2)[1]) < 1e-15
-        assert abs(loop_phase(rect(*far, d)) - loop_phase(rect(sign * x, sign * p, d))) < 1e-15
+            assert abs(compose_labels(LatticeLabel(*far, d), far2, conv)[1]
+                       - compose_labels(LatticeLabel(sign * x, sign * p, d), near2, conv)[1]
+                       ) < 1e-15
+        assert abs(loop_phase(rect(*far, d), conv)
+                   - loop_phase(rect(sign * x, sign * p, d), conv)) < 1e-15
+
+
+@pytest.mark.parametrize("k", [10 ** 6, 10 ** 9, 10 ** 12, 10 ** 9 + 1])
+def test_far_mod_inverse_labels_are_exact(k):
+    # MOD_INVERSE is d-periodic, not only 2d-periodic: a label moved by 5k is
+    # the same operator, with the same composition scalar and loop phase,
+    # exactly.
+    far = LatticeLabel(2 + 5 * k, 3 + 5 * k, 5)
+    near = LatticeLabel(2, 3, 5)
+    assert (displacement(5, far.x, far.p, MOD_INVERSE).tobytes()
+            == displacement(5, 2, 3, MOD_INVERSE).tobytes())
+    assert (compose_labels(far, LatticeLabel(1, 4, 5), MOD_INVERSE)[1]
+            == compose_labels(near, LatticeLabel(1, 4, 5), MOD_INVERSE)[1])
+    assert loop_phase(rect(far.x, far.p, 5), MOD_INVERSE) == \
+        loop_phase(rect(2, 3, 5), MOD_INVERSE)
+
+
+def test_numpy_integer_labels_compose_like_python_integers():
+    # x1 p2 = 1.2e19 wraps in int64; the phases are taken on exact integers.
+    big = [LatticeLabel(np.int64(3 * 10 ** 9), 1, 5), LatticeLabel(1, np.int64(4 * 10 ** 9), 5)]
+    ints = [LatticeLabel(int(lab.x), int(lab.p), 5) for lab in big]
+    for conv in CONVENTIONS:
+        assert compose_labels(*big, conv)[1] == compose_labels(*ints, conv)[1]
+        loop = big + [-lab for lab in big]
+        assert loop_phase(loop, conv) == loop_phase(ints + [-lab for lab in ints], conv)
 
 
 def test_loop_phase_rectangle_examples():

@@ -13,7 +13,7 @@ from amqc.linalg import (
     phase_distance,
     phase_gate,
 )
-from amqc.qudit import CONVENTIONS, HALF_ROOT
+from amqc.qudit import CONVENTIONS, HALF_ROOT, MOD_INVERSE
 from amqc.qudit_model import (
     APPLY_ON_ONE,
     SYMMETRIC,
@@ -131,6 +131,22 @@ def test_empty_sequence_extracts_identity():
     assert rep.ancilla_return_fidelity == 1.0
     assert rep.residual_entanglement < 1e-15
     np.testing.assert_allclose(rep.register_unitary, identity(4), atol=1e-15)
+
+
+@pytest.mark.parametrize("convention, message", [
+    ("nonsense", "unknown phase convention"),
+    (MOD_INVERSE, "d=4 is even"),
+])
+@pytest.mark.parametrize("elements", [
+    [],
+    [LocalAncillaRotation(0.2)],
+    [ControlledAncillaRotation(1, 0.2)],
+    [Interaction(0, 1, 2), Interaction(0, -1, -2)],
+])
+def test_extraction_rejects_a_bad_convention_whatever_runs(elements, convention, message):
+    # With or without an interaction to read the convention, it is refused.
+    with pytest.raises(ValueError, match=message):
+        extract_register_gate(InteractionSequence(2, 4, elements), convention=convention)
 
 
 @pytest.mark.parametrize("anc", [np.full(3, np.nan), np.array([np.inf, 0, 0])])

@@ -75,7 +75,7 @@ def test_verify_prints_each_check_time(capsys):
     assert main(["verify", "qudit"]) == 0
     lines = [line for line in capsys.readouterr().out.splitlines()
              if line.startswith("  [")]
-    assert len(lines) == 14
+    assert len(lines) == 15
     assert all(re.search(r"\), \d+\.\d{4}s$", line) for line in lines)
 
 
@@ -104,6 +104,14 @@ def _conjugate_scalar(orig):
 
 def _unit_prefactor(orig):
     return lambda d, x, p, conv: np.ones(np.broadcast(x, p).shape, dtype=complex)
+
+
+def _half_root_unit(orig):
+    # Every convention reads as HALF_ROOT: still validated, c = 1.
+    def unit(d, convention):
+        orig(d, convention)
+        return 1
+    return unit
 
 
 def _negated_angle(orig):
@@ -164,6 +172,8 @@ FAULTS = [
      "compose_labels vs matrix product (200/convention)"),
     (amqc.qudit, "displacement_prefactor", _unit_prefactor,
      "compose_labels vs matrix product (200/convention)"),
+    (amqc.qudit, "_phase_unit", _half_root_unit,
+     "wrap-around loop D(d, d) = 1 (modular inverse), (-1)^d (half root)"),
     (verify, "sphere_step", _negated_angle,
      "composition law vs per-spin matrix oracle (500)"),
     (verify, "sphere_step", _conjugate_label,
