@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .qudit import _phase_unit, _roots
+from .qudit import _integer, _phase_unit, _roots
 
 # A per-spin |1> component below this is a composition through the south pole.
 SINGULAR_TOL = 1e-12
@@ -53,6 +53,23 @@ def register_bits(n_qubits: int) -> np.ndarray:
     bits = (r[:, None] >> np.arange(n_qubits - 1, -1, -1)) & 1
     bits.setflags(write=False)
     return bits
+
+
+def _check_qubit(qubit, n_qubits: int, role: str) -> None:
+    if not (_integer(qubit) and 0 <= qubit < n_qubits):
+        raise ValueError(f"{role} qubit {qubit!r} out of range: need an integer "
+                         f"in range({n_qubits})")
+
+
+def _register_vector(register, n_qubits=None):
+    """Complex amplitudes and qubit count n of a register state; ValueError
+    unless it is a 1-D vector of 2^n entries (n = ``n_qubits`` if given)."""
+    amplitudes = np.asarray(register, dtype=complex)
+    n = max(amplitudes.size.bit_length() - 1, 0)
+    if amplitudes.ndim != 1 or amplitudes.size != 1 << n or n_qubits not in (None, n):
+        raise ValueError(f"register of shape {amplitudes.shape} is not a vector of "
+                         f"2^{'n' if n_qubits is None else n_qubits} amplitudes")
+    return amplitudes, n
 
 
 def fan_steps(xs, ps) -> list:

@@ -49,13 +49,8 @@ class FieldBranchState:
     @classmethod
     def from_register(cls, register: np.ndarray,
                       label: FieldLabel = ORIGIN) -> "FieldBranchState":
-        register = np.asarray(register, dtype=complex)
-        n_qubits = int(round(math.log2(register.shape[0])))
-        if 2 ** n_qubits != register.shape[0]:
-            raise ValueError("register dimension is not a power of two")
-        branches = {r: (label, complex(a))
-                    for r, a in enumerate(register) if a != 0}
-        return cls(n_qubits, branches)
+        register, n_qubits = branches._register_vector(register)
+        return cls(n_qubits, {r: (label, complex(a)) for r, a in enumerate(register) if a != 0})
 
     def total_norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for _, a in self.branches.values()))
@@ -72,8 +67,7 @@ def apply_controlled_field(state: FieldBranchState, qubit: int, x: float,
 
     A non-finite x or p raises ValueError before any branch moves.
     """
-    if not 0 <= qubit < state.n_qubits:
-        raise ValueError(f"qubit {qubit} out of range")
+    branches._check_qubit(qubit, state.n_qubits, "control")
     if not (math.isfinite(x) and math.isfinite(p)):
         raise ValueError(f"displacement ({x!r}, {p!r}) is not finite")
     rs = list(state.branches)

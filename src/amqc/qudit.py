@@ -58,6 +58,21 @@ class OpenLoopError(ValueError):
             f"!= (0, 0) mod {d}")
 
 
+def _integer(value) -> bool:
+    """An int or numpy integer, not a bool: True is no qubit, level or label."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_dimension(d) -> None:
+    if not (_integer(d) and d >= 2):
+        raise ValueError(f"qudit dimension must be an integer >= 2, got {d!r}")
+
+
+def _check_label(x, p, kind: str) -> None:
+    if not (_integer(x) and _integer(p)):
+        raise ValueError(f"{kind} label ({x!r}, {p!r}) is not a pair of integers")
+
+
 def omega(d: int, a) -> complex:
     """The d-th root of unity raised to an integer power: exp(2*pi*i*a/d)."""
     return np.exp(2j * np.pi * np.asarray(a) / d)
@@ -67,8 +82,8 @@ def omega(d: int, a) -> complex:
 class LatticeLabel:
     """A point (x, p) of the Z(d) x Z(d) lattice.
 
-    Raw integers are kept so sequences may use negative displacements
-    literally; equality and hashing reduce mod d.
+    Raw integers (int or numpy integer, not bool) are kept so sequences may
+    use negative displacements literally; equality and hashing reduce mod d.
     """
 
     x: int
@@ -76,8 +91,8 @@ class LatticeLabel:
     d: int
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"qudit dimension must be >= 2, got {self.d}")
+        _check_dimension(self.d)
+        _check_label(self.x, self.p, "lattice")
 
     def reduced(self) -> tuple[int, int]:
         return (self.x % self.d, self.p % self.d)
@@ -95,7 +110,7 @@ class LatticeLabel:
 
     def __add__(self, other: "LatticeLabel") -> "LatticeLabel":
         if self.d != other.d:
-            raise ValueError("cannot add labels of different qudit dimension")
+            raise ValueError("labels live on different lattices")
         return LatticeLabel(self.x + other.x, self.p + other.p, self.d)
 
 
@@ -126,8 +141,7 @@ def generalized_pauli(d: int) -> tuple[np.ndarray, np.ndarray]:
     X_d cycles |m>_x -> |m+1 mod d>_x and Z_d = diag(omega_d^0, ...,
     omega_d^{d-1}); for d = 2 these are the Pauli X and Z matrices.
     """
-    if d < 2:
-        raise ValueError(f"qudit dimension must be >= 2, got {d}")
+    _check_dimension(d)
     x = np.zeros((d, d), dtype=complex)
     for m in range(d):
         x[(m + 1) % d, m] = 1.0
@@ -141,8 +155,7 @@ def fourier(d: int) -> np.ndarray:
     Unitary, maps the position basis onto the momentum basis, and satisfies
     F^dag Z_d F = X_d in this index convention.
     """
-    if d < 2:
-        raise ValueError(f"qudit dimension must be >= 2, got {d}")
+    _check_dimension(d)
     m = np.arange(d)
     return omega(d, np.outer(m, m)) / np.sqrt(d)
 
@@ -152,6 +165,7 @@ def rotation(d: int, theta: float) -> np.ndarray:
 
     ``rotation(d, 2*pi/d)`` reproduces Z_d exactly.
     """
+    _check_dimension(d)
     return np.diag(np.exp(1j * theta * np.arange(d))).astype(complex)
 
 
@@ -174,8 +188,7 @@ def displacements(d: int, x, p, convention: str = HALF_ROOT) -> np.ndarray:
     the exponent reduced mod d, so the whole stack costs a few array passes
     however many labels it holds.
     """
-    if d < 2:
-        raise ValueError(f"qudit dimension must be >= 2, got {d}")
+    _check_dimension(d)
     stack = np.broadcast(x, p).shape
     # The column index m leads and the label axes trail, so x and p
     # broadcast as given and two integers stay cheap Python arithmetic.
@@ -209,11 +222,9 @@ def compose_labels(l1: LatticeLabel, l2: LatticeLabel,
     p1 x2)) under MOD_INVERSE.  It is antisymmetric in the two labels, so
     composing a displacement with its inverse gives phase 1.
     """
-    if l1.d != l2.d:
-        raise ValueError("labels live on different lattices")
-    d = l1.d
+    total, d = l1 + l2, l1.d   # refuses labels of different lattices
     cross = int(l1.x) * int(l2.p) - int(l1.p) * int(l2.x)
-    return l1 + l2, complex(_roots(d)[_phase_unit(d, convention) * cross % (2 * d)])
+    return total, complex(_roots(d)[_phase_unit(d, convention) * cross % (2 * d)])
 
 
 def loop_phase(labels, convention: str = HALF_ROOT) -> complex:

@@ -41,9 +41,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .branches import _evaluate, _torus_polynomial, fan_steps, register_bits, torus_gate
+from .branches import (_check_qubit, _evaluate, _register_vector, _torus_polynomial,
+                       fan_steps, register_bits, torus_gate)
 from .linalg import is_unitary, largest_schmidt_weight
-from .qudit import HALF_ROOT, _phase_unit, _roots, displacement, rotation
+from .qudit import (HALF_ROOT, _check_dimension, _check_label, _integer, _phase_unit, _roots,
+                    displacement, rotation)
 from .report import GateReport, diagonal_report, gate_exists
 
 APPLY_ON_ONE = "apply-on-one"
@@ -89,11 +91,16 @@ class LocalAncillaRotation:
 
 @dataclass
 class InteractionSequence:
-    """Ordered elements (first applied first) on a fixed (n_qubits, d) layout."""
+    """Ordered elements (first applied first) on an (n_qubits, d) layout checked when built."""
 
     n_qubits: int
     d: int
     elements: list
+
+    def __post_init__(self):
+        if not (_integer(self.n_qubits) and self.n_qubits >= 0):
+            raise ValueError(f"qubit count must be an integer >= 0, got {self.n_qubits!r}")
+        _check_dimension(self.d)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -110,11 +117,8 @@ class HybridState:
     @classmethod
     def from_product(cls, n_qubits: int, register: np.ndarray,
                      ancilla: np.ndarray) -> "HybridState":
-        register = np.asarray(register, dtype=complex)
-        ancilla = np.asarray(ancilla, dtype=complex)
-        if register.shape != (2 ** n_qubits,):
-            raise ValueError("register vector has wrong dimension")
-        return cls(n_qubits, ancilla.shape[0], np.kron(register, ancilla))
+        register, n_qubits = _register_vector(register, n_qubits)
+        return cls(n_qubits, len(ancilla), np.kron(register, np.asarray(ancilla, dtype=complex)))
 
     @classmethod
     def basis(cls, n_qubits: int, register_index: int,
@@ -131,14 +135,6 @@ class HybridState:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def _check_qubit(qubit: int, n_qubits: int, role: str) -> None:
-    # bool is an int, but True is no qubit index.
-    if isinstance(qubit, bool) or not isinstance(qubit, (int, np.integer)) \
-            or not 0 <= qubit < n_qubits:
-        raise ValueError(f"{role} qubit {qubit!r} out of range: need an integer "
-                         f"in range({n_qubits})")
-
-
 def _check_element(element, n_qubits: int, d: int):
     """ValueError unless ``element`` can act on n_qubits and a d-level
     ancilla; TypeError for anything that is not a sequence element.  Returns
@@ -148,15 +144,12 @@ def _check_element(element, n_qubits: int, d: int):
         qubit, x, p, polarity = element
         if polarity not in POLARITIES:
             raise ValueError(f"unknown polarity {polarity!r}")
-        if not isinstance(x, (int, np.integer)) or not isinstance(p, (int, np.integer)):
-            raise ValueError(f"interaction label ({x!r}, {p!r}) is not a pair of integers")
+        _check_label(x, p, "interaction")
         _check_qubit(qubit, n_qubits, "interaction")
         return qubit, int(x), int(p), polarity == SYMMETRIC
     elif isinstance(element, AncillaProjectedGate):
         _check_qubit(element.target, n_qubits, "projected gate target")
-        # bool is an int too, and numpy would read True as a mask.
-        if isinstance(element.level, bool) or not isinstance(element.level, (int, np.integer)) \
-                or not 0 <= element.level < d:
+        if not (_integer(element.level) and 0 <= element.level < d):
             raise ValueError(f"projected gate level {element.level!r} is not an "
                              f"ancilla level in range({d})")
         # is_unitary is False for a NaN or infinite entry.

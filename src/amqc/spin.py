@@ -148,13 +148,10 @@ class SpinBranchState:
     @classmethod
     def from_register(cls, register: np.ndarray, n_spins: int,
                       zeta0: complex = 0.0) -> "SpinBranchState":
-        register = np.asarray(register, dtype=complex)
-        n_qubits = int(round(math.log2(register.shape[0])))
-        if 2 ** n_qubits != register.shape[0]:
-            raise ValueError("register dimension is not a power of two")
-        branches = {r: (complex(zeta0), complex(a))
-                    for r, a in enumerate(register) if a != 0}
-        return cls(n_qubits, n_spins, branches)
+        register, n_qubits = branches._register_vector(register)
+        _check_spins(n_spins)
+        return cls(n_qubits, n_spins, {r: (complex(zeta0), complex(a))
+                                       for r, a in enumerate(register) if a != 0})
 
     def total_norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for _, a in self.branches.values()))
@@ -174,8 +171,7 @@ def apply_controlled_spin(state: SpinBranchState, qubit: int,
     driven to the south pole follow :func:`amqc.branches.sphere_step`; a
     non-finite ``zeta`` raises ValueError before any branch moves.
     """
-    if not 0 <= qubit < state.n_qubits:
-        raise ValueError(f"qubit {qubit} out of range")
+    branches._check_qubit(qubit, state.n_qubits, "control")
     if not cmath.isfinite(zeta):
         raise ValueError(f"displacement {zeta!r} is not finite")
     rs = list(state.branches)
@@ -304,8 +300,8 @@ def fan_error(zeta_n, n_spins) -> ErrorPoint:
     n = np.asarray(n_spins, dtype=float)[()]
     if not (zeta > 0).all():
         raise ValueError("zeta_n must be positive")
-    if not (n >= 1).all():
-        raise ValueError("need at least one spin")
+    if not (n >= 1).all():   # any real N >= 1: the closed forms need no whole N
+        raise ValueError("closed-form errors need N >= 1 spin")
     with np.errstate(all="ignore"):
         z2 = zeta ** 2
         w = 0.5 * z2 / n   # not z2 / (2.0 * n): 2N overflows past about 9e307
@@ -400,9 +396,8 @@ def fan_sequence_simulate(xs, ps, n_spins: int) -> SpinFanReport:
     number.
     """
     xs, ps = [float(v) for v in xs], [float(v) for v in ps]
+    steps = branches.fan_steps(xs, ps)
     n, m = len(xs), len(ps)
-    if n < 1 or m < 1:
-        raise ValueError("need at least one control and one target")
     _check_spins(n_spins)
     if not all(map(math.isfinite, xs + ps)):
         raise ValueError("fan coefficients must be finite")
@@ -413,7 +408,7 @@ def fan_sequence_simulate(xs, ps, n_spins: int) -> SpinFanReport:
     p_net = sum(s * p for s, p in zip(signs[:, n:].T, ps))
     zeta, angle = _sphere_walk((scale * x_net, 1j * scale * p_net,
                                 -scale * x_net, -1j * scale * p_net), n_spins)
-    report, infid = _sphere_report(zeta, angle, n_spins, 2 * (n + m))
+    report, infid = _sphere_report(zeta, angle, n_spins, len(steps))
     err = np.abs((angle - x_net * p_net + math.pi) % (2.0 * math.pi) - math.pi)
     return SpinFanReport(
         **vars(report),
