@@ -29,6 +29,7 @@ is a few when they nearly coincide.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 
@@ -59,6 +60,15 @@ def _check_qubit(qubit, n_qubits: int, role: str) -> None:
     if not (_integer(qubit) and 0 <= qubit < n_qubits):
         raise ValueError(f"{role} qubit {qubit!r} out of range: need an integer "
                          f"in range({n_qubits})")
+
+
+def _finite_label(label) -> complex:
+    """A branch's initial ancilla label as a complex number; ValueError
+    unless it is finite."""
+    z = complex(label)
+    if not cmath.isfinite(z):
+        raise ValueError(f"initial label {z!r} is not finite")
+    return z
 
 
 def _register_vector(register, n_qubits=None):

@@ -50,6 +50,7 @@ class FieldBranchState:
     def from_register(cls, register: np.ndarray,
                       label: FieldLabel = ORIGIN) -> "FieldBranchState":
         register, n_qubits = branches._register_vector(register)
+        branches._finite_label(complex(label.x, label.p))
         return cls(n_qubits, {r: (label, complex(a)) for r, a in enumerate(register) if a != 0})
 
     def total_norm(self) -> float:
@@ -104,10 +105,10 @@ def field_fan(xs, ps, initial_label: FieldLabel = ORIGIN) -> GateReport:
     """
     xs, ps = [float(v) for v in xs], [float(v) for v in ps]
     steps = branches.fan_steps(xs, ps)
-    if not all(map(math.isfinite, xs + ps + [initial_label.x, initial_label.p])):
-        raise ValueError("fan coefficients and initial label must be finite")
+    if not all(map(math.isfinite, xs + ps)):
+        raise ValueError("fan coefficients must be finite")
+    z0 = branches._finite_label(complex(initial_label.x, initial_label.p))
     qubits = len(xs) + len(ps)
-    z0 = complex(initial_label.x, initial_label.p)
     z, angle = branches.flat_labels(qubits, steps, z0)
     residual = branches.grouped_residual(
         np.full(2 ** qubits, 2.0 ** -qubits), z, branches.flat_overlap)

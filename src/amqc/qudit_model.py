@@ -89,7 +89,7 @@ class LocalAncillaRotation:
     theta: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class InteractionSequence:
     """Ordered elements (first applied first) on an (n_qubits, d) layout checked when built."""
 
@@ -123,6 +123,9 @@ class HybridState:
     @classmethod
     def basis(cls, n_qubits: int, register_index: int,
               ancilla: np.ndarray) -> "HybridState":
+        if not (_integer(register_index) and 0 <= register_index < 2 ** n_qubits):
+            raise ValueError(f"register index {register_index!r} out of range: need an "
+                             f"integer in range(2^{n_qubits})")
         reg = np.zeros(2 ** n_qubits, dtype=complex)
         reg[register_index] = 1.0
         return cls.from_product(n_qubits, reg, ancilla)

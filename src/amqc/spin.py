@@ -150,7 +150,8 @@ class SpinBranchState:
                       zeta0: complex = 0.0) -> "SpinBranchState":
         register, n_qubits = branches._register_vector(register)
         _check_spins(n_spins)
-        return cls(n_qubits, n_spins, {r: (complex(zeta0), complex(a))
+        zeta0 = branches._finite_label(zeta0)
+        return cls(n_qubits, n_spins, {r: (zeta0, complex(a))
                                        for r, a in enumerate(register) if a != 0})
 
     def total_norm(self) -> float:
@@ -228,11 +229,17 @@ def spin_two_qubit_gate(eta: float, n_spins: int) -> GateReport:
     fidelity 1 and the register acquires exp(i*N*phi_t Z (x) Z).  Control bit
     0 displaces by +leg, bit 1 by -leg.  N must be a whole number.
 
-    Limit: the walk's closing labels keep a round-off of about 1e-17, and
-    the return infidelity grows as N |zeta|^2 (4e-15 at N = 1e20 and 4e-11
-    at N = 1e24 for eta = 0.1).  It passes DISENTANGLE_TOL from N of about
-    1e24 (2.5e24 at eta = 0.1, 1e24 at eta = 0.05, 0.2 and 0.4), and from
-    there no gate is reported.
+    Limits: the branch phases +-N phi_t are doubles, so they carry an
+    absolute round-off of about N phi_t 2^-53 that the fidelity does not
+    show.  At eta = 0.1, against an 80-digit reference at the double 0.1,
+    U00 is off by 5.6e-11 at N = 1e8, 1.0e-6 at 1e12, 4.6e-3 at 1e16 and
+    1.1 at 1e18, and each of these reports carries a gate of fidelity 1.0.
+    An eta from :func:`eta_for_phase` keeps N phi_t at its target, so its
+    phases stay accurate.  The walk's closing labels keep a round-off of
+    about 1e-17, and the return infidelity grows as N |zeta|^2 (4e-15 at
+    N = 1e20 and 4e-11 at N = 1e24 for eta = 0.1).  It passes
+    DISENTANGLE_TOL from N of about 1e24 (2.5e24 at eta = 0.1, 1e24 at
+    eta = 0.05, 0.2 and 0.4), and from there no gate is reported.
     """
     _check_spins(n_spins)
     sol = loop_close(eta)

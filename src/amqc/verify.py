@@ -9,10 +9,9 @@ independently.
 A check over a grid or a list of random draws evaluates all its samples as
 one stacked array computation (a stack of displacement matrices, elementwise
 composition laws, closed-form 2x2 exponentials) rather than one small matrix
-per sample.  Random draws are made in the order one call per sample would
-make them, so a batched check sees the same samples as a looped one.  The
-oracle side of each check stays independent of the library formula under
-test.
+per sample.  Each suite seeds its own generator and draws each random
+quantity in one call, so every run sees the same samples.  The oracle side
+of each check stays independent of the library formula under test.
 """
 
 from __future__ import annotations
@@ -170,23 +169,18 @@ def run_qudit_suite() -> SuiteResult:
 
     dev = 0.0
     for conv in CONVENTIONS:
-        labels: dict[int, list] = {}    # d -> [(x1, p1, x2, p2, x, p)], x, p the total
-        scalars: dict[int, list] = {}
-        for _ in range(200):
-            d = int(rng.integers(2, 9))
-            if conv == MOD_INVERSE and d % 2 == 0:
-                d += 1
-            l1 = LatticeLabel(int(rng.integers(-d, d + 1)),
-                              int(rng.integers(-d, d + 1)), d)
-            l2 = LatticeLabel(int(rng.integers(-d, d + 1)),
-                              int(rng.integers(-d, d + 1)), d)
-            total, scalar = compose_labels(l1, l2, conv)
-            labels.setdefault(d, []).append((l1.x, l1.p, l2.x, l2.p, total.x, total.p))
-            scalars.setdefault(d, []).append(scalar)
-        for d, rows in labels.items():
-            x1, p1, x2, p2, x, p = np.array(rows).T
+        ds = rng.integers(2, 9, 200)
+        if conv == MOD_INVERSE:
+            ds |= 1     # an even d becomes d + 1
+        for d in np.unique(ds).tolist():
+            labels = rng.integers(-d, d + 1, (4, np.count_nonzero(ds == d)))
+            totals, scalars = zip(*(
+                compose_labels(LatticeLabel(a, b, d), LatticeLabel(c, e, d), conv)
+                for a, b, c, e in zip(*labels.tolist())))
+            x1, p1, x2, p2 = labels
+            x, p = np.array([(t.x, t.p) for t in totals]).T
             lhs = displacements(d, x2, p2, conv) @ displacements(d, x1, p1, conv)
-            rhs = np.array(scalars[d])[:, None, None] * displacements(d, x, p, conv)
+            rhs = np.array(scalars)[:, None, None] * displacements(d, x, p, conv)
             dev = max(dev, float(np.max(np.abs(lhs - rhs))))
     checks.add("compose_labels vs matrix product (200/convention)", dev, 1e-12)
 
@@ -210,8 +204,7 @@ def run_qudit_suite() -> SuiteResult:
                dev, 1e-12)
 
     dev = 0.0
-    for d in range(2, 7):
-        theta = float(rng.uniform(0.1, 2.0))
+    for d, theta in zip(range(2, 7), rng.uniform(0.1, 2.0, 5).tolist()):
         for x in range(d):
             conj = displacement(d, -x, 0, HALF_ROOT) @ rotation(d, theta) @ \
                 displacement(d, x, 0, HALF_ROOT)
@@ -271,10 +264,8 @@ def run_qudit_suite() -> SuiteResult:
                                       oracles.fan([1], [1], theta, signed=False)))
     checks.add("controlled ancilla rotation gives arbitrary CR(theta)", dev, 1e-10)
 
-    dev = 0.0
-    for _ in range(10):
-        dev = max(dev, hamiltonian_generator_check(
-            float(rng.uniform(-np.pi, np.pi)), int(rng.integers(2, 7))))
+    dev = max(map(hamiltonian_generator_check, rng.uniform(-np.pi, np.pi, 10).tolist(),
+                  rng.integers(2, 7, 10).tolist()))
     checks.add("Hamiltonian generator reproduces C(R(t), R(-t))", dev, 1e-12)
 
     return SuiteResult("qudit", checks, time.perf_counter() - t0)
@@ -289,7 +280,6 @@ def run_spin_suite() -> SuiteResult:
     t0 = time.perf_counter()
     checks = _Checks()
 
-    # One call draws the (theta, phi) pairs one call per sample would.
     theta, phi = rng.uniform([0.05, 0.0], [np.pi - 0.05, 2 * np.pi], (50, 2)).T
     zeta = -np.exp(-1j * phi) * np.tan(theta / 2)
     # exp(i h n.sigma) = cos(h) I + i sin(h) n.sigma, n = (sin phi, -cos phi, 0).
@@ -299,14 +289,11 @@ def run_spin_suite() -> SuiteResult:
     dev = float(np.max(np.abs(spin.su2_displacement(zeta) - exponential)))
     checks.add("stereographic matrix matches angle exponential", dev, 1e-12)
 
-    draws = []
-    for _ in range(500):
-        a, b, c, e = rng.uniform(-1.5, 1.5, 4).tolist()
-        z1, z2 = complex(a, b), complex(c, e)
-        if abs(1 - z1 * z2.conjugate()) < 1e-3:
-            continue
-        draws.append((z1, z2, int(rng.integers(1, 11))))
-    z1, z2, n_spins = (np.array(v) for v in zip(*draws))
+    re, im = rng.uniform(-1.5, 1.5, (2, 2, 500))
+    z1, z2 = re + 1j * im
+    n_spins = rng.integers(1, 11, 500)
+    keep = np.abs(1 - z1 * np.conj(z2)) >= 1e-3
+    z1, z2, n_spins = z1[keep], z2[keep], n_spins[keep]
     z_out, angle = sphere_step(z1, z2, n_spins)
     # D(z2) D(z1)|1> = u |z_out> per spin, u = (1 - z1 conj(z2)) / |1 - z1 conj(z2)|,
     # and the ensemble phase is u^N: no angle is taken on this side.
@@ -315,23 +302,21 @@ def run_spin_suite() -> SuiteResult:
     unit = den / np.abs(den)
     predicted = unit[:, None] * np.stack([z_out, np.ones_like(z_out)], axis=-1) / \
         np.sqrt(1 + np.abs(z_out) ** 2)[:, None]
-    # The first draw also goes through the public scalar wrapper.
-    z_pub, phase_pub = spin.compose_on_origin(*draws[0])
+    # The first sample also goes through the public scalar wrapper.
+    z_pub, phase_pub = spin.compose_on_origin(z1[0], z2[0], n_spins[0])
     dev = max(float(np.max(np.abs(per_spin - predicted))),
               float(np.max(np.abs(np.exp(1j * angle) - unit ** n_spins))),
               abs(z_pub - z_out[0]), abs(phase_pub - unit[0] ** n_spins[0]))
     checks.add("composition law vs per-spin matrix oracle (500)", dev, 1e-12)
 
-    draws = []
-    for _ in range(100):
-        a, b, c, e = rng.uniform(-1, 1, 4).tolist()
-        draws.append((complex(a, b), complex(c, e), int(rng.integers(1, 11))))
-    z1, z2, n_spins = (np.array(v) for v in zip(*draws))
+    re, im = rng.uniform(-1, 1, (2, 2, 100))
+    z1, z2 = re + 1j * im
+    n_spins = rng.integers(1, 11, 100)
     v1 = spin.su2_displacement(z1)[..., 1]
     v2 = spin.su2_displacement(z2)[..., 1]
     inner = np.sum(np.conj(v1) * v2, axis=-1) ** n_spins
     dev = max(float(np.max(np.abs(sphere_overlap(z1, z2, n_spins) - inner))),
-              abs(spin.coherent_overlap(*draws[0]) - inner[0]))
+              abs(spin.coherent_overlap(z1[0], z2[0], n_spins[0]) - inner[0]))
     checks.add("coherent overlap vs per-spin inner product", dev, 1e-12)
 
     dev = 0.0
@@ -374,11 +359,10 @@ def run_spin_suite() -> SuiteResult:
     # against e^{i angle_r} |zeta_r>^(x)N from the array walk.
     n_spins = 4
     amps = random_state(8, rng)
-    steps = [(int(rng.integers(0, 3)),
-              complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4)))
-             for _ in range(8)]
+    qubits = rng.integers(0, 3, 8)
+    re, im = rng.uniform(-0.4, 0.4, (2, 8))
     signs = 1.0 - 2.0 * register_bits(3)
-    legs = np.array([signs[:, qubit] * z for qubit, z in steps])
+    legs = signs[:, qubits].T * (re + 1j * im)[:, None]    # (step, branch)
     zeta, angle = spin._sphere_walk(legs, n_spins)
     per_spin = np.zeros((8, 2), dtype=complex)
     per_spin[:, 1] = 1.0
@@ -407,12 +391,8 @@ def run_spin_suite() -> SuiteResult:
             dev = max(dev, defect - bound)
     checks.add("first-order phase series valid on 50x5 grid", dev, 0.0)
 
-    dev = 0.0
-    for _ in range(5):
-        dev = max(dev, spin.spin_generator_check(
-            float(rng.uniform(-np.pi, np.pi)),
-            float(rng.uniform(0.0, 2 * np.pi)),
-            int(rng.integers(1, 5))))
+    dev = max(map(spin.spin_generator_check, rng.uniform(-np.pi, np.pi, 5).tolist(),
+                  rng.uniform(0.0, 2 * np.pi, 5).tolist(), rng.integers(1, 5, 5).tolist()))
     checks.add("spin Hamiltonian generator + axis conjugation", dev, 1e-10)
 
     return SuiteResult("spin", checks, time.perf_counter() - t0)
@@ -427,7 +407,6 @@ def run_qubus_suite() -> SuiteResult:
     t0 = time.perf_counter()
     checks = _Checks()
 
-    # One call draws the (x1, p1, x2, p2) rows one call per sample would.
     x1, p1, x2, p2 = rng.uniform(-2, 2, (100, 4)).T
     z1, z2 = x1 + 1j * p1, x2 + 1j * p2
     ph12, ph21, ph_inv = (np.exp(1j * flat_step(a, b)[1])

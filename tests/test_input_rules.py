@@ -1,8 +1,9 @@
 """Every refused input, sent to every public entry point that takes it, is a
 one-line ValueError raised by amqc itself: each input rule (integer, qudit
-dimension, qubit index, register vector, fan shape, ensemble size) has one
-owner, and every backend applies the strict copy."""
+dimension, qubit index, register vector and index, initial label, fan shape,
+ensemble size) has one owner, and every backend applies the strict copy."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from amqc.branches import fan_steps
 from amqc.linalg import PAULI_X
-from amqc.qubus import FieldBranchState, apply_controlled_field, field_fan
+from amqc.qubus import FieldBranchState, FieldLabel, apply_controlled_field, field_fan
 from amqc.qudit import (
     LatticeLabel,
     displacement,
@@ -71,6 +72,19 @@ def _register(register):
             ("HybridState.from_product", lambda: HybridState.from_product(1, register, GROUND))]
 
 
+def _register_index(index):
+    return [("HybridState.basis", lambda: HybridState.basis(2, index, GROUND))]
+
+
+def _initial_label(z):
+    label = FieldLabel(z.real, z.imag)
+    return [("FieldBranchState.from_register",
+             lambda: FieldBranchState.from_register(UNIFORM, label)),
+            ("SpinBranchState.from_register",
+             lambda: SpinBranchState.from_register(UNIFORM, 10, z)),
+            ("field_fan", lambda: field_fan([1.0], [1.0], label))]
+
+
 def _label(x, p):
     return [("LatticeLabel", lambda: LatticeLabel(x, p, 5)),
             *_qudit_paths("interaction", Interaction(0, x, p))]
@@ -119,6 +133,12 @@ REFUSED = [
         ("scalar", np.array(1.0)), ("3-entries", np.ones(3))]],
     ("register", "4-entries-for-1-qubit",
      [("HybridState.from_product", lambda: HybridState.from_product(1, UNIFORM, GROUND))]),
+    *[("register-index", name, _register_index(i)) for name, i in [
+        ("True", True), ("numpy-False", np.bool_(False)), ("1.0", 1.0), ("-1", -1),
+        ("4-of-4", 4)]],
+    *[("initial-label", name, _initial_label(z)) for name, z in [
+        ("nan", complex(float("nan"), 0.0)), ("imag-nan", complex(0.0, float("nan"))),
+        ("inf", complex(float("inf"), 0.0)), ("imag-minus-inf", complex(0.0, -float("inf")))]],
     *[("label", name, _label(x, p)) for name, (x, p) in [
         ("x-True", (True, 0)), ("p-numpy-True", (0, np.bool_(True))), ("x-1.5", (1.5, 0)),
         ("p-2.5", (2, 2.5)), ("x-numpy-1.0", (np.float64(1.0), 1))]],
@@ -147,3 +167,12 @@ def test_refused_input_is_one_line_value_error_from_amqc(call):
     assert Path(frame.path).parent.name == "amqc", (frame.path, message)
     assert str(frame.statement).lstrip().startswith("raise"), message
     assert info.value.__context__ is None, message
+
+
+@pytest.mark.parametrize("name", ["d", "n_qubits"])
+def test_sequence_layout_cannot_be_reassigned(name):
+    # The layout is checked once, when the sequence is built.
+    seq = two_qubit_sequence(0, 1, 1, 1, 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(seq, name, 1)
+    assert (seq.n_qubits, seq.d) == (2, 3)

@@ -79,6 +79,16 @@ def test_verify_prints_each_check_time(capsys):
     assert all(re.search(r"\), \d+\.\d{4}s$", line) for line in lines)
 
 
+def test_every_run_draws_the_same_samples():
+    # Each suite seeds its own generator, so a second run, and a run in the
+    # reverse suite order, repeats every deviation bit for bit.
+    names = list(verify.SUITES)
+    runs = [verify.run_suites(order) for order in (names, names, names[::-1])]
+    deviations = [sorted((res.name, c.name, c.deviation) for res in run for c in res.checks)
+                  for run in runs]
+    assert deviations[0] == deviations[1] == deviations[2]
+
+
 # ----------------------------------------------------------------------------
 # fault injection: one fault per batched check fails exactly that check
 # ----------------------------------------------------------------------------
