@@ -305,11 +305,12 @@ def cmd_contraction(args) -> int:
     table = np.array([[getattr(r, f) for f in fields] for r in rows])
     _write_csv(args.out, "N," + ",".join(fields), [n_list, *table.T])
     if len(rows) >= 3:
-        slope = spin.fitted_loglog_slope(
-            [r.n_spins for r in rows], [r.abs_err_phi for r in rows])
+        # Skip errors that underflow below the smallest normal double (or to 0).
+        fit = [(r.n_spins, r.abs_err_phi) for r in rows if r.abs_err_phi >= sys.float_info.min]
+        slope = f"{spin.fitted_loglog_slope(*zip(*fit)):.4f}" if len(fit) >= 2 else "none"
         # With the CSV on stdout the slope goes to stderr, so stdout parses.
-        print(f"fitted log-log slope of abs_err_phi: {slope:.4f} "
-              f"(flat-space convergence is -1)",
+        print(f"fitted log-log slope of abs_err_phi: {slope} over {len(fit)} of "
+              f"{len(rows)} rows with a resolved error (flat-space convergence is -1)",
               file=sys.stderr if args.out == "-" else sys.stdout)
     return 0
 

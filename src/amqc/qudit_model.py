@@ -89,6 +89,11 @@ class LocalAncillaRotation:
     theta: float
 
 
+def _check_qubit_count(n_qubits) -> None:
+    if not (_integer(n_qubits) and n_qubits >= 0):
+        raise ValueError(f"qubit count must be an integer >= 0, got {n_qubits!r}")
+
+
 @dataclass(frozen=True)
 class InteractionSequence:
     """Ordered elements (first applied first) on an (n_qubits, d) layout checked when built."""
@@ -98,8 +103,7 @@ class InteractionSequence:
     elements: list
 
     def __post_init__(self):
-        if not (_integer(self.n_qubits) and self.n_qubits >= 0):
-            raise ValueError(f"qubit count must be an integer >= 0, got {self.n_qubits!r}")
+        _check_qubit_count(self.n_qubits)
         _check_dimension(self.d)
 
     def __len__(self) -> int:
@@ -123,6 +127,7 @@ class HybridState:
     @classmethod
     def basis(cls, n_qubits: int, register_index: int,
               ancilla: np.ndarray) -> "HybridState":
+        _check_qubit_count(n_qubits)
         if not (_integer(register_index) and 0 <= register_index < 2 ** n_qubits):
             raise ValueError(f"register index {register_index!r} out of range: need an "
                              f"integer in range(2^{n_qubits})")

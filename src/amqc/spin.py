@@ -43,6 +43,8 @@ from .report import GateReport, diagonal_report
 
 # Largest |eta| for which the closing leg tau(eta) is real.
 ETA_MAX = math.sqrt(2.0) - 1.0
+# 1/19, 1/17, ..., 1/3: atan(g) - g = -g^3 * polyval(_ATAN_SERIES, -g^2) + O(g^21).
+_ATAN_SERIES = 1.0 / np.arange(19.0, 2.0, -2.0)
 
 
 class LoopUnclosableError(ValueError):
@@ -330,7 +332,7 @@ def fan_error(zeta_n, n_spins) -> ErrorPoint:
     return ErrorPoint(*np.broadcast_arrays(zeta, n), *columns)
 
 
-def phi_series_defect(zeta_n: float, n_spins: int) -> float:
+def phi_series_defect(zeta_n, n_spins):
     """phi_f minus its first-order series, free of catastrophic cancellation.
 
     Subtracting phi_series from phi_f directly loses everything below the
@@ -340,28 +342,20 @@ def phi_series_defect(zeta_n: float, n_spins: int) -> float:
 
         phi_f - phi_series = N * [ (atan(g) - g) + (10 w^3 - 4 w^4)/(1 + 2w - w^2) ]
 
-    where atan(g) - g is summed as the alternating series -g^3/3 + g^5/5 - ...
-    whenever g is small enough for the direct subtraction to cancel, and pi is
-    added to atan(g) where 1 + 2w - w^2 < 0, the branch :func:`fan_error` takes.
+    where atan(g) - g is its series -g^3/3 + g^5/5 - ... for |g| < 0.1, and pi
+    is added to atan(g) where 1 + 2w - w^2 < 0, the branch :func:`fan_error`
+    takes.  Broadcasts (zeta_n, N) like :func:`fan_error`; scalars give a float.
     """
-    w = 0.5 * zeta_n ** 2 / n_spins   # as in fan_error: 2N overflows past about 9e307
-    den = 1.0 + 2.0 * w - w * w
-    g = 2.0 * w / den
-    if abs(g) < 0.1:
-        term = -g ** 3 / 3.0
-        total = term
-        k = 1
-        while abs(term) > 1e-30 * max(abs(total), 1e-300) and k < 60:
-            term *= -g * g * (2 * k + 1) / (2 * k + 3)
-            total += term
-            k += 1
-        atan_defect = total
-    else:
-        atan_defect = math.atan(g) - g
-    if den < 0.0:
-        atan_defect += math.pi
-    rational = (10.0 * w ** 3 - 4.0 * w ** 4) / den
-    return n_spins * (atan_defect + rational)
+    n = np.asarray(n_spins, dtype=float)
+    with np.errstate(all="ignore"):
+        w = 0.5 * np.square(zeta_n, dtype=float) / n   # as in fan_error: 2N may overflow
+        den = 1.0 + 2.0 * w - w * w
+        g = 2.0 * w / den
+        # Nine series terms: at |g| < 0.1 the first one dropped is < 2e-19 of the sum.
+        atan_defect = np.where(np.abs(g) < 0.1, -g ** 3 * np.polyval(_ATAN_SERIES, -g * g),
+                               np.arctan(g) - g) + np.pi * (den < 0.0)
+        defect = n * (atan_defect + (10.0 * w ** 3 - 4.0 * w ** 4) / den)
+    return float(defect) if defect.ndim == 0 else defect
 
 
 @dataclass
@@ -451,7 +445,10 @@ def contraction_probe(zeta: complex, n_list) -> list[ContractionRow]:
     point = fan_error(mag, n)
     u = 0.5 * mag / np.sqrt(0.5 * n)   # |zeta|/sqrt(2N), where 2N may overflow
     overlap = np.exp(-n * np.log1p(u * u))
-    columns = (point.phi_f, np.abs(point.phi_f - mag ** 2), overlap,
+    # phi_f - |zeta|^2 = defect - |zeta|^4/N, free of cancellation while w = |zeta|^2/(2N) < 1.
+    err_phi = np.where(0.5 * mag ** 2 / n < 1.0, np.abs(mag ** 4 / n - phi_series_defect(mag, n)),
+                       np.abs(point.phi_f - mag ** 2))
+    columns = (point.phi_f, err_phi, overlap,
                np.abs(overlap - math.exp(-mag ** 2 / 2.0)), np.arctan(u) / u)
     return [ContractionRow(int(n_spins), *values) for n_spins, *values
             in zip(n_list, *(c.tolist() for c in columns))]

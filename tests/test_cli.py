@@ -3,6 +3,7 @@
 import contextlib
 import io
 import math
+import re
 import sys
 import time
 import tracemalloc
@@ -169,6 +170,21 @@ def test_contraction_to_stdout_parses_as_csv(capsys):
     rows = np.loadtxt(io.StringIO(captured.out), delimiter=",", skiprows=1)
     assert rows.shape == (4, 6)
     assert captured.err.startswith("fitted log-log slope")
+
+
+@pytest.mark.parametrize("zeta,fitted", [("1e-7", 11), ("1e-80", 0)])
+def test_contraction_slope_skips_only_unresolved_errors(zeta, fitted, capsys):
+    # At zeta = 1e-7 the direct phi_f - |zeta|^2 cancels to 0 in every row;
+    # at 1e-80 every error underflows to 0 or to a subnormal of a few bits,
+    # and no numpy warning may escape.
+    assert main(["contraction", "--zeta", zeta, "--n-min", "1000",
+                 "--n-max", "1024000", "--out", "-"]) == 0
+    captured = capsys.readouterr()
+    errors = np.loadtxt(io.StringIO(captured.out), delimiter=",", skiprows=1)[:, 2]
+    assert np.count_nonzero(errors >= sys.float_info.min) == fitted
+    slope = re.fullmatch(rf"fitted log-log slope of abs_err_phi: (\S+) over {fitted} "
+                         rf"of 11 rows .*\n", captured.err).group(1)
+    assert abs(float(slope) + 1.0) < 1e-3 if fitted else slope == "none"
 
 
 def test_contraction_complex_zeta(tmp_path):

@@ -103,7 +103,8 @@ def _dimension(d):
 
 
 def _register_size(n):
-    return [("InteractionSequence", lambda: InteractionSequence(n, 3, []))]
+    return [("InteractionSequence", lambda: InteractionSequence(n, 3, [])),
+            ("HybridState.basis", lambda: HybridState.basis(n, 0, GROUND))]
 
 
 def _fan(xs, ps):
@@ -146,7 +147,8 @@ REFUSED = [
         ("2.5", 2.5), ("numpy-3.0", np.float64(3.0)), ("True", True), ("1", 1), ("0", 0),
         ("-3", -3)]],
     *[("register-size", name, _register_size(n)) for name, n in [
-        ("-1", -1), ("2.0", 2.0), ("True", True), ("numpy-2.0", np.float64(2.0))]],
+        ("-1", -1), ("2.0", 2.0), ("True", True), ("numpy-True", np.bool_(True)),
+        ("numpy-2.0", np.float64(2.0))]],
     *[("fan", name, _fan(xs, ps)) for name, (xs, ps) in [
         ("no-control", ([], [1.0])), ("no-target", ([1.0], [])), ("empty", ([], []))]],
     *[("ensemble", name, _ensemble(n)) for name, n in [

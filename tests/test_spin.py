@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -409,6 +410,44 @@ def test_phi_series_defect_matches_direct_subtraction():
         direct = point.phi_f - point.phi_series
         tol = 1e-9 * abs(direct) + 5e-15 * point.phi_f
         assert abs(phi_series_defect(zeta_n, n_spins) - direct) < tol
+
+
+def exact_phase_error(zeta_n, n_spins):
+    """phi_f - zeta_n^2 in exact rationals from the double zeta_n, with atan(g)
+    summed to eight series terms: the first one dropped, g^17/17, is far below
+    double precision of the result for |g| = zeta_n^2/N (to first order) up
+    to about 0.01."""
+    z2 = Fraction(zeta_n) ** 2
+    w = z2 / (2 * n_spins)
+    g = 2 * w / (1 + 2 * w - w * w)
+    return n_spins * sum((-1) ** k * g ** (2 * k + 1) / (2 * k + 1) for k in range(8)) - z2
+
+
+def test_phi_series_defect_broadcasts_like_fan_error():
+    # |g| < 0.1 (the series, where the direct subtraction cancels) at
+    # zeta_n = 0.1 and at N = 1e6; |g| >= 0.1 at (1, 1), and 1 + 2w - w^2 < 0
+    # at (3, 1), where the direct subtraction does not cancel.
+    zetas, ns = np.array([0.1, 1.0, 3.0]), np.array([[1.0], [1e6]])
+    defect = phi_series_defect(zetas, ns)
+    assert defect.shape == (2, 3)
+    point = fan_error(zetas, 1.0)
+    direct = point.phi_f - point.phi_series
+    assert np.all(np.abs(defect[0, 1:] - direct[1:]) <= 1e-14 * np.abs(direct[1:]))
+    for value, zeta_n, n_spins in [(defect[0, 0], 0.1, 1),
+                                   *zip(defect[1], zetas, [10 ** 6] * 3)]:
+        exact = float(exact_phase_error(zeta_n, n_spins) + Fraction(zeta_n) ** 4 / n_spins)
+        assert abs(value - exact) <= 1e-14 * abs(exact), (zeta_n, n_spins)
+    scalar = phi_series_defect(3.0, 1)
+    assert type(scalar) is float and abs(scalar - defect[0, 2]) <= 1e-14 * scalar
+
+
+def test_contraction_phase_error_matches_exact_reference():
+    # |phi_f - zeta^2| is about 1e-12/N here, while phi_f itself is 1e-6:
+    # subtracting the two doubles directly keeps at most a few digits.
+    n_list = [1000 * 2 ** k for k in range(11)]
+    for row in contraction_probe(1e-3, n_list):
+        exact = abs(float(exact_phase_error(1e-3, row.n_spins)))
+        assert abs(row.abs_err_phi - exact) <= 1e-13 * exact, row
 
 
 def reference_fan_error(zeta_n, n_spins):
