@@ -53,6 +53,7 @@ from .qudit_model import (
     InteractionSequence,
     LocalAncillaRotation,
     extract_register_gate,
+    extract_register_gates,
     fan_bipartite,
     fan_one_target,
     generalized_toffoli,

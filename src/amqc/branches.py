@@ -25,6 +25,10 @@ The residual entanglement, 1 minus the top eigenvalue of the ancilla's state
 sum_r |a_r|^2 |l_r><l_r|, comes from a pivoted Cholesky factor of the Gram
 matrix of the final labels (on the torus, of the label classes), whose rank
 is a few when they nearly coincide.
+
+The torus engine takes a batch: B sequences on one n and d, one table of
+their coefficients and one numbering of their classes; a single extraction
+is the batch of one.
 """
 
 from __future__ import annotations
@@ -133,106 +137,139 @@ def _phase_polynomial(n_qubits: int, c, steps):
     - X P to Q - 2 x s P - x p s^2, P before the step; k = c Q and b^2 = b,
     in the steps' arithmetic (exact on Python integers).
     """
-    x, p, k = ([0] * (n_qubits + 1) for _ in range(3))
+    x, p, k = [0] * (n_qubits + 1), [0] * (n_qubits + 1), [0] * (n_qubits + 1)
     pair = [[0] * n_qubits for _ in range(n_qubits)]
     for qubit, dx, dp, symmetric in steps:
         a, b = (1, -2) if symmetric else (0, 1)   # s = a + b b_qubit
         q, cdx = qubit + 1, c * dx
-        k[0] -= cdx * (2 * a * p[0] + a * a * dp)
-        k[q] -= cdx * (2 * (a + b) * p[q] + 2 * b * p[0] + (2 * a + b) * b * dp)
-        for t in range(n_qubits):
-            if p[t + 1] and t != qubit:
-                k[t + 1] -= 2 * cdx * a * p[t + 1]
-                pair[min(t, qubit)][max(t, qubit)] -= 2 * cdx * b * p[t + 1]
-        x[0] += a * dx
-        x[q] += b * dx
-        p[0] += a * dp
-        p[q] += b * dp
+        if cdx:   # every phase term carries the step's x
+            k[0] -= cdx * (2 * a * p[0] + a * a * dp)
+            k[q] -= cdx * (2 * (a + b) * p[q] + 2 * b * p[0] + (2 * a + b) * b * dp)
+            for t, pt in enumerate(p[1:]):
+                if pt and t != qubit:
+                    k[t + 1] -= 2 * cdx * a * pt
+                    pair[min(t, qubit)][max(t, qubit)] -= 2 * cdx * b * pt
+            x[0] += a * dx
+            x[q] += b * dx
+        if dp:
+            p[0] += a * dp
+            p[q] += b * dp
     return x, p, k, pair
 
 
 def _evaluate(rows, pair, moves=None, dtype=np.int64) -> np.ndarray:
     """Evaluate affine forms ``rows`` (each [constant, b_0 coefficient, ...])
     on every register index, qubit 0 the most significant bit, the first row
-    plus sum_{t<q} pair[t][q] b_t b_q, as ``dtype`` rows.  Given ``moves``,
-    one more row numbers label classes: 0 on index 0, then ``moves[q]`` maps
-    it where b_q = 1 (None leaves it).
+    plus sum_{t<q} pair[t][q] b_t b_q (pair[t][q] = 0 unless t < q), as
+    ``dtype`` rows.  Given ``moves``, the last row numbers label classes
+    instead: its constant is index 0's class, its coefficients are 0, and
+    ``moves[q]`` maps it where b_q = 1 (None leaves it).
+    """
+    table = []   # row q: qubit q's coefficients, then pair[q] from the last qubit
+    for q, coeffs in enumerate(pair):
+        table += [row[q + 1] for row in rows]
+        table += coeffs[::-1]
+    table += [row[0] for row in rows] + [0] * len(pair)
+    table = np.array(table, dtype=dtype).reshape(len(pair) + 1, -1, 1)
+    return _doubling(table, len(rows), moves)[..., 0]
+
+
+_BIT = np.array([[0], [1]])
+
+
+def _doubling(table: np.ndarray, width: int, moves=None) -> np.ndarray:
+    """:func:`_evaluate` of B of its tables stacked on a last axis: the
+    (width, 2^n, B) values.
 
     Doubling over qubits: the values on 2^q indices become the outer sum with
     (0, qubit q's coefficient), qubit q the new least significant bit.
     Trailing rows carry sum_{t<q} pair[t][q] b_t for every qubit q still to
     come, the next one last.
     """
-    n = len(pair)
-    if moves is not None:   # the class row starts at 0 with no coefficients
-        rows = [*rows, [0] * (n + 1)]
-    width, coeffs = len(rows), list(zip(*rows))
-    table = np.array([[*coeffs[q + 1], *pair[q][:q:-1]] + [0] * (q + 1)
-                      for q in range(n)] + [[*coeffs[0]] + [0] * n], dtype=dtype)
-    deltas = table[:n, :, None, None] * (0, 1)
+    n = len(table) - 1
+    deltas = table[:n, :, None] * _BIT
     f = table[n, :, None]
     for q in range(n):
-        new = f[:-1, :, None] + deltas[q, :len(f) - 1]
+        new = f[:-1, :, None] + deltas[q, :len(f) - 1, None]
         if q:   # qubit 0 pairs with no earlier qubit
             new[0, :, 1] += f[-1]
         if moves is not None and moves[q] is not None:
             new[width - 1, :, 1] = moves[q][f[width - 1]]
-        f = new.reshape(len(new), -1)
+        f = new.reshape(len(new), -1, new.shape[-1])
     return f
 
 
-def _torus_polynomial(n_qubits: int, d: int, steps, convention: str):
-    """:func:`_phase_polynomial` on the torus, from the origin: u = pi / d,
-    and c is the convention's phase unit.
-
-    The pass is exact on Python integers; what it returns are residues, the
-    X and P coefficients mod d and the k and pair coefficients mod 2d, which
-    fix every branch's label class and phase exp(i pi k/d).  So whatever the
-    labels, every exponent :func:`_evaluate` makes of them is below
-    2d (n + 1)^2, and so is every index ``take(mode="wrap")`` reduces.
-    """
-    x, p, k, pair = _phase_polynomial(n_qubits, _phase_unit(d, convention), steps)
-    return ([v % d for v in x], [v % d for v in p], [v % (2 * d) for v in k],
-            [[v % (2 * d) for v in row] for row in pair])
-
-
-def torus_gate(n_qubits: int, d: int, steps, anc_init: np.ndarray, convention: str):
+def torus_gate(n_qubits: int, d: int, batch, anc_init: np.ndarray, convention: str):
     """Phase exp(i pi k/d) and overlap <anc_init|D(X, P) anc_init> of every
-    register branch, and the residual entanglement of the uniform input.
+    register branch, and the residual entanglement of the uniform input, for
+    each of B displacement-only sequences on n qubits: (B, 2^n) phases and
+    overlaps and a list of B residuals, each sequence's as if it ran alone.
 
-    ``steps`` lists (qubit, x, p, symmetric) in application order: an
-    apply-on-one step displaces branches whose control bit is 1 by (x, p), a
-    symmetric one displaces bit 0 by +(x, p) and bit 1 by -(x, p).  Branch r
-    ends in exp(i pi k/d) D(X, P) times the initial ancilla state.
+    ``batch`` lists each sequence's steps (qubit, x, p, symmetric) in
+    application order: an apply-on-one step displaces branches whose control
+    bit is 1 by (x, p), a symmetric one displaces bit 0 by +(x, p) and bit 1
+    by -(x, p).  Branch r ends in exp(i pi k/d) D(X, P) times the initial
+    ancilla state.  The exact pass (:func:`_phase_polynomial` on Python
+    integers, u = pi / d, c the convention's phase unit) runs per sequence
+    and keeps residues, k and pair coefficients mod 2d, so whatever the
+    labels every exponent :func:`_doubling` makes is below 2d (n + 1)^2.
 
     Branches fall into label classes by (X mod d, P mod d), at most
-    min(d^2, 2^n) of them, numbered by doubling over qubits like the phase
-    exponent.  Each class has one ancilla vector v = D(X, P) anc_init up to
-    phase, so branch r returns exp(i pi k_r / d) <anc_init|v_class>, and the
-    residual is that of the classes weighted by their share of branches; a
-    closed loop is one class, whose residual is exactly 0.
+    min(d^2, 2^n) per sequence, numbered by doubling over qubits like the
+    phase exponent and in one range over the batch.  Each class has one
+    ancilla vector v = D(X, P) anc_init up to phase, so branch r returns
+    exp(i pi k_r / d) <anc_init|v_class>, and the residual is that of the
+    classes weighted by their share of branches; a closed loop is one class,
+    whose residual is exactly 0.
     """
-    x, p, k, pair = _torus_polynomial(n_qubits, d, steps, convention)
-    classes = {(x[0], p[0]): 0}
+    c, m2 = _phase_unit(d, convention), 2 * d
+    tables, labels, moving, wide = [], [], [], []
+    for i, steps in enumerate(batch):
+        x, p, k, pair = _phase_polynomial(n_qubits, c, steps)
+        start = len(labels)
+        classes = {(x[0] % d, p[0] % d): start}
+        for q in range(n_qubits):
+            dx, dp = x[q + 1] % d, p[q + 1] % d
+            if dx or dp:
+                moving.append((q, start, [
+                    classes.setdefault(((cx + dx) % d, (cp + dp) % d), start + len(classes))
+                    for cx, cp in list(classes)]))
+        labels += classes
+        if len(classes) > 1:   # one class holds every branch: residual exactly 0
+            wide.append((i, start, len(labels)))
+        # _evaluate's table of the rows [k, class number], reduced as it is filled.
+        table = []
+        for q, coeffs in enumerate(pair):
+            table += (k[q + 1] % m2, 0)
+            table += [v % m2 for v in coeffs[::-1]]
+        tables.append(table + [k[0] % m2, start] + [0] * n_qubits)
+    # One map per qubit over every sequence's classes: the identity where a
+    # sequence does not move, or has not yet made the class.
     moves = [None] * n_qubits
-    for q in range(n_qubits):
-        if x[q + 1] or p[q + 1]:
-            moves[q] = np.array([
-                classes.setdefault(((cx + x[q + 1]) % d, (cp + p[q + 1]) % d),
-                                   len(classes))
-                for cx, cp in list(classes)])
-    exponent, index = _evaluate([k], pair, moves)
+    for q, start, targets in moving:
+        if moves[q] is None:
+            moves[q] = np.arange(len(labels))
+        moves[q][start:start + len(targets)] = targets
+    exponent, index = _doubling(
+        np.array(tables, dtype=np.int64).T.reshape(n_qubits + 1, -1, len(tables)), 2, moves)
     m = np.arange(d)
     roots = _roots(d)
-    labels = np.array(list(classes))
+    labels = np.array(labels)
     vectors = (roots.take(2 * labels[:, 1:] * m, mode="wrap")
                * anc_init.take(m - labels[:, :1], mode="wrap"))
-    # One class holds every branch: grouped_residual's max(0, 1 - 1.0).
-    residual = 0.0 if len(classes) == 1 else grouped_residual(
-        np.bincount(index) / 2 ** n_qubits, vectors,
-        lambda v1, v2: np.sum(np.conj(v1) * v2, axis=-1))
-    return (roots.take(exponent, mode="wrap"), (vectors @ anc_init.conj()).take(index),
-            residual)
+    # A stack of (1, d) @ (d,) products: each class's overlap is summed in
+    # the same order however many classes the batch holds.
+    returned = np.matmul(vectors[:, None], anc_init.conj())
+    residuals = [0.0] * len(tables)
+    for i, start, end in wide:
+        residuals[i] = grouped_residual(np.bincount(index[:, i] - start) / 2 ** n_qubits,
+                                        vectors[start:end], _vdots)
+    return roots.take(exponent.T, mode="wrap"), returned.take(index.T), residuals
+
+
+def _vdots(v1, v2):
+    """<v1|v2> along the last axis, elementwise."""
+    return np.sum(np.conj(v1) * v2, axis=-1)
 
 
 def flat_step(z, dz):

@@ -70,12 +70,26 @@ def phase_distance(u: np.ndarray, v: np.ndarray) -> float:
 
     The second pass sums ||e^{i phi} v - u||^2 over blocks of whole rows, at
     most _BLOCK entries while a row fits, so no dense temporary is made.
+
+    Stacks of small matrices, (..., N, N), give the array of the pairs'
+    distances, in whole-stack passes.
     """
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    if u.shape != v.shape or u.ndim != 2 or u.shape[0] != u.shape[1]:
+    if u.shape != v.shape or u.ndim < 2 or u.shape[-1] != u.shape[-2]:
         raise ValueError(f"phase_distance needs equal square matrices, "
                          f"got {u.shape} and {v.shape}")
+    if u.ndim > 2:
+        axes = (-2, -1)
+        t = (v.conj() * u).sum(axis=axes)
+        flat = np.abs(t) <= 1e-12 * u.shape[-1]
+        diff = (np.where(flat, 1.0, t) / np.where(flat, 1.0, np.abs(t)))[..., None, None] * v
+        diff -= u
+        out = np.sqrt((diff.conj() * diff).real.sum(axis=axes))
+        if flat.any():
+            out[flat] = np.hypot(np.linalg.norm(u[flat], axis=axes),
+                                 np.linalg.norm(v[flat], axis=axes))
+        return out
     t = np.vdot(v, u)
     if abs(t) <= 1e-12 * u.shape[0]:
         return float(np.hypot(np.linalg.norm(u), np.linalg.norm(v)))

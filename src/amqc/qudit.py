@@ -60,7 +60,9 @@ class OpenLoopError(ValueError):
 
 def _integer(value) -> bool:
     """An int or numpy integer, not a bool: True is no qubit, level or label."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    # A plain int first: the case of nearly every label.
+    return type(value) is int or (isinstance(value, (int, np.integer))
+                                  and not isinstance(value, bool))
 
 
 def _check_dimension(d) -> None:
@@ -227,28 +229,42 @@ def compose_labels(l1: LatticeLabel, l2: LatticeLabel,
     return total, complex(_roots(d)[_phase_unit(d, convention) * cross % (2 * d)])
 
 
-def loop_phase(labels, convention: str = HALF_ROOT) -> complex:
+def loop_phase(labels, convention: str = HALF_ROOT, d: int | None = None):
     """Scalar s with D(l_k) ... D(l_1) = s * I for a closed label sequence.
 
-    ``labels`` is given in application order (first displacement first).  The
-    sequence must sum to (0, 0) mod d, otherwise an :class:`OpenLoopError`
-    reporting the net label is raised.  For the rectangle
-    [(x,0), (0,p), (-x,0), (0,-p)] the result is omega_d(x*p) under either
-    convention.
+    ``labels`` is given in application order (first displacement first),
+    as a list of :class:`LatticeLabel` or, with ``d``, as integer arrays
+    (x, p) of shape (B, L): B sequences, B scalars.  Labels are reduced mod
+    2d first, so any size is exact.  A sequence must sum to (0, 0) mod d,
+    otherwise an :class:`OpenLoopError` reporting the (first) net label mod d
+    is raised.  For the rectangle [(x,0), (0,p), (-x,0), (0,-p)] the result
+    is omega_d(x*p) under either convention.
     """
-    labels = list(labels)
-    if not labels:
-        raise ValueError("empty displacement sequence")
-    d = labels[0].d
+    single = d is None
+    if single:
+        labels = list(labels)
+        if not labels:
+            raise ValueError("empty displacement sequence")
+        d = labels[0].d
+        if any(lab.d != d for lab in labels):
+            raise ValueError("labels live on different lattices")
+        labels = ([[int(lab.x) % (2 * d) for lab in labels]],
+                  [[int(lab.p) % (2 * d) for lab in labels]])
+    _check_dimension(d)
     c = _phase_unit(d, convention)
+    xp = np.asarray(labels)
+    if xp.ndim != 3 or len(xp) != 2 or not xp.shape[2] or not (
+            xp.dtype.kind in "iu" or xp.dtype == object and all(map(_integer, xp.flat))):
+        raise ValueError("loop labels must be integer arrays (x, p) of one shape (B, L)")
+    xp = (xp % (2 * d)).astype(np.int64)
     # The composition exponents c (X p - P x), (X, P) the label before each
     # step, and the closed net label's prefactor -c X P: D(X, P) is that times I.
-    x = p = area = 0
-    for lab in labels:
-        if lab.d != d:
-            raise ValueError("labels live on different lattices")
-        area += x * int(lab.p) - p * int(lab.x)
-        x, p = x + int(lab.x), p + int(lab.p)
-    if x % d or p % d:
-        raise OpenLoopError(x, p, d)
-    return complex(_roots(d)[c * (area - x * p) % (2 * d)])
+    net = xp.cumsum(axis=2)
+    cross = (net - xp) % (2 * d) * xp[::-1]     # [X p, P x]
+    area = ((cross[0] - cross[1]) % (2 * d)).sum(axis=1)
+    net = net[:, :, -1] % (2 * d)
+    if (net % d).any():
+        i = int(np.argmax((net % d).any(axis=0)))
+        raise OpenLoopError(int(net[0, i] % d), int(net[1, i] % d), d)
+    phases = _roots(d)[c * ((area - net[0] * net[1]) % (2 * d)) % (2 * d)]
+    return complex(phases[0]) if single else phases

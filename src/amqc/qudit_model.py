@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .branches import (_check_qubit, _evaluate, _register_vector, _torus_polynomial,
+from .branches import (_check_qubit, _evaluate, _phase_polynomial, _register_vector,
                        fan_steps, register_bits, torus_gate)
 from .linalg import is_unitary, largest_schmidt_weight
 from .qudit import (HALF_ROOT, _check_dimension, _check_label, _integer, _phase_unit, _roots,
@@ -236,7 +236,7 @@ def _class_gate(seq: InteractionSequence, steps: list, anc_init: np.ndarray,
     class j's output on row c for input a; the fidelity and residual are
     the worst of every basis input and the uniform superposition.
     """
-    n, d = seq.n_qubits, seq.d
+    n, d, unit = seq.n_qubits, seq.d, _phase_unit(seq.d, convention)
     mixed = sorted({e.target for e in seq.elements if isinstance(e, AncillaProjectedGate)})
     others = [q for q in range(n) if q not in mixed]
     span = 2 ** len(mixed)
@@ -259,7 +259,7 @@ def _class_gate(seq: InteractionSequence, steps: list, anc_init: np.ndarray,
             segment.append(step)
             continue
         if segment:
-            x, p, k, pair = _torus_polynomial(n, d, segment, convention)
+            x, p, k, pair = _phase_polynomial(n, unit, segment)
             segment = []
             xp = [column([x[q + 1] for q in others], d), column([p[q + 1] for q in others], d)]
             pairs = {t: [pair[min(t, q)][max(t, q)] for q in range(n)] for t in mixed}
@@ -299,7 +299,8 @@ def _class_gate(seq: InteractionSequence, steps: list, anc_init: np.ndarray,
             for key in list(keys)]) if any(w) else None)
     glob[0] = [g % (2 * d) for g in glob[0]]
     exponent, rows, index = _evaluate(
-        glob, [[g % (2 * d) for g in row] for row in glob_pair], moves)
+        [*glob, [0] * (len(others) + 1)], [[g % (2 * d) for g in row] for row in glob_pair],
+        moves)
     rows = rows[:, None] + [sum(1 << (n - 1 - t) for t, bit in zip(mixed, c) if bit)
                             for c in c_bits]
     # Column -1 reads the zero past the last key column.
@@ -360,6 +361,20 @@ def _ground(d: int) -> np.ndarray:
     return ground
 
 
+def _checked_ancilla(d: int, anc_init, convention: str) -> np.ndarray:
+    """``anc_init`` checked (default |0>_x), after the convention."""
+    _phase_unit(d, convention)
+    if anc_init is None:
+        return _ground(d)
+    anc_init = np.asarray(anc_init, dtype=complex)
+    if anc_init.shape != (d,):
+        raise ValueError("ancilla initial state has wrong dimension")
+    # Written so that a NaN norm fails too.
+    if not abs(math.sqrt(np.vdot(anc_init, anc_init).real) - 1.0) <= 1e-12:
+        raise ValueError("ancilla initial state is not normalised")
+    return anc_init
+
+
 def extract_register_gate(seq: InteractionSequence, anc_init: np.ndarray | None = None,
                           convention: str = HALF_ROOT) -> GateReport:
     """Run a sequence on every register basis state and extract the gate.
@@ -379,28 +394,20 @@ def extract_register_gate(seq: InteractionSequence, anc_init: np.ndarray | None 
 
     A sequence of interactions only runs on the branch engine
     (:func:`amqc.branches.torus_gate`, which groups branches into label
-    classes).  Any other sequence runs on label classes of register row
-    blocks (:func:`_class_gate`): a generalized Toffoli has n + 1 of them
-    and a mod-d gate at most 2 min(n + 1, d), whatever 2^n is.  Only the
-    dense unitary is gathered over all 2^n rows.
+    classes) as a batch of one.  Any other sequence runs on label classes
+    of register row blocks (:func:`_class_gate`): a generalized Toffoli has
+    n + 1 of them and a mod-d gate at most 2 min(n + 1, d), whatever 2^n is.
+    Only the dense unitary is gathered over all 2^n rows.
     """
     n, d = seq.n_qubits, seq.d
-    _phase_unit(d, convention)
-    if anc_init is None:
-        anc_init = _ground(d)
-    else:
-        anc_init = np.asarray(anc_init, dtype=complex)
-        if anc_init.shape != (d,):
-            raise ValueError("ancilla initial state has wrong dimension")
-        # Written so that a NaN norm fails too.
-        if not abs(math.sqrt(np.vdot(anc_init, anc_init).real) - 1.0) <= 1e-12:
-            raise ValueError("ancilla initial state is not normalised")
+    anc_init = _checked_ancilla(d, anc_init, convention)
     steps = [_check_element(element, n, d) for element in seq.elements]
 
     if None not in steps:
         # Basis inputs stay product states, so the uniform input's residual is
         # the worst, and its fidelity is the mean of the basis ones.
-        return diagonal_report(*torus_gate(n, d, steps, anc_init, convention), len(steps))
+        return diagonal_report(*torus_gate(n, d, [steps], anc_init, convention),
+                               [len(steps)])[0]
 
     rows, index, exponent, returned, fidelity, residual = _class_gate(
         seq, steps, anc_init, convention)
@@ -410,6 +417,26 @@ def extract_register_gate(seq: InteractionSequence, anc_init: np.ndarray | None 
         unitary[rows[:, None, :], rows[:, :, None]] = \
             _roots(d).take(exponent, mode="wrap")[:, None, None] * returned[index]
     return GateReport(unitary, fidelity, residual, len(seq.elements))
+
+
+def extract_register_gates(seqs, anc_init: np.ndarray | None = None,
+                           convention: str = HALF_ROOT) -> list[GateReport]:
+    """:func:`extract_register_gate` of many sequences of interactions on
+    one (n, d) in one call: the same reports, bit for bit."""
+    seqs = list(seqs)
+    if not seqs:
+        return []
+    n, d = seqs[0].n_qubits, seqs[0].d
+    anc_init = _checked_ancilla(d, anc_init, convention)
+    batch = []
+    for seq in seqs:
+        steps = [None] if (seq.n_qubits, seq.d) != (n, d) else [
+            _check_element(element, n, d) for element in seq.elements]
+        if None in steps:
+            raise ValueError("a batch holds sequences of interactions on one layout")
+        batch.append(steps)
+    return diagonal_report(*torus_gate(n, d, batch, anc_init, convention),
+                           [len(steps) for steps in batch])
 
 
 # ----------------------------------------------------------------------------

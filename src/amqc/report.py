@@ -45,8 +45,8 @@ class GateReport:
     interaction_count: int
 
 
-def diagonal_report(phases: np.ndarray, overlaps: np.ndarray, residual: float,
-                    interaction_count: int) -> GateReport:
+def diagonal_report(phases: np.ndarray, overlaps: np.ndarray, residual,
+                    interaction_count):
     """GateReport of a sequence that keeps every register basis state.
 
     Branch r returns ``phases[r] * overlaps[r]`` times the initial ancilla
@@ -54,12 +54,22 @@ def diagonal_report(phases: np.ndarray, overlaps: np.ndarray, residual: float,
     the initial one.  The fidelity is the smallest |overlap|^2, so a walk
     whose overlaps are exactly 1 reads exactly 1 whatever the phases.  A
     non-finite phase or overlap, left by a walk that overflowed double
-    precision, raises ValueError.
+    precision, raises ValueError.  Given (B, 2^n) arrays and B residuals and
+    counts, it returns the B reports.
     """
+    if phases.ndim == 1:
+        return diagonal_report(phases[None], overlaps[None], [residual],
+                               [interaction_count])[0]
     returns = phases * overlaps
     if not np.isfinite(returns).all():
         raise ValueError("branch phase or overlap is not finite: the sequence "
                          "overflows double precision")
-    fidelity = min(1.0, float(np.abs(overlaps).min()) ** 2)
-    unitary = np.diag(returns) if gate_exists(fidelity, residual) else None
-    return GateReport(unitary, fidelity, residual, interaction_count)
+    fidelities = [min(1.0, f ** 2) for f in np.abs(overlaps).min(axis=-1).tolist()]
+    exists = list(map(gate_exists, fidelities, residual))
+    kept = returns if all(exists) else returns[exists]
+    dim = returns.shape[-1]
+    unitaries = np.zeros((len(kept), dim * dim), dtype=complex)
+    unitaries[:, ::dim + 1] = kept
+    unitaries = iter(unitaries.reshape(-1, dim, dim))
+    return [GateReport(next(unitaries) if ok else None, fidelity, res, count)
+            for ok, fidelity, res, count in zip(exists, fidelities, residual, interaction_count)]

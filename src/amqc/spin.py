@@ -43,8 +43,18 @@ from .report import GateReport, diagonal_report
 
 # Largest |eta| for which the closing leg tau(eta) is real.
 ETA_MAX = math.sqrt(2.0) - 1.0
-# 1/19, 1/17, ..., 1/3: atan(g) - g = -g^3 * polyval(_ATAN_SERIES, -g^2) + O(g^21).
+# 1/19, 1/17, ..., 1/3: atan(g) - g = -g^3 * _horner(_ATAN_SERIES, -g^2) + O(g^21).
 _ATAN_SERIES = 1.0 / np.arange(19.0, 2.0, -2.0)
+# (-1)^k / k for k = 18 .. 2: v - log1p(v) = v^2 * _horner(_LOG1P_SERIES, v) + O(v^19).
+_LOG1P_SERIES = (-1.0) ** np.arange(18, 1, -1) / np.arange(18.0, 1.0, -1.0)
+
+
+def _horner(coeffs, x):
+    """np.polyval(coeffs, x), without its array set-up."""
+    total = 0.0
+    for coeff in coeffs:
+        total = total * x + coeff
+    return total
 
 
 class LoopUnclosableError(ValueError):
@@ -278,7 +288,9 @@ class ErrorPoint:
 
     * ``phi_f``:       exact accumulated phase N*atan2(2 w, 1 + 2w - w^2),
                        w = zeta_N^2.
-    * ``phi_E``:       fractional phase error (zeta_n^2 - phi_f) / zeta_n^2.
+    * ``phi_E``:       fractional phase error (zeta_n^2 - phi_f) / zeta_n^2;
+                       where w < 1 it is 2w - :func:`phi_series_defect` /
+                       zeta_n^2, the same value without the cancellation.
     * ``infidelity``:  1 - (1 + 8 w^3 / (1+w)^4)^(-N), log-domain.
     * ``phi_series``:  first-order series zeta_n^2 - zeta_n^4 / N.
     * ``infid_series``: leading series term zeta_n^6 / N^2.
@@ -316,7 +328,9 @@ def fan_error(zeta_n, n_spins) -> ErrorPoint:
         w = 0.5 * z2 / n   # not z2 / (2.0 * n): 2N overflows past about 9e307
         # arctan2, not arctan: the per-spin angle passes pi/2 once w > 1 + sqrt(2).
         phi_f = n * np.arctan2(2.0 * w, 1.0 + 2.0 * w - w * w)
-        columns = (phi_f, (z2 - phi_f) / z2,
+        # zeta_n^2 - phi_f = zeta_n^4/N - defect, and zeta_n^2/N = 2w.
+        phi_e = np.where(w < 1.0, 2.0 * w - phi_series_defect(zeta, n) / z2, (z2 - phi_f) / z2)
+        columns = (phi_f, phi_e,
                    -np.expm1(-n * np.log1p(8.0 * w ** 3 / (1.0 + w) ** 4)),
                    z2 - zeta ** 4 / n, zeta ** 6 / n ** 2)
     finite = np.isfinite(phi_f)
@@ -352,7 +366,7 @@ def phi_series_defect(zeta_n, n_spins):
         den = 1.0 + 2.0 * w - w * w
         g = 2.0 * w / den
         # Nine series terms: at |g| < 0.1 the first one dropped is < 2e-19 of the sum.
-        atan_defect = np.where(np.abs(g) < 0.1, -g ** 3 * np.polyval(_ATAN_SERIES, -g * g),
+        atan_defect = np.where(np.abs(g) < 0.1, -g ** 3 * _horner(_ATAN_SERIES, -g * g),
                                np.arctan(g) - g) + np.pi * (den < 0.0)
         defect = n * (atan_defect + (10.0 * w ** 3 - 4.0 * w ** 4) / den)
     return float(defect) if defect.ndim == 0 else defect
@@ -444,12 +458,17 @@ def contraction_probe(zeta: complex, n_list) -> list[ContractionRow]:
     n = np.asarray(n_list, dtype=float)
     point = fan_error(mag, n)
     u = 0.5 * mag / np.sqrt(0.5 * n)   # |zeta|/sqrt(2N), where 2N may overflow
-    overlap = np.exp(-n * np.log1p(u * u))
+    v = u * u
+    overlap, limit = np.exp(-n * np.log1p(v)), math.exp(-mag ** 2 / 2.0)
     # phi_f - |zeta|^2 = defect - |zeta|^4/N, free of cancellation while w = |zeta|^2/(2N) < 1.
     err_phi = np.where(0.5 * mag ** 2 / n < 1.0, np.abs(mag ** 4 / n - phi_series_defect(mag, n)),
                        np.abs(point.phi_f - mag ** 2))
-    columns = (point.phi_f, err_phi, overlap,
-               np.abs(overlap - math.exp(-mag ** 2 / 2.0)), np.arctan(u) / u)
+    # overlap - limit = limit * expm1(N (v - log1p(v))) cancels nothing
+    # while the exponent is below 1; each where's unused branch may overflow.
+    with np.errstate(all="ignore"):
+        excess = n * np.where(v < 0.1, v * v * _horner(_LOG1P_SERIES, v), v - np.log1p(v))
+        err_overlap = np.where(excess < 1.0, limit * np.expm1(excess), np.abs(overlap - limit))
+    columns = (point.phi_f, err_phi, overlap, err_overlap, np.arctan(u) / u)
     return [ContractionRow(int(n_spins), *values) for n_spins, *values
             in zip(n_list, *(c.tolist() for c in columns))]
 

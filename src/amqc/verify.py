@@ -8,8 +8,9 @@ independently.
 
 A check over a grid or a list of random draws evaluates all its samples as
 one stacked array computation (a stack of displacement matrices, elementwise
-composition laws, closed-form 2x2 exponentials) rather than one small matrix
-per sample.  Each suite seeds its own generator and draws each random
+composition laws, closed-form 2x2 exponentials, batched extractions and loop
+phases, one call per (d, convention)) rather than one small matrix per
+sample.  Each suite seeds its own generator and draws each random
 quantity in one call, so every run sees the same samples.  The oracle side
 of each check stays independent of the library formula under test.
 """
@@ -49,6 +50,7 @@ from .qudit import (
 )
 from .qudit_model import (
     extract_register_gate,
+    extract_register_gates,
     fan_bipartite,
     fan_one_target,
     generalized_toffoli,
@@ -110,6 +112,12 @@ class _Checks(list):
 
 def _conventions_for(d: int):
     return CONVENTIONS if d % 2 else (HALF_ROOT,)
+
+
+def _rectangle_oracles(x: np.ndarray, p: np.ndarray, d: int) -> np.ndarray:
+    """C^0_1 R(2 pi x p / d) for each (x, p): diag exp(2 pi i x p b_0 b_1 / d)."""
+    b0, b1 = register_bits(2).T
+    return np.exp(1j * (2 * np.pi / d) * np.outer(x, b0) * np.outer(p, b1))[..., None] * np.eye(4)
 
 
 def _powers(m: np.ndarray, count: int) -> np.ndarray:
@@ -186,13 +194,11 @@ def run_qudit_suite() -> SuiteResult:
 
     dev = 0.0
     for d in range(2, 9):
-        for x in range(d):
-            for p in range(d):
-                expected = complex(omega(d, x * p))
-                for conv in _conventions_for(d):
-                    rect = [LatticeLabel(x, 0, d), LatticeLabel(0, p, d),
-                            LatticeLabel(-x, 0, d), LatticeLabel(0, -p, d)]
-                    dev = max(dev, abs(loop_phase(rect, conv) - expected))
+        x, p = np.divmod(np.arange(d * d), d)   # all of [0, d)^2
+        rects = np.multiply.outer(x, [1, 0, -1, 0]), np.multiply.outer(p, [0, 1, 0, -1])
+        expected = omega(d, x * p)
+        for conv in _conventions_for(d):
+            dev = max(dev, float(np.max(np.abs(loop_phase(rects, conv, d) - expected))))
     checks.add("rectangle loop phase = w(xp), both conventions", dev, 1e-12)
 
     dev = 0.0
@@ -216,14 +222,14 @@ def run_qudit_suite() -> SuiteResult:
     dev = 0.0
     fid_dev = 0.0
     for d in (2, 3, 4, 5, 8):
+        x, p = np.divmod(np.arange(d * d), d)   # all of [0, d)^2
+        seqs = [two_qubit_sequence(0, 1, a, b, d) for a, b in zip(x.tolist(), p.tolist())]
+        oracle = _rectangle_oracles(x, p, d)
         for conv in _conventions_for(d):
-            for x in range(d):
-                for p in range(d):
-                    rep = extract_register_gate(
-                        two_qubit_sequence(0, 1, x, p, d), convention=conv)
-                    fid_dev = max(fid_dev, abs(1.0 - rep.ancilla_return_fidelity))
-                    oracle = oracles.fan([x], [p], 2 * np.pi / d, signed=False)
-                    dev = max(dev, phase_distance(rep.register_unitary, oracle))
+            reps = extract_register_gates(seqs, convention=conv)
+            fid_dev = max(fid_dev, *(abs(1.0 - rep.ancilla_return_fidelity) for rep in reps))
+            dev = max(dev, float(np.max(phase_distance(
+                np.array([rep.register_unitary for rep in reps]), oracle))))
     checks.add("two-qubit rectangle = C^j_k R(2 pi x p / d)", dev, 1e-10)
     checks.add("two-qubit rectangle ancilla return fidelity", fid_dev, 1e-12)
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from amqc.branches import (
     _evaluate,
-    _torus_polynomial,
+    _phase_polynomial,
     fan_steps,
     flat_labels,
     register_bits,
@@ -29,7 +29,7 @@ from amqc.qubus import (
     fan_target_unitary,
     field_fan,
 )
-from amqc.qudit import CONVENTIONS, HALF_ROOT, MOD_INVERSE
+from amqc.qudit import CONVENTIONS, HALF_ROOT, MOD_INVERSE, _phase_unit
 from amqc.qudit_model import (
     POLARITIES,
     SYMMETRIC,
@@ -422,10 +422,9 @@ def torus_step_lists(draw):
 @PROPERTY
 @given(torus_step_lists())
 def test_phase_polynomial_matches_per_step_loop(case):
-    # The polynomial holds residues, so the branches' labels agree mod d and
-    # their phase exponents mod 2d.
+    # The branches' labels agree mod d and their phase exponents mod 2d.
     n, d, steps, convention = case
-    x, p, k, pair = _torus_polynomial(n, d, steps, convention)
+    x, p, k, pair = _phase_polynomial(n, _phase_unit(d, convention), steps)
     k_net, x_net, p_net = new = _evaluate([k, x, p], pair)
     assert new.dtype == np.int64
     for new_row, old_row, modulus in zip((x_net, p_net, k_net),
@@ -439,7 +438,7 @@ def test_label_classes_match_dense_svd(case, seed):
     n, d, steps, convention = case
     anc = random_state(d, np.random.default_rng(seed))
     final = loop_ancilla(n, d, steps, anc, convention)
-    phases, overlaps, residual = torus_gate(n, d, steps, anc, convention)
+    (phases,), (overlaps,), (residual,) = torus_gate(n, d, [steps], anc, convention)
     returned = phases * overlaps
     dense_returned = final @ np.conj(anc)
     np.testing.assert_allclose(returned, dense_returned, atol=1e-14, rtol=0)
@@ -472,7 +471,7 @@ def test_torus_gate_memory_stays_linear_in_branches():
     anc = np.eye(d, dtype=complex)[0]
     tracemalloc.start()
     try:
-        phases, overlaps, residual = torus_gate(16, d, steps, anc, HALF_ROOT)
+        (phases,), (overlaps,), (residual,) = torus_gate(16, d, [steps], anc, HALF_ROOT)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

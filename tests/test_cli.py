@@ -376,3 +376,57 @@ def test_writer_matches_the_percent_reference(argv, tmp_path, monkeypatch, capsy
     written = (tmp_path / "kernel.csv").read_bytes()
     assert written == (tmp_path / "reference.csv").read_bytes()
     assert capsys.readouterr().out.encode() == written
+
+
+# ----------------------------------------------------------------------------
+# cancellation-prone columns against 100-digit references
+# ----------------------------------------------------------------------------
+
+def _rounded_reference(value) -> "decimal.Decimal":
+    """A 100-digit reference as the CSV should print it: correctly rounded
+    to 12 significant digits, or the double it rounds to below the normal
+    range, where the double has fewer digits than that."""
+    import decimal
+    mpmath = pytest.importorskip("mpmath")
+    if abs(value) < sys.float_info.min:
+        return decimal.Decimal(cli._FMT % float(value))
+    return decimal.Decimal(format(decimal.Decimal(mpmath.nstr(value, 40)), ".11e"))
+
+
+def _csv_column(path, name):
+    import decimal
+    lines = path.read_text().strip().split("\n")
+    column = lines[0].split(",").index(name)
+    return [line.split(",") for line in lines[1:]], [
+        decimal.Decimal(line.split(",")[column]) for line in lines[1:]]
+
+
+@pytest.mark.parametrize("argv", [
+    [],                                                           # the default grid
+    ["--zeta-min", "1e-160", "--zeta-steps", "2", "--n-list", "1e9"],
+])
+def test_sweep_phi_e_is_the_rounded_exact_value(tmp_path, argv):
+    mpmath = pytest.importorskip("mpmath")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *argv, "--out", str(out)]) == 0
+    rows, written = _csv_column(out, "phi_E")
+    with mpmath.workdps(100):
+        for row, cell in zip(rows, written):
+            zeta, n = mpmath.mpf(row[0]), mpmath.mpf(row[1])
+            w = zeta ** 2 / (2 * n)
+            phi_f = n * mpmath.atan2(2 * w, 1 + 2 * w - w * w)
+            assert cell == _rounded_reference((zeta ** 2 - phi_f) / zeta ** 2), row
+
+
+@pytest.mark.parametrize("zeta", ["1e-3", "2", "1+1j", "5"])
+def test_contraction_abs_err_overlap_is_the_rounded_exact_value(tmp_path, zeta):
+    mpmath = pytest.importorskip("mpmath")
+    out = tmp_path / "contraction.csv"
+    assert main(["contraction", "--zeta", zeta, "--out", str(out)]) == 0
+    rows, written = _csv_column(out, "abs_err_overlap")
+    with mpmath.workdps(100):
+        mag2 = abs(mpmath.mpc(complex(zeta))) ** 2
+        for row, cell in zip(rows, written):
+            n = mpmath.mpf(row[0])
+            exact = mpmath.exp(-n * mpmath.log1p(mag2 / (2 * n))) - mpmath.exp(-mag2 / 2)
+            assert cell == _rounded_reference(abs(exact)), row

@@ -672,3 +672,11 @@ def test_spin_generator_catches_a_wrong_generator(monkeypatch):
     wrong = -amqc.spin.collective_operator(PAULI_Y, 2)
     monkeypatch.setattr(amqc.spin, "collective_operator", lambda single, n: wrong)
     assert spin_generator_check(0.9, 0.4, 2) > 0.1
+
+
+@pytest.mark.parametrize("zeta", [1e-3, 30.0, 1e10])
+def test_contraction_overlap_error_is_finite_and_quiet(zeta):
+    # The expm1 form and its series overflow where they are not used; a
+    # RuntimeWarning here fails the test.
+    rows = contraction_probe(zeta, [1, 2, 1000, 10 ** 6])
+    assert all(math.isfinite(r.abs_err_overlap) and r.abs_err_overlap >= 0.0 for r in rows)

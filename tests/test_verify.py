@@ -173,7 +173,28 @@ def _wrong_far_from_the_pole(orig):
     return su2
 
 
+def _scale_of_the_next_dimension(orig):
+    # C^0_1 R(2 pi x p / (d + 1)): the rectangle scan's oracle at a wrong scale.
+    return lambda x, p, d: orig(x, p, d + 1)
+
+
+def _last_applied_first(orig):
+    # The opposite order convention, D(l_1) ... D(l_k), conjugates every loop
+    # phase.  (Swapping the two prefactor conventions cannot be seen: a
+    # rectangle's phase is w(xp) under both, which is what the check proves.)
+    def loop_phase(labels, convention=HALF_ROOT, d=None):
+        if d is None:
+            return orig(list(labels)[::-1], convention)
+        x, p = labels
+        return orig((x[:, ::-1], p[:, ::-1]), convention, d)
+    return loop_phase
+
+
 FAULTS = [
+    (verify, "_rectangle_oracles", _scale_of_the_next_dimension,
+     "two-qubit rectangle = C^j_k R(2 pi x p / d)"),
+    (verify, "loop_phase", _last_applied_first,
+     "rectangle loop phase = w(xp), both conventions"),
     (verify, "_powers", _powers_off_by_one,
      "Weyl relation Z^p X^x = w(xp) X^x Z^p"),
     (verify, "displacements", _scaled_by_a_power_of_x,
@@ -206,6 +227,28 @@ def test_injected_fault_fails_exactly_its_check(monkeypatch, owner, name, fault,
     failed = [c.name for res in verify.run_suites(list(verify.SUITES))
               for c in res.checks if not c.passed]
     assert failed == [check]
+
+
+def test_batched_checks_keep_their_samples(monkeypatch):
+    # One call per (d, convention): 152 rectangles in 7 extractions, and 286
+    # rectangle loop phases in 10 calls, the samples the per-sample loops had.
+    calls = {"gates": [], "loops": []}
+
+    def gates(seqs, *args, **kwargs):
+        calls["gates"].append(len(seqs))
+        return extract(seqs, *args, **kwargs)
+
+    def loops(labels, convention=HALF_ROOT, d=None):
+        if d is not None:
+            calls["loops"].append(len(labels[0]))
+        return phase(labels, convention, d)
+
+    extract, phase = verify.extract_register_gates, verify.loop_phase
+    monkeypatch.setattr(verify, "extract_register_gates", gates)
+    monkeypatch.setattr(verify, "loop_phase", loops)
+    assert verify.run_qudit_suite().passed
+    assert (len(calls["gates"]), sum(calls["gates"])) == (7, 152)
+    assert (len(calls["loops"]), sum(calls["loops"])) == (10, 286)
 
 
 @pytest.mark.parametrize("fault", [_negated_angle, _unscaled_angle, _negated_leg])
