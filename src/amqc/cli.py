@@ -162,21 +162,12 @@ def _sci(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exact(values: list) -> np.ndarray:
-    """str(v) of each integer of ``values`` as ASCII rows padded with NULs,
-    converting each distinct value once."""
-    index = {}
-    rows = [index.setdefault(v, len(index)) for v in values]
-    table = np.array([str(v) for v in index], dtype=bytes)
-    return table.view(np.uint8).reshape(len(index), -1).take(rows, axis=0)
-
-
 def _csv_rows(columns: list, exact: list) -> str:
     """The CSV rows of equal-length column slices, as one NUL-padded byte
     block written out without its NULs."""
     floats = [c for c, e in zip(columns, exact) if not e]
     cells = iter(_sci(np.concatenate(floats)).reshape(len(floats), len(floats[0]), -1))
-    fields = [_exact(c) if e else next(cells) for c, e in zip(columns, exact)]
+    fields = [c.view(("u1", c.itemsize)) if e else next(cells) for c, e in zip(columns, exact)]
     block = np.zeros((len(floats[0]), sum(f.shape[1] + 1 for f in fields)), dtype=np.uint8)
     at = 0
     for field in fields:
@@ -191,26 +182,29 @@ def _write_csv(out: str, header: str, columns: list) -> None:
     """Stream a header and one row per index of ``columns`` to ``out``
     ('-' = stdout).
 
-    A list column holds exact values written with str() (ensemble sizes,
-    which may exceed int64); any other column is a float array written as
-    _FMT writes it.  A nan or inf in a float column refuses the run before
-    ``out`` is opened, so nothing is written.  Each block of _BLOCK rows is
-    assembled as one NUL-padded byte array and written at once without its
-    NULs.  Its float cells come from a vectorised kernel (_sci) that is
-    byte-identical to ``_FMT % v``: a cell within the kernel's rounding-error
-    bound of a decimal tie is handed to Python's own conversion, into the
-    same field.
+    A tuple column (values, rows) is written exactly, row i as
+    str(values[rows[i]]) (ensemble sizes may exceed int64).  Any other
+    column is a float array written as _FMT writes it; a nan or inf in one
+    refuses the run before ``out`` is opened, so nothing is written.  Each
+    block of _BLOCK rows is assembled as one NUL-padded byte array and
+    written at once without its NULs.  Its float cells come from a
+    vectorised kernel (_sci) that is byte-identical to ``_FMT % v``: a cell
+    within the kernel's rounding-error bound of a decimal tie is handed to
+    Python's own conversion, into the same field.
     """
-    exact = [isinstance(c, list) for c in columns]
-    columns = [c if e else np.asarray(c, dtype=float) for c, e in zip(columns, exact)]
+    exact = [isinstance(c, tuple) for c in columns]
+    columns = [(np.array([str(v) for v in c[0]], dtype=bytes), c[1]) if e
+               else np.asarray(c, dtype=float) for c, e in zip(columns, exact)]
     _require(all(np.isfinite(c).all() for c, e in zip(columns, exact) if not e),
              "non-finite value in the computed rows; nothing written")
-    count = len(columns[0])
+    count = len(columns[exact.index(False)])
     with (contextlib.nullcontext(sys.stdout) if out == "-"
           else open(out, "w", encoding="ascii")) as handle:
         handle.write(header + "\n")
         for start in range(0, count, _BLOCK):
-            handle.write(_csv_rows([c[start:start + _BLOCK] for c in columns], exact))
+            rows = slice(start, start + _BLOCK)
+            handle.write(_csv_rows([c[0][c[1][rows]] if e else c[rows]
+                                    for c, e in zip(columns, exact)], exact))
     if out != "-":
         print(f"wrote {count} rows to {out}")
 
@@ -220,13 +214,13 @@ def cmd_sweep(args) -> int:
     _require(0 < args.zeta_min < math.inf and 0 < args.zeta_max < math.inf,
              "--zeta-min and --zeta-max must be positive and finite")
     n_list = _parse_n_list(args.n_list)
-    # One array pass over the grid, rows ordered by (zeta_n, N).
-    zeta = np.repeat(np.linspace(args.zeta_min, args.zeta_max, args.zeta_steps),
-                     len(n_list))
-    p = spin.fan_error(zeta, np.tile(np.array(n_list, dtype=float), args.zeta_steps))
+    # One array pass over the grid, rows ordered by (zeta_n, N): N = n_list[rows].
+    rows = np.tile(np.arange(len(n_list)), args.zeta_steps)
+    zeta = np.repeat(np.linspace(args.zeta_min, args.zeta_max, args.zeta_steps), len(n_list))
+    p = spin.fan_error(zeta, np.array(n_list, dtype=float)[rows])
     _write_csv(args.out, "zeta_n,N,phi_f,phi_E,infidelity,phi_series,infid_series",
-               [zeta, n_list * args.zeta_steps, p.phi_f, p.phi_E,
-                p.infidelity, p.phi_series, p.infid_series])
+               [zeta, (n_list, rows), p.phi_f, p.phi_E, p.infidelity, p.phi_series,
+                p.infid_series])
     return 0
 
 
@@ -295,15 +289,11 @@ def cmd_demo(args) -> int:
 def cmd_contraction(args) -> int:
     _require(1 <= args.n_min <= args.n_max, f"bad range [{args.n_min}, {args.n_max}]")
     _require(0 < abs(args.zeta) < math.inf, "--zeta must be nonzero and finite")
-    n_list = []
-    n = args.n_min
-    while n <= args.n_max:
-        n_list.append(n)
-        n *= 2
+    n_list = [args.n_min << k for k in range((args.n_max // args.n_min).bit_length())]
     rows = spin.contraction_probe(args.zeta, n_list)
     fields = ("phi_f", "abs_err_phi", "overlap", "abs_err_overlap", "prefactor")
     table = np.array([[getattr(r, f) for f in fields] for r in rows])
-    _write_csv(args.out, "N," + ",".join(fields), [n_list, *table.T])
+    _write_csv(args.out, "N," + ",".join(fields), [(n_list, np.arange(len(n_list))), *table.T])
     if len(rows) >= 3:
         # Skip errors that underflow below the smallest normal double (or to 0).
         fit = [(r.n_spins, r.abs_err_phi) for r in rows if r.abs_err_phi >= sys.float_info.min]

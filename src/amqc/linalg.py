@@ -29,12 +29,20 @@ def phase_gate(theta: float) -> np.ndarray:
 
 
 def kron(*factors) -> np.ndarray:
-    """Tensor product of one or more operators (or vectors), left to right."""
+    """Tensor product of one or more operators (or vectors), left to right.
+
+    Per factor, one broadcast product of A as (a0, 1, a1, 1, ...) and B as
+    (1, b0, 1, b1, ...), ranks padded by leading 1s as np.kron pads them: the
+    same single products, so bitwise np.kron folded over complex casts.
+    """
     if not factors:
         raise ValueError("kron needs at least one factor")
     out = np.asarray(factors[0], dtype=complex)
     for f in factors[1:]:
-        out = np.kron(out, np.asarray(f, dtype=complex))
+        f = np.asarray(f, dtype=complex)
+        a, b = (1,) * (f.ndim - out.ndim) + out.shape, (1,) * (out.ndim - f.ndim) + f.shape
+        out = (out.reshape([n for m in a for n in (m, 1)])
+               * f.reshape([n for m in b for n in (1, m)])).reshape([m * n for m, n in zip(a, b)])
     return out
 
 

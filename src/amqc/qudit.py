@@ -75,6 +75,14 @@ def _check_label(x, p, kind: str) -> None:
         raise ValueError(f"{kind} label ({x!r}, {p!r}) is not a pair of integers")
 
 
+def _residues(labels, d: int) -> np.ndarray:
+    """Integer labels of any size mod 2d as int64; non-integers, bools included, are refused."""
+    a = np.asarray(labels)
+    if not (a.dtype.kind in "iu" or a.dtype == object and all(map(_integer, a.flat))):
+        raise ValueError(f"labels must be integers or integer arrays, got {a.dtype} values")
+    return np.asarray(a % (2 * d), dtype=np.int64)
+
+
 def omega(d: int, a) -> complex:
     """The d-th root of unity raised to an integer power: exp(2*pi*i*a/d)."""
     return np.exp(2j * np.pi * np.asarray(a) / d)
@@ -191,6 +199,8 @@ def displacements(d: int, x, p, convention: str = HALF_ROOT) -> np.ndarray:
     however many labels it holds.
     """
     _check_dimension(d)
+    if not (_integer(x) and _integer(p)):
+        x, p = _residues(x, d), _residues(p, d)   # D is 2d-periodic in each label
     stack = np.broadcast(x, p).shape
     # The column index m leads and the label axes trail, so x and p
     # broadcast as given and two integers stay cheap Python arithmetic.
@@ -212,8 +222,7 @@ def displacement(d: int, x: int, p: int, convention: str = HALF_ROOT) -> np.ndar
     return displacements(d, x, p, convention)
 
 
-def compose_labels(l1: LatticeLabel, l2: LatticeLabel,
-                   convention: str = HALF_ROOT) -> tuple[LatticeLabel, complex]:
+def compose_labels(l1, l2, convention: str = HALF_ROOT, d: int | None = None):
     """Combine two displacements applied in sequence (l1 first, then l2).
 
     Returns the summed label and the scalar such that, as matrices,
@@ -223,10 +232,19 @@ def compose_labels(l1: LatticeLabel, l2: LatticeLabel,
     The scalar is exp(i pi c (x1 p2 - p1 x2) / d): omega_d(2^{-1} (x1 p2 -
     p1 x2)) under MOD_INVERSE.  It is antisymmetric in the two labels, so
     composing a displacement with its inverse gives phase 1.
+
+    With ``d``, ``l1`` and ``l2`` are (x, p) pairs of integer arrays that
+    broadcast to a shape S, giving the arrays (x1 + x2, p1 + p2), as numpy
+    adds them, and S scalars, exact for labels of any size (reduced mod 2d).
     """
-    total, d = l1 + l2, l1.d   # refuses labels of different lattices
-    cross = int(l1.x) * int(l2.p) - int(l1.p) * int(l2.x)
-    return total, complex(_roots(d)[_phase_unit(d, convention) * cross % (2 * d)])
+    if d is None:   # two LatticeLabel: the batch of one
+        total, d = l1 + l2, l1.d   # refuses labels of different lattices
+        return total, complex(compose_labels((l1.x, l1.p), (l2.x, l2.p), convention, d)[1])
+    _check_dimension(d)
+    given = [np.asarray(a) for a in (*l1, *l2)]
+    x1, p1, x2, p2 = (_residues(a, d) for a in given)
+    scalars = _roots(d)[_phase_unit(d, convention) * ((x1 * p2 - p1 * x2) % (2 * d)) % (2 * d)]
+    return (given[0] + given[2], given[1] + given[3]), scalars
 
 
 def loop_phase(labels, convention: str = HALF_ROOT, d: int | None = None):
@@ -248,15 +266,13 @@ def loop_phase(labels, convention: str = HALF_ROOT, d: int | None = None):
         d = labels[0].d
         if any(lab.d != d for lab in labels):
             raise ValueError("labels live on different lattices")
-        labels = ([[int(lab.x) % (2 * d) for lab in labels]],
-                  [[int(lab.p) % (2 * d) for lab in labels]])
+        labels = [[lab.x for lab in labels]], [[lab.p for lab in labels]]
     _check_dimension(d)
     c = _phase_unit(d, convention)
     xp = np.asarray(labels)
-    if xp.ndim != 3 or len(xp) != 2 or not xp.shape[2] or not (
-            xp.dtype.kind in "iu" or xp.dtype == object and all(map(_integer, xp.flat))):
+    if xp.ndim != 3 or len(xp) != 2 or not xp.shape[2]:
         raise ValueError("loop labels must be integer arrays (x, p) of one shape (B, L)")
-    xp = (xp % (2 * d)).astype(np.int64)
+    xp = _residues(xp, d)
     # The composition exponents c (X p - P x), (X, P) the label before each
     # step, and the closed net label's prefactor -c X P: D(X, P) is that times I.
     net = xp.cumsum(axis=2)

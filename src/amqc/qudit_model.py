@@ -43,7 +43,7 @@ import numpy as np
 
 from .branches import (_check_qubit, _evaluate, _phase_polynomial, _register_vector,
                        fan_steps, register_bits, torus_gate)
-from .linalg import is_unitary, largest_schmidt_weight
+from .linalg import is_unitary, kron, largest_schmidt_weight
 from .qudit import (HALF_ROOT, _check_dimension, _check_label, _integer, _phase_unit, _roots,
                     displacement, rotation)
 from .report import GateReport, diagonal_report, gate_exists
@@ -122,7 +122,7 @@ class HybridState:
     def from_product(cls, n_qubits: int, register: np.ndarray,
                      ancilla: np.ndarray) -> "HybridState":
         register, n_qubits = _register_vector(register, n_qubits)
-        return cls(n_qubits, len(ancilla), np.kron(register, np.asarray(ancilla, dtype=complex)))
+        return cls(n_qubits, len(ancilla), kron(register, ancilla))
 
     @classmethod
     def basis(cls, n_qubits: int, register_index: int,
@@ -549,17 +549,14 @@ def hamiltonian_generator_check(theta: float, d: int) -> float:
     sz = spin_z_operator(d)
     s = (d - 1) / 2.0
     # Z (x) S_z is diagonal, so its exponential is elementwise.
-    zdiag = np.array([1.0, -1.0])
-    gen = np.kron(zdiag, np.diag(sz).real)
-    target = np.diag(np.exp(-1j * theta * gen))
+    target = np.diag(np.exp(-1j * theta * kron([1.0, -1.0], np.diag(sz))))
 
-    local = np.kron(np.diag([np.exp(-1j * theta * s), np.exp(1j * theta * s)]),
-                    identity(d))
+    local = kron(np.diag([np.exp(-1j * theta * s), np.exp(1j * theta * s)]), identity(d))
     built = local @ controlled(rotation(d, theta), rotation(d, -theta))
     dist1 = phase_distance(target, built)
 
     lhs = controlled(rotation(d, theta), rotation(d, -theta)) @ \
-        np.kron(identity(2), rotation(d, -theta))
+        kron(identity(2), rotation(d, -theta))
     rhs = controlled(identity(d), rotation(d, -2 * theta))
     dist2 = phase_distance(lhs, rhs)
     return max(dist1, dist2)

@@ -481,14 +481,9 @@ def fitted_loglog_slope(xs, ys) -> float:
 
 
 def collective_operator(single: np.ndarray, n_spins: int) -> np.ndarray:
-    """Sum of one single-spin operator over every spin: J = sum_j op_j."""
-    dim = 2 ** n_spins
-    total = np.zeros((dim, dim), dtype=complex)
-    for j in range(n_spins):
-        ops = [np.eye(2, dtype=complex)] * n_spins
-        ops[j] = np.asarray(single, dtype=complex)
-        total += kron(*ops)
-    return total
+    """One single-spin operator summed over every spin: J = sum_j I_(2^j) (x) op (x) I_(...)."""
+    return sum(kron(identity(2 ** j), single, identity(2 ** (n_spins - 1 - j)))
+               for j in range(n_spins))
 
 
 def _exp_i(hermitian: np.ndarray, t: float) -> np.ndarray:
@@ -512,9 +507,11 @@ def spin_generator_check(theta: float, phi: float, n_spins: int) -> float:
     Per spin, D_1(theta, phi) = cos(theta/2) I + i sin(theta/2) n.sigma; the
     collective exponentials come from eigendecompositions of the generators.
     """
+    _check_spins(n_spins)
     if n_spins > 8:
-        raise ValueError(f"dense generator check limited to 8 spins, "
-                         f"got {n_spins}")
+        raise ValueError(f"dense generator check limited to 8 spins, got {n_spins}")
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise ValueError(f"generator check needs finite angles, got theta={theta!r}, phi={phi!r}")
     jx = collective_operator(PAULI_X, n_spins)
     jy = collective_operator(PAULI_Y, n_spins)
     axis = math.sin(phi) * PAULI_X - math.cos(phi) * PAULI_Y

@@ -8,11 +8,11 @@ independently.
 
 A check over a grid or a list of random draws evaluates all its samples as
 one stacked array computation (a stack of displacement matrices, elementwise
-composition laws, closed-form 2x2 exponentials, batched extractions and loop
-phases, one call per (d, convention)) rather than one small matrix per
-sample.  Each suite seeds its own generator and draws each random
-quantity in one call, so every run sees the same samples.  The oracle side
-of each check stays independent of the library formula under test.
+composition laws, closed-form 2x2 exponentials, batched extractions, label
+compositions and loop phases, one call per (d, convention)) rather than one
+small matrix per sample.  Each suite seeds its own generator and draws each
+random quantity in one call, so every run sees the same samples.  The oracle
+side of each check stays independent of the library formula under test.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .qudit import (
     MOD_INVERSE,
     LatticeLabel,
     compose_labels,
-    displacement,
+    displacement,  # noqa: F401 -- unused here, but perfbench's tracer wraps it by this name
     displacements,
     fourier,
     generalized_pauli,
@@ -177,18 +177,12 @@ def run_qudit_suite() -> SuiteResult:
 
     dev = 0.0
     for conv in CONVENTIONS:
-        ds = rng.integers(2, 9, 200)
-        if conv == MOD_INVERSE:
-            ds |= 1     # an even d becomes d + 1
+        ds = rng.integers(2, 9, 200) | (conv == MOD_INVERSE)   # MOD_INVERSE: even d -> d + 1
         for d in np.unique(ds).tolist():
-            labels = rng.integers(-d, d + 1, (4, np.count_nonzero(ds == d)))
-            totals, scalars = zip(*(
-                compose_labels(LatticeLabel(a, b, d), LatticeLabel(c, e, d), conv)
-                for a, b, c, e in zip(*labels.tolist())))
-            x1, p1, x2, p2 = labels
-            x, p = np.array([(t.x, t.p) for t in totals]).T
+            x1, p1, x2, p2 = rng.integers(-d, d + 1, (4, np.count_nonzero(ds == d)))
+            (x, p), scalars = compose_labels((x1, p1), (x2, p2), conv, d)
             lhs = displacements(d, x2, p2, conv) @ displacements(d, x1, p1, conv)
-            rhs = np.array(scalars)[:, None, None] * displacements(d, x, p, conv)
+            rhs = scalars[:, None, None] * displacements(d, x, p, conv)
             dev = max(dev, float(np.max(np.abs(lhs - rhs))))
     checks.add("compose_labels vs matrix product (200/convention)", dev, 1e-12)
 
@@ -211,12 +205,10 @@ def run_qudit_suite() -> SuiteResult:
 
     dev = 0.0
     for d, theta in zip(range(2, 7), rng.uniform(0.1, 2.0, 5).tolist()):
-        for x in range(d):
-            conj = displacement(d, -x, 0, HALF_ROOT) @ rotation(d, theta) @ \
-                displacement(d, x, 0, HALF_ROOT)
-            expected = np.diag([np.exp(1j * theta * ((x + m) % d))
-                                for m in range(d)])
-            dev = max(dev, float(np.max(np.abs(conj - expected))))
+        x = np.arange(d)
+        back, forth = displacements(d, np.multiply.outer([-1, 1], x), 0, HALF_ROOT)
+        expected = np.exp(1j * theta * ((x[:, None] + x) % d))[..., None] * np.eye(d)
+        dev = max(dev, float(np.max(np.abs(back @ rotation(d, theta) @ forth - expected))))
     checks.add("shifted rotation picks e^{i theta (x+m mod d)}", dev, 1e-12)
 
     dev = 0.0

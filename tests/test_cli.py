@@ -342,9 +342,11 @@ def test_sci_kernel_writes_what_percent_writes():
 
 
 def _reference_write_csv(out, header, columns):
-    """The row-by-row ``%`` writer the kernel replaced, kept as its reference."""
-    exact = [isinstance(c, list) for c in columns]
-    columns = [c if e else np.asarray(c, dtype=float) for c, e in zip(columns, exact)]
+    """The row-by-row ``%`` writer the kernel replaced, kept as its reference.
+    An exact column (values, rows) is written as the list of values[rows[i]]."""
+    exact = [isinstance(c, tuple) for c in columns]
+    columns = [[c[0][i] for i in c[1]] if e else np.asarray(c, dtype=float)
+               for c, e in zip(columns, exact)]
     cli._require(all(np.isfinite(c).all() for c, e in zip(columns, exact) if not e),
                  "non-finite value in the computed rows; nothing written")
     row = ",".join("%s" if e else cli._FMT for e in exact) + "\n"
@@ -365,6 +367,8 @@ def _reference_write_csv(out, header, columns):
     ["sweep", "--n-list", "12345678901234567891,1e23,1e308"],
     ["contraction"],
     ["contraction", "--zeta", "3+4j", "--n-min", "1", "--n-max", str(10 ** 11)],
+    ["sweep", "--n-list", "1e19,1"],
+    ["sweep", "--n-list", "1e4,1e4,3", "--zeta-steps", "1001"],
 ])
 def test_writer_matches_the_percent_reference(argv, tmp_path, monkeypatch, capsys):
     with monkeypatch.context() as patch:

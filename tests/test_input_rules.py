@@ -1,7 +1,8 @@
 """Every refused input, sent to every public entry point that takes it, is a
-one-line ValueError raised by amqc itself: each input rule (integer, qudit
-dimension, qubit index, register vector and index, initial label, fan shape,
-ensemble size) has one owner, and every backend applies the strict copy."""
+one-line ValueError raised by amqc itself: each input rule (integer, lattice
+label, qudit dimension, qubit index, register vector and index, initial label,
+fan shape, ensemble size) has one owner, and every backend applies the strict
+copy."""
 
 import dataclasses
 from pathlib import Path
@@ -13,7 +14,9 @@ from amqc.branches import fan_steps
 from amqc.linalg import PAULI_X
 from amqc.qubus import FieldBranchState, FieldLabel, apply_controlled_field, field_fan
 from amqc.qudit import (
+    HALF_ROOT,
     LatticeLabel,
+    compose_labels,
     displacement,
     displacements,
     fourier,
@@ -87,6 +90,9 @@ def _initial_label(z):
 
 def _label(x, p):
     return [("LatticeLabel", lambda: LatticeLabel(x, p, 5)),
+            ("displacement", lambda: displacement(5, x, p)),
+            ("displacements", lambda: displacements(5, [x], [p])),
+            ("compose_labels", lambda: compose_labels(([x], [p]), ([1], [1]), HALF_ROOT, 5)),
             *_qudit_paths("interaction", Interaction(0, x, p))]
 
 

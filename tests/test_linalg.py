@@ -51,6 +51,40 @@ def test_kron_associative_exactly():
     np.testing.assert_array_equal(kron(kron(a, b), c), kron(a, kron(b, c)))
 
 
+@st.composite
+def kron_factors(draw):
+    """1-4 factors of rank 0-2 and side 1-4, real or complex, with entries
+    over many orders of magnitude, signed zeros and non-finite values."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    factors = []
+    for _ in range(draw(st.integers(1, 4))):
+        shape = tuple(draw(st.lists(st.integers(1, 4), max_size=2)))
+        f = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        if draw(st.booleans()):
+            f = f + 1j * rng.standard_normal(shape)
+        special = rng.random(shape) < 0.1
+        factors.append(np.where(special, rng.choice([0.0, -0.0, np.inf, np.nan], shape), f))
+    return factors
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(kron_factors())
+def test_kron_is_bitwise_numpy_kron(factors):
+    # The reference: np.kron folded left to right over complex casts.
+    want = np.asarray(factors[0], dtype=complex)
+    with np.errstate(all="ignore"):
+        for f in factors[1:]:
+            want = np.kron(want, np.asarray(f, dtype=complex))
+        got = kron(*factors)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_kron_needs_a_factor():
+    with pytest.raises(ValueError, match="at least one factor"):
+        kron()
+
+
 def test_embed_controlled_equals_projector_sum():
     # controlled(u0, u1) is |0><0| x u0 + |1><1| x u1, bitwise.
     rng = np.random.default_rng(3)

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amqc.linalg import HADAMARD, PAULI_X, PAULI_Z, identity, is_unitary
 from amqc.qudit import (
@@ -15,6 +17,7 @@ from amqc.qudit import (
     compose_labels,
     displacement,
     displacement_prefactor,
+    displacements,
     fourier,
     generalized_pauli,
     loop_phase,
@@ -219,6 +222,58 @@ def test_compose_matches_matrix_oracle_randomly():
 def test_compose_rejects_mixed_dimensions():
     with pytest.raises(ValueError):
         compose_labels(LatticeLabel(1, 0, 3), LatticeLabel(1, 0, 5))
+
+
+labels_beyond_int64 = st.lists(st.tuples(*[st.integers(-10 ** 30, 10 ** 30)] * 4),
+                               min_size=1, max_size=20)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 9), st.sampled_from(CONVENTIONS), labels_beyond_int64)
+def test_array_compose_is_the_label_path_bitwise(d, conv, pairs):
+    # Object arrays of Python integers up to 1e30: the array form gives each
+    # pair's exact summed label and, bit for bit, the LatticeLabel scalar.
+    if conv == MOD_INVERSE and d % 2 == 0:
+        d += 1
+    x1, p1, x2, p2 = (np.array(column, dtype=object) for column in zip(*pairs))
+    (x, p), scalars = compose_labels((x1, p1), (x2, p2), conv, d)
+    singles = [compose_labels(LatticeLabel(a, b, d), LatticeLabel(c, e, d), conv)
+               for a, b, c, e in pairs]
+    assert scalars.shape == (len(pairs),) and scalars.dtype == complex
+    assert scalars.tobytes() == np.array([s for _, s in singles]).tobytes()
+    assert list(x) == [t.x for t, _ in singles] and list(p) == [t.p for t, _ in singles]
+    # int64 arrays of the labels' residues give the same scalars.
+    residues = [(a % (2 * d)).astype(np.int64) for a in (x1, p1, x2, p2)]
+    assert compose_labels(residues[:2], residues[2:], conv, d)[1].tobytes() == scalars.tobytes()
+
+
+def test_array_compose_broadcasts_and_keeps_the_refusals():
+    (x, p), scalars = compose_labels((np.arange(3)[:, None], 1), (0, np.arange(4)), HALF_ROOT, 4)
+    assert x.shape == (3, 1) and p.shape == (4,) and scalars.shape == (3, 4)
+    assert scalars[2, 3] == compose_labels(LatticeLabel(2, 1, 4), LatticeLabel(0, 3, 4))[1]
+    with pytest.raises(ValueError, match="is even"):
+        compose_labels((np.arange(3), 0), (0, np.arange(3)), MOD_INVERSE, 4)
+    with pytest.raises(ValueError, match="integers or integer arrays"):
+        compose_labels((np.array([1.5]), 0), (0, 1), HALF_ROOT, 3)
+    with pytest.raises(ValueError, match="integers or integer arrays"):
+        compose_labels(([0], [np.True_]), ([1], [1]), HALF_ROOT, 3)
+    with pytest.raises(ValueError, match="qudit dimension"):
+        compose_labels(([0], [1]), ([1], [1]), HALF_ROOT, 1)
+
+
+@pytest.mark.parametrize("x,p", [(True, 0), (0, np.bool_(False)), (np.array([1.5]), 0),
+                                 (1, np.array([True])), (np.array(["1"]), 0)])
+def test_displacements_refuse_non_integer_labels(x, p):
+    with pytest.raises(ValueError, match="integers or integer arrays"):
+        displacements(3, x, p)
+
+
+def test_displacements_of_labels_beyond_int64_are_their_scalar_builds():
+    labels = np.array([10 ** 30 + 1, -(10 ** 25), 7], dtype=object)
+    for conv in CONVENTIONS:
+        stack = displacements(5, labels[:, None], labels[None, :], conv)
+        for (i, x), (j, p) in itertools.product(enumerate(labels), repeat=2):
+            assert stack[i, j].tobytes() == displacement(5, x, p, conv).tobytes()
 
 
 def rect(x, p, d):

@@ -657,6 +657,18 @@ def test_spin_generator_resource_limit():
         spin_generator_check(0.1, 0.1, 9)
 
 
+@pytest.mark.parametrize("theta,phi,n_spins,message", [
+    (0.1, 0.1, 0, "need at least one spin"),
+    (0.1, 0.1, 1.5, "whole number"),
+    (math.inf, 0.1, 2, "finite angles"),
+    (0.1, math.nan, 2, "finite angles"),
+])
+def test_spin_generator_refuses_bad_input(theta, phi, n_spins, message):
+    # Each is a one-line ValueError, not kron's or math's own error.
+    with pytest.raises(ValueError, match=message):
+        spin_generator_check(theta, phi, n_spins)
+
+
 @pytest.mark.parametrize("n_spins", range(1, 9))
 def test_spin_generator_holds_up_to_eight_spins(n_spins):
     # verify draws N <= 4 only; the check's dense limit is 8.

@@ -106,10 +106,15 @@ def _scaled_by_a_power_of_x(orig):
 
 
 def _conjugate_scalar(orig):
-    def compose(l1, l2, conv=HALF_ROOT):
-        total, scalar = orig(l1, l2, conv)
-        return total, scalar.conjugate()
+    def compose(l1, l2, conv=HALF_ROOT, d=None):
+        total, scalars = orig(l1, l2, conv, d)
+        return total, np.conj(scalars)
     return compose
+
+
+def _reversed_rotation(orig):
+    # R(-theta): each conjugated diagonal picks e^{-i theta (x+m mod d)}.
+    return lambda d, theta: orig(d, -theta)
 
 
 def _unit_prefactor(orig):
@@ -201,6 +206,8 @@ FAULTS = [
      "displacement unitarity (both conventions)"),
     (verify, "compose_labels", _conjugate_scalar,
      "compose_labels vs matrix product (200/convention)"),
+    (verify, "rotation", _reversed_rotation,
+     "shifted rotation picks e^{i theta (x+m mod d)}"),
     (amqc.qudit, "displacement_prefactor", _unit_prefactor,
      "compose_labels vs matrix product (200/convention)"),
     (amqc.qudit, "_phase_unit", _half_root_unit,
@@ -230,9 +237,10 @@ def test_injected_fault_fails_exactly_its_check(monkeypatch, owner, name, fault,
 
 
 def test_batched_checks_keep_their_samples(monkeypatch):
-    # One call per (d, convention): 152 rectangles in 7 extractions, and 286
-    # rectangle loop phases in 10 calls, the samples the per-sample loops had.
-    calls = {"gates": [], "loops": []}
+    # One call per (d, convention): 152 rectangles in 7 extractions, 286
+    # rectangle loop phases in 10 calls and 400 label pairs in 11
+    # compositions, the samples the per-sample loops had.
+    calls = {"gates": [], "loops": [], "pairs": []}
 
     def gates(seqs, *args, **kwargs):
         calls["gates"].append(len(seqs))
@@ -243,12 +251,19 @@ def test_batched_checks_keep_their_samples(monkeypatch):
             calls["loops"].append(len(labels[0]))
         return phase(labels, convention, d)
 
-    extract, phase = verify.extract_register_gates, verify.loop_phase
+    def pairs(l1, l2, convention=HALF_ROOT, d=None):
+        calls["pairs"].append(np.broadcast(*l1, *l2).size)
+        return compose(l1, l2, convention, d)
+
+    extract, phase, compose = (verify.extract_register_gates, verify.loop_phase,
+                               verify.compose_labels)
     monkeypatch.setattr(verify, "extract_register_gates", gates)
     monkeypatch.setattr(verify, "loop_phase", loops)
+    monkeypatch.setattr(verify, "compose_labels", pairs)
     assert verify.run_qudit_suite().passed
     assert (len(calls["gates"]), sum(calls["gates"])) == (7, 152)
     assert (len(calls["loops"]), sum(calls["loops"])) == (10, 286)
+    assert (len(calls["pairs"]), sum(calls["pairs"])) == (11, 400)
 
 
 @pytest.mark.parametrize("fault", [_negated_angle, _unscaled_angle, _negated_leg])
