@@ -20,31 +20,28 @@ displaces one way, bit 1 the opposite way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import branches, oracles
-from .report import GateReport, diagonal_report
+from .report import GateReport, _Frozen, _Record, diagonal_report
 
 
-@dataclass(frozen=True)
-class FieldLabel:
+class FieldLabel(_Frozen):
     """A phase-space point (position displacement, momentum displacement)."""
 
-    x: float
-    p: float
+    def __init__(self, x: float, p: float):
+        self.__dict__.update(x=x, p=p)
 
 
 ORIGIN = FieldLabel(0.0, 0.0)
 
 
-@dataclass
-class FieldBranchState:
+class FieldBranchState(_Record):
     """Register basis branches, each dragging one bus label and amplitude."""
 
-    n_qubits: int
-    branches: dict = field(default_factory=dict)
+    def __init__(self, n_qubits: int, branches: dict | None = None):
+        self.n_qubits, self.branches = n_qubits, {} if branches is None else branches
 
     @classmethod
     def from_register(cls, register: np.ndarray,

@@ -35,9 +35,10 @@ so the ordering matters for d > 2.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
+
+from .report import _Frozen
 
 MOD_INVERSE = "modular-inverse"
 HALF_ROOT = "half-root"
@@ -76,10 +77,12 @@ def _check_label(x, p, kind: str) -> None:
 
 
 def _residues(labels, d: int) -> np.ndarray:
-    """Integer labels of any size mod 2d as int64; non-integers, bools included, are refused."""
-    a = np.asarray(labels)
+    """Integer labels of any size mod 2d as int64; non-integers, bools included, are refused.
+    A list or tuple is read entry by entry: numpy would take [True, -1] for integers."""
+    a = np.asarray(labels, dtype=object if isinstance(labels, (list, tuple)) else None)
     if not (a.dtype.kind in "iu" or a.dtype == object and all(map(_integer, a.flat))):
-        raise ValueError(f"labels must be integers or integer arrays, got {a.dtype} values")
+        kind = "non-integer" if a.dtype == object else a.dtype
+        raise ValueError(f"labels must be integers or integer arrays, got {kind} values")
     return np.asarray(a % (2 * d), dtype=np.int64)
 
 
@@ -88,21 +91,17 @@ def omega(d: int, a) -> complex:
     return np.exp(2j * np.pi * np.asarray(a) / d)
 
 
-@dataclass(frozen=True, eq=False)
-class LatticeLabel:
+class LatticeLabel(_Frozen):
     """A point (x, p) of the Z(d) x Z(d) lattice.
 
     Raw integers (int or numpy integer, not bool) are kept so sequences may
     use negative displacements literally; equality and hashing reduce mod d.
     """
 
-    x: int
-    p: int
-    d: int
-
-    def __post_init__(self):
-        _check_dimension(self.d)
-        _check_label(self.x, self.p, "lattice")
+    def __init__(self, x: int, p: int, d: int):
+        _check_dimension(d)
+        _check_label(x, p, "lattice")
+        self.__dict__.update(x=x, p=p, d=d)
 
     def reduced(self) -> tuple[int, int]:
         return (self.x % self.d, self.p % self.d)
@@ -241,8 +240,8 @@ def compose_labels(l1, l2, convention: str = HALF_ROOT, d: int | None = None):
         total, d = l1 + l2, l1.d   # refuses labels of different lattices
         return total, complex(compose_labels((l1.x, l1.p), (l2.x, l2.p), convention, d)[1])
     _check_dimension(d)
+    x1, p1, x2, p2 = (_residues(a, d) for a in (*l1, *l2))
     given = [np.asarray(a) for a in (*l1, *l2)]
-    x1, p1, x2, p2 = (_residues(a, d) for a in given)
     scalars = _roots(d)[_phase_unit(d, convention) * ((x1 * p2 - p1 * x2) % (2 * d)) % (2 * d)]
     return (given[0] + given[2], given[1] + given[3]), scalars
 
@@ -266,13 +265,14 @@ def loop_phase(labels, convention: str = HALF_ROOT, d: int | None = None):
         d = labels[0].d
         if any(lab.d != d for lab in labels):
             raise ValueError("labels live on different lattices")
-        labels = [[lab.x for lab in labels]], [[lab.p for lab in labels]]
+        labels = np.array([[lab.x for lab in labels]]), np.array([[lab.p for lab in labels]])
     _check_dimension(d)
     c = _phase_unit(d, convention)
-    xp = np.asarray(labels)
-    if xp.ndim != 3 or len(xp) != 2 or not xp.shape[2]:
+    # x and p apart: stacked, numpy would take a bool beside an int for an int.
+    xp = [_residues(a, d) for a in labels] if np.iterable(labels) else []
+    if len(xp) != 2 or xp[0].ndim != 2 or xp[0].shape != xp[1].shape or not xp[0].shape[1]:
         raise ValueError("loop labels must be integer arrays (x, p) of one shape (B, L)")
-    xp = _residues(xp, d)
+    xp = np.array(xp)
     # The composition exponents c (X p - P x), (X, P) the label before each
     # step, and the closed net label's prefactor -c X P: D(X, P) is that times I.
     net = xp.cumsum(axis=2)

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -46,7 +45,7 @@ from .branches import (_check_qubit, _evaluate, _phase_polynomial, _register_vec
 from .linalg import is_unitary, kron, largest_schmidt_weight
 from .qudit import (HALF_ROOT, _check_dimension, _check_label, _integer, _phase_unit, _roots,
                     displacement, rotation)
-from .report import GateReport, diagonal_report, gate_exists
+from .report import GateReport, _Frozen, _Record, diagonal_report, gate_exists
 
 APPLY_ON_ONE = "apply-on-one"
 SYMMETRIC = "symmetric"
@@ -64,29 +63,29 @@ class Interaction(NamedTuple):
     polarity: str = APPLY_ON_ONE
 
 
-@dataclass(frozen=True)
-class AncillaProjectedGate:
+class AncillaProjectedGate(_Frozen):
     """Apply ``gate`` to register qubit ``target`` iff the ancilla sits in
     position level ``level``; the identity on every other ancilla level."""
 
-    target: int
-    level: int
-    gate: np.ndarray = field(compare=False)
+    def __init__(self, target: int, level: int, gate: np.ndarray):
+        self.__dict__.update(target=target, level=level, gate=gate)
+
+    def _key(self) -> tuple:
+        return self.target, self.level   # the gate takes no part in == and hash
 
 
-@dataclass(frozen=True)
-class ControlledAncillaRotation:
+class ControlledAncillaRotation(_Frozen):
     """Rotation diag(e^{i*n*theta}) of the ancilla, controlled by a qubit."""
 
-    control: int
-    theta: float
+    def __init__(self, control: int, theta: float):
+        self.__dict__.update(control=control, theta=theta)
 
 
-@dataclass(frozen=True)
-class LocalAncillaRotation:
+class LocalAncillaRotation(_Frozen):
     """Uncontrolled rotation diag(e^{i*n*theta}) of the ancilla."""
 
-    theta: float
+    def __init__(self, theta: float):
+        self.__dict__.update(theta=theta)
 
 
 def _check_qubit_count(n_qubits) -> None:
@@ -94,29 +93,23 @@ def _check_qubit_count(n_qubits) -> None:
         raise ValueError(f"qubit count must be an integer >= 0, got {n_qubits!r}")
 
 
-@dataclass(frozen=True)
-class InteractionSequence:
+class InteractionSequence(_Frozen):
     """Ordered elements (first applied first) on an (n_qubits, d) layout checked when built."""
 
-    n_qubits: int
-    d: int
-    elements: list
-
-    def __post_init__(self):
-        _check_qubit_count(self.n_qubits)
-        _check_dimension(self.d)
+    def __init__(self, n_qubits: int, d: int, elements: list):
+        _check_qubit_count(n_qubits)
+        _check_dimension(d)
+        self.__dict__.update(n_qubits=n_qubits, d=d, elements=elements)
 
     def __len__(self) -> int:
         return len(self.elements)
 
 
-@dataclass
-class HybridState:
+class HybridState(_Record):
     """Dense register (x) ancilla state vector."""
 
-    n_qubits: int
-    d: int
-    amplitudes: np.ndarray
+    def __init__(self, n_qubits: int, d: int, amplitudes: np.ndarray):
+        self.n_qubits, self.d, self.amplitudes = n_qubits, d, amplitudes
 
     @classmethod
     def from_product(cls, n_qubits: int, register: np.ndarray,

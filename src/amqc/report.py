@@ -1,8 +1,6 @@
-"""Result record for register-gate extraction and the rule for when a gate exists."""
+"""Record base classes, the register-gate report and the rule for when a gate exists."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,8 +14,51 @@ def gate_exists(fidelity: float, residual: float) -> bool:
     return residual < DISENTANGLE_TOL and 1.0 - fidelity < DISENTANGLE_TOL
 
 
-@dataclass
-class GateReport:
+# The records are not dataclasses: @dataclass writes and compiles the methods of
+# amqc's 16 records at every import, 9 ms of a 48 ms benchmark set-up, and with
+# loading `dataclasses` 14 ms of a 24 ms `import amqc.cli` from cached bytecode.
+class _Record:
+    """Base of amqc's records: a record's fields are the parameters of its
+    own ``__init__``, in order.  It gives the ``Name(field=value, ...)``
+    repr and equality over the fields of two records of one class; a record
+    that can change is unhashable."""
+
+    __hash__ = None
+
+    def _fields(self) -> tuple:
+        init = type(self).__init__.__code__
+        return init.co_varnames[1:init.co_argcount]
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields()])
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields()])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+
+class _Frozen(_Record):
+    """A hashable record whose ``__init__`` sets its fields once, through
+    ``__dict__``; assigning or deleting a field raises the frozen dataclass
+    error."""
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name, value, action="assign to"):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot {action} field {name!r}")
+
+    def __delattr__(self, name):
+        self.__setattr__(name, None, "delete")
+
+
+class GateReport(_Record):
     """What a simulated interaction sequence did to the register.
 
     Attributes
@@ -39,10 +80,12 @@ class GateReport:
         Number of elements in the sequence that produced the gate.
     """
 
-    register_unitary: np.ndarray | None
-    ancilla_return_fidelity: float
-    residual_entanglement: float
-    interaction_count: int
+    def __init__(self, register_unitary: np.ndarray | None, ancilla_return_fidelity: float,
+                 residual_entanglement: float, interaction_count: int):
+        self.register_unitary = register_unitary
+        self.ancilla_return_fidelity = ancilla_return_fidelity
+        self.residual_entanglement = residual_entanglement
+        self.interaction_count = interaction_count
 
 
 def diagonal_report(phases: np.ndarray, overlaps: np.ndarray, residual,

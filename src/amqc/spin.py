@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from . import branches
 from .branches import SingularCompositionError
 from .linalg import (HADAMARD, PAULI_X, PAULI_Y, controlled, identity, kron,
                      phase_distance, phase_gate)
-from .report import GateReport, diagonal_report
+from .report import GateReport, _Frozen, _Record, diagonal_report
 
 # Largest |eta| for which the closing leg tau(eta) is real.
 ETA_MAX = math.sqrt(2.0) - 1.0
@@ -104,17 +103,15 @@ def vacuum_return_infidelity(zeta_final, n_spins: int):
     return -np.expm1(-n_spins * np.log1p(np.abs(zeta_final) ** 2))
 
 
-@dataclass(frozen=True)
-class LoopSolution:
+class LoopSolution(_Frozen):
     """Closing leg and per-spin geometric phase of the corrected rectangle.
 
     ``phi_t`` is the phase per spin; an ensemble of N spins acquires
     N * phi_t around the loop.
     """
 
-    eta: float
-    tau: float
-    phi_t: float
+    def __init__(self, eta: float, tau: float, phi_t: float):
+        self.__dict__.update(eta=eta, tau=tau, phi_t=phi_t)
 
 
 def loop_close(eta: float) -> LoopSolution:
@@ -142,8 +139,7 @@ def loop_close(eta: float) -> LoopSolution:
                                                    (1.0 + eta ** 2) * root))
 
 
-@dataclass
-class SpinBranchState:
+class SpinBranchState(_Record):
     """Register basis branches, each dragging one coherent label and amplitude.
 
     ``branches`` maps a register basis index (qubit 0 = most significant bit)
@@ -153,9 +149,9 @@ class SpinBranchState:
     the coherent labels themselves overlapping.
     """
 
-    n_qubits: int
-    n_spins: int
-    branches: dict = field(default_factory=dict)
+    def __init__(self, n_qubits: int, n_spins: int, branches: dict | None = None):
+        self.n_qubits, self.n_spins = n_qubits, n_spins
+        self.branches = {} if branches is None else branches
 
     @classmethod
     def from_register(cls, register: np.ndarray, n_spins: int,
@@ -279,8 +275,7 @@ def eta_for_phase(target_phi: float, n_spins: int) -> float:
     return t / (1.0 + math.sqrt(1.0 + t * t))
 
 
-@dataclass(frozen=True)
-class ErrorPoint:
+class ErrorPoint(_Frozen):
     """Closed-form intrinsic errors of the uncorrected (flat) rectangle.
 
     For total displacement budget zeta_n split over the fan, each leg of the
@@ -299,13 +294,10 @@ class ErrorPoint:
     broadcast shape otherwise.
     """
 
-    zeta_n: float | np.ndarray
-    n_spins: int | np.ndarray
-    phi_f: float | np.ndarray
-    phi_E: float | np.ndarray
-    infidelity: float | np.ndarray
-    phi_series: float | np.ndarray
-    infid_series: float | np.ndarray
+    def __init__(self, zeta_n, n_spins, phi_f, phi_E, infidelity, phi_series, infid_series):
+        self.__dict__.update(zeta_n=zeta_n, n_spins=n_spins, phi_f=phi_f, phi_E=phi_E,
+                             infidelity=infidelity, phi_series=phi_series,
+                             infid_series=infid_series)
 
 
 def fan_error(zeta_n, n_spins) -> ErrorPoint:
@@ -372,7 +364,6 @@ def phi_series_defect(zeta_n, n_spins):
     return float(defect) if defect.ndim == 0 else defect
 
 
-@dataclass
 class SpinFanReport(GateReport):
     """Branch-resolved outcome of a contracted fan sequence.
 
@@ -382,12 +373,15 @@ class SpinFanReport(GateReport):
     exceeding 2*pi.
     """
 
-    branch_labels: np.ndarray
-    branch_phases: np.ndarray
-    worst_phase_error: float
-    worst_branch_infidelity: float
-    extremal_phase: float
-    extremal_label: complex
+    def __init__(self, register_unitary, ancilla_return_fidelity, residual_entanglement,
+                 interaction_count, branch_labels, branch_phases, worst_phase_error,
+                 worst_branch_infidelity, extremal_phase, extremal_label):
+        super().__init__(register_unitary, ancilla_return_fidelity, residual_entanglement,
+                         interaction_count)
+        self.branch_labels, self.branch_phases = branch_labels, branch_phases
+        self.worst_phase_error = worst_phase_error
+        self.worst_branch_infidelity = worst_branch_infidelity
+        self.extremal_phase, self.extremal_label = extremal_phase, extremal_label
 
 
 def fan_sequence_simulate(xs, ps, n_spins: int) -> SpinFanReport:
@@ -436,14 +430,12 @@ def fan_sequence_simulate(xs, ps, n_spins: int) -> SpinFanReport:
     )
 
 
-@dataclass(frozen=True)
-class ContractionRow:
-    n_spins: int
-    phi_f: float
-    abs_err_phi: float
-    overlap: float
-    abs_err_overlap: float
-    prefactor: float
+class ContractionRow(_Frozen):
+    def __init__(self, n_spins: int, phi_f: float, abs_err_phi: float, overlap: float,
+                 abs_err_overlap: float, prefactor: float):
+        self.__dict__.update(n_spins=n_spins, phi_f=phi_f, abs_err_phi=abs_err_phi,
+                             overlap=overlap, abs_err_overlap=abs_err_overlap,
+                             prefactor=prefactor)
 
 
 def contraction_probe(zeta: complex, n_list) -> list[ContractionRow]:
@@ -508,6 +500,7 @@ def spin_generator_check(theta: float, phi: float, n_spins: int) -> float:
     collective exponentials come from eigendecompositions of the generators.
     """
     _check_spins(n_spins)
+    n_spins = int(n_spins)   # _check_spins admits a whole float; range() needs an int
     if n_spins > 8:
         raise ValueError(f"dense generator check limited to 8 spins, got {n_spins}")
     if not (math.isfinite(theta) and math.isfinite(phi)):

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,25 +58,23 @@ from .qudit_model import (
     single_pair_arbitrary_rotation,
     two_qubit_sequence,
 )
+from .report import _Record
 
 
-@dataclass
-class CheckResult:
-    name: str
-    deviation: float
-    tolerance: float
-    wall_s: float
+class CheckResult(_Record):
+    def __init__(self, name: str, deviation: float, tolerance: float, wall_s: float):
+        self.name, self.deviation = name, deviation
+        self.tolerance, self.wall_s = tolerance, wall_s
 
     @property
     def passed(self) -> bool:
         return self.deviation <= self.tolerance
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    checks: list = field(default_factory=list)
-    wall_time_s: float = 0.0
+class SuiteResult(_Record):
+    def __init__(self, name: str, checks: list | None = None, wall_time_s: float = 0.0):
+        self.name, self.checks = name, [] if checks is None else checks
+        self.wall_time_s = wall_time_s
 
     @property
     def cases_run(self) -> int:

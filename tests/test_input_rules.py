@@ -21,6 +21,7 @@ from amqc.qudit import (
     displacements,
     fourier,
     generalized_pauli,
+    loop_phase,
     rotation,
 )
 from amqc.qudit_model import (
@@ -90,9 +91,11 @@ def _initial_label(z):
 
 def _label(x, p):
     return [("LatticeLabel", lambda: LatticeLabel(x, p, 5)),
+            ("LatticeLabel-keywords", lambda: LatticeLabel(x=x, p=p, d=5)),
             ("displacement", lambda: displacement(5, x, p)),
             ("displacements", lambda: displacements(5, [x], [p])),
             ("compose_labels", lambda: compose_labels(([x], [p]), ([1], [1]), HALF_ROOT, 5)),
+            ("loop_phase", lambda: loop_phase(([[x, 0]], [[p, 0]]), HALF_ROOT, 5)),
             *_qudit_paths("interaction", Interaction(0, x, p))]
 
 
@@ -104,12 +107,16 @@ def _dimension(d):
             ("displacements", lambda: displacements(d, [0, 1], 1)),
             ("rotation", lambda: rotation(d, 0.3)),
             ("InteractionSequence", lambda: InteractionSequence(2, d, [])),
+            ("InteractionSequence-keywords",
+             lambda: InteractionSequence(n_qubits=2, d=d, elements=[])),
             ("two_qubit_sequence", lambda: two_qubit_sequence(0, 1, 1, 1, d)),
             ("fan_bipartite", lambda: fan_bipartite([1], [1], d))]
 
 
 def _register_size(n):
     return [("InteractionSequence", lambda: InteractionSequence(n, 3, [])),
+            ("InteractionSequence-keywords",
+             lambda: InteractionSequence(n_qubits=n, d=3, elements=[])),
             ("HybridState.basis", lambda: HybridState.basis(n, 0, GROUND))]
 
 
@@ -149,6 +156,15 @@ REFUSED = [
     *[("label", name, _label(x, p)) for name, (x, p) in [
         ("x-True", (True, 0)), ("p-numpy-True", (0, np.bool_(True))), ("x-1.5", (1.5, 0)),
         ("p-2.5", (2, 2.5)), ("x-numpy-1.0", (np.float64(1.0), 1))]],
+    # numpy reads [True, -1] as integers, and a bool array stacked beside an
+    # integer one as integers: each label array is checked on its own.
+    ("label", "bool-among-integers", [
+        ("loop_phase", lambda: loop_phase(([[0, 0]], [[True, -1]]), HALF_ROOT, 3)),
+        ("loop_phase-bool-array",
+         lambda: loop_phase((np.array([[1, -1]]), np.array([[False, False]])), HALF_ROOT, 3)),
+        ("compose_labels", lambda: compose_labels(([0, 0], [True, -1]), ([1, 1], [1, 1]),
+                                                  HALF_ROOT, 3)),
+        ("displacements", lambda: displacements(3, [True, -1], 0))]),
     *[("dimension", name, _dimension(d)) for name, d in [
         ("2.5", 2.5), ("numpy-3.0", np.float64(3.0)), ("True", True), ("1", 1), ("0", 0),
         ("-3", -3)]],

@@ -669,6 +669,10 @@ def test_spin_generator_refuses_bad_input(theta, phi, n_spins, message):
         spin_generator_check(theta, phi, n_spins)
 
 
+def test_spin_generator_takes_a_whole_float_ensemble_size():
+    assert spin_generator_check(0.1, 0.2, 2.0) == spin_generator_check(0.1, 0.2, 2)
+
+
 @pytest.mark.parametrize("n_spins", range(1, 9))
 def test_spin_generator_holds_up_to_eight_spins(n_spins):
     # verify draws N <= 4 only; the check's dense limit is 8.
