@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import oracles, spin
-from .linalg import PAULI_X, phase_distance
+from .linalg import PAULI_X, diagonal_distance, phase_distance
 from .qudit_model import (
     AncillaProjectedGate,
     ControlledAncillaRotation,
@@ -28,6 +28,7 @@ from .qudit_model import (
     generalized_toffoli,
     mod_d_phase_gate,
 )
+from .report import MAX_DENSE_QUBITS
 from .verify import SUITES, run_suites
 
 _FMT = "%.11e"   # 12 significant digits, scientific
@@ -70,11 +71,6 @@ _EXPONENTS[-_EXP_MIN - 99:100 - _EXP_MIN, 2] = 0     # two digits below 100
 _EXPONENTS = _EXPONENTS.view(np.uint64).ravel()
 _GROUPS = np.array([[10 ** 9], [10 ** 6], [10 ** 3], [1]])
 _WIDTH = 28
-
-# Largest register ``demo`` builds.  It holds two dense 2^q x 2^q matrices at
-# once (the extracted unitary and the oracle; phase_distance streams them),
-# 16 * 4^q bytes each: 512 MB at q = 12.
-MAX_DENSE_QUBITS = 12
 
 
 def _require(ok: bool, message: str) -> None:
@@ -275,8 +271,8 @@ def cmd_demo(args) -> int:
         raise SystemExit(2)
 
     report = extract_register_gate(seq)
-    distance = (phase_distance(report.register_unitary, oracle)
-                if report.register_unitary is not None else float("inf"))
+    distance = (float("inf") if report.gate is None else
+                (diagonal_distance if oracle.ndim == 1 else phase_distance)(report.gate, oracle))
     print("sequence:", " ".join(_format_element(e) for e in seq.elements))
     print(f"{gates} gate(s) via {report.interaction_count} interactions "
           f"(naive: {naive})")

@@ -1,8 +1,8 @@
 """Dense complex linear algebra and comparison metrics for brute-force gate checks.
 
 Everything here operates on plain numpy arrays: unitaries are (n, n) complex
-matrices, states are 1-d complex vectors.  The dense register oracles the
-extracted gates are compared against live in :mod:`amqc.oracles`.
+matrices, states and diagonal gates 1-d complex vectors.  The register oracles
+the extracted gates are compared against live in :mod:`amqc.oracles`.
 """
 
 from __future__ import annotations
@@ -78,26 +78,12 @@ def phase_distance(u: np.ndarray, v: np.ndarray) -> float:
 
     The second pass sums ||e^{i phi} v - u||^2 over blocks of whole rows, at
     most _BLOCK entries while a row fits, so no dense temporary is made.
-
-    Stacks of small matrices, (..., N, N), give the array of the pairs'
-    distances, in whole-stack passes.
     """
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    if u.shape != v.shape or u.ndim < 2 or u.shape[-1] != u.shape[-2]:
+    if u.shape != v.shape or u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"phase_distance needs equal square matrices, "
                          f"got {u.shape} and {v.shape}")
-    if u.ndim > 2:
-        axes = (-2, -1)
-        t = (v.conj() * u).sum(axis=axes)
-        flat = np.abs(t) <= 1e-12 * u.shape[-1]
-        diff = (np.where(flat, 1.0, t) / np.where(flat, 1.0, np.abs(t)))[..., None, None] * v
-        diff -= u
-        out = np.sqrt((diff.conj() * diff).real.sum(axis=axes))
-        if flat.any():
-            out[flat] = np.hypot(np.linalg.norm(u[flat], axis=axes),
-                                 np.linalg.norm(v[flat], axis=axes))
-        return out
     t = np.vdot(v, u)
     if abs(t) <= 1e-12 * u.shape[0]:
         return float(np.hypot(np.linalg.norm(u), np.linalg.norm(v)))
@@ -108,6 +94,21 @@ def phase_distance(u: np.ndarray, v: np.ndarray) -> float:
         diff -= u[r:r + rows]
         total += np.vdot(diff, diff).real
     return float(np.sqrt(total))
+
+
+def diagonal_distance(u: np.ndarray, v: np.ndarray):
+    """:func:`phase_distance` of diag(u) and diag(v), from the diagonals
+    alone, by the same rule (t = sum conj(v) u, the same flat case).  Stacks
+    of diagonals, (..., N), give the array of the pairs' distances."""
+    u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+    if u.shape != v.shape or u.ndim < 1:
+        raise ValueError(f"diagonal_distance needs equal diagonals, got {u.shape} and {v.shape}")
+    t = (v.conj() * u).sum(axis=-1)
+    flat = np.abs(t) <= 1e-12 * u.shape[-1]
+    diff = (np.where(flat, 1.0, t) / np.where(flat, 1.0, np.abs(t)))[..., None] * v - u
+    out = np.where(flat, np.hypot(np.linalg.norm(u, axis=-1), np.linalg.norm(v, axis=-1)),
+                   np.linalg.norm(diff, axis=-1))
+    return float(out) if out.ndim == 0 else out
 
 
 def state_fidelity(a: np.ndarray, b: np.ndarray) -> float:

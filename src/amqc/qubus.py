@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from . import branches, oracles
-from .report import GateReport, _Frozen, _Record, diagonal_report
+from .report import GateReport, _Frozen, _Record, dense_gate, diagonal_report
 
 
 class FieldLabel(_Frozen):
@@ -115,4 +115,4 @@ def field_fan(xs, ps, initial_label: FieldLabel = ORIGIN) -> GateReport:
 
 def fan_target_unitary(xs, ps) -> np.ndarray:
     """Dense oracle prod_j prod_k exp(i x_k p_j Z_k (x) Z_j) of :func:`field_fan`."""
-    return oracles.fan(xs, ps, 1.0, signed=True)
+    return dense_gate(oracles.fan(xs, ps, 1.0, signed=True))

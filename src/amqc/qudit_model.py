@@ -390,7 +390,7 @@ def extract_register_gate(seq: InteractionSequence, anc_init: np.ndarray | None 
     classes) as a batch of one.  Any other sequence runs on label classes
     of register row blocks (:func:`_class_gate`): a generalized Toffoli has
     n + 1 of them and a mod-d gate at most 2 min(n + 1, d), whatever 2^n is.
-    Only the dense unitary is gathered over all 2^n rows.
+    Only a projected gate's blocks are gathered into a dense unitary.
     """
     n, d = seq.n_qubits, seq.d
     anc_init = _checked_ancilla(d, anc_init, convention)
@@ -404,12 +404,14 @@ def extract_register_gate(seq: InteractionSequence, anc_init: np.ndarray | None 
 
     rows, index, exponent, returned, fidelity, residual = _class_gate(
         seq, steps, anc_init, convention)
-    unitary = None
+    gate = None
     if gate_exists(fidelity, residual):
-        unitary = np.zeros((2 ** n, 2 ** n), dtype=complex)
-        unitary[rows[:, None, :], rows[:, :, None]] = \
-            _roots(d).take(exponent, mode="wrap")[:, None, None] * returned[index]
-    return GateReport(unitary, fidelity, residual, len(seq.elements))
+        blocks = _roots(d).take(exponent, mode="wrap")[:, None, None] * returned[index]
+        gate = blocks.reshape(-1)    # k = 0: block o is row o, and the gate diagonal
+        if rows.shape[1] > 1:
+            gate = np.zeros((2 ** n, 2 ** n), dtype=complex)
+            gate[rows[:, None, :], rows[:, :, None]] = blocks
+    return GateReport(gate, fidelity, residual, len(seq.elements))
 
 
 def extract_register_gates(seqs, anc_init: np.ndarray | None = None,

@@ -58,15 +58,29 @@ class _Frozen(_Record):
         self.__setattr__(name, None, "delete")
 
 
+# Largest dense gate built: a 2^q x 2^q matrix takes 16 * 4^q bytes, 256 MiB at q = 12.
+MAX_DENSE_QUBITS = 12
+
+
+def dense_gate(diagonal: np.ndarray) -> np.ndarray:
+    """The (2^q, 2^q) matrix of a gate kept as its 2^q diagonal, the one dense
+    layout of a diagonal gate; ValueError above MAX_DENSE_QUBITS qubits."""
+    if len(diagonal) > 2 ** MAX_DENSE_QUBITS:
+        raise ValueError(f"a {len(diagonal).bit_length() - 1}-qubit gate is kept as its diagonal: "
+                         f"dense gates are built for at most MAX_DENSE_QUBITS = {MAX_DENSE_QUBITS}")
+    return np.diag(np.asarray(diagonal, dtype=complex))
+
+
 class GateReport(_Record):
     """What a simulated interaction sequence did to the register.
 
     Attributes
     ----------
-    register_unitary : ndarray or None
-        The (2^n, 2^n) register gate, populated only when both
-        ``residual_entanglement`` and ``1 - ancilla_return_fidelity`` are
-        below ``DISENTANGLE_TOL`` (:func:`gate_exists`).
+    gate : ndarray or None
+        The register gate, populated only when both ``residual_entanglement``
+        and ``1 - ancilla_return_fidelity`` are below ``DISENTANGLE_TOL``
+        (:func:`gate_exists`): its 2^n diagonal, or a Toffoli's (2^n, 2^n)
+        matrix.  ``register_unitary`` is the matrix, built on each read.
     ancilla_return_fidelity : float
         Worst-case overlap squared between the ancilla's final and initial
         states over the tested inputs; exactly 1 signals perfect
@@ -80,12 +94,16 @@ class GateReport(_Record):
         Number of elements in the sequence that produced the gate.
     """
 
-    def __init__(self, register_unitary: np.ndarray | None, ancilla_return_fidelity: float,
+    def __init__(self, gate: np.ndarray | None, ancilla_return_fidelity: float,
                  residual_entanglement: float, interaction_count: int):
-        self.register_unitary = register_unitary
+        self.gate = gate
         self.ancilla_return_fidelity = ancilla_return_fidelity
         self.residual_entanglement = residual_entanglement
         self.interaction_count = interaction_count
+
+    @property
+    def register_unitary(self) -> np.ndarray | None:
+        return self.gate if self.gate is None or self.gate.ndim == 2 else dense_gate(self.gate)
 
 
 def diagonal_report(phases: np.ndarray, overlaps: np.ndarray, residual,
@@ -93,12 +111,12 @@ def diagonal_report(phases: np.ndarray, overlaps: np.ndarray, residual,
     """GateReport of a sequence that keeps every register basis state.
 
     Branch r returns ``phases[r] * overlaps[r]`` times the initial ancilla
-    state: a unit phase times the overlap of its final ancilla state with
-    the initial one.  The fidelity is the smallest |overlap|^2, so a walk
-    whose overlaps are exactly 1 reads exactly 1 whatever the phases.  A
-    non-finite phase or overlap, left by a walk that overflowed double
-    precision, raises ValueError.  Given (B, 2^n) arrays and B residuals and
-    counts, it returns the B reports.
+    state, a unit phase times the overlap of its final ancilla state with
+    the initial one; these returns are the gate's diagonal.  The fidelity is
+    the smallest |overlap|^2, so a walk whose overlaps are exactly 1 reads
+    exactly 1 whatever the phases.  A non-finite phase or overlap, left by
+    a walk that overflowed double precision, raises ValueError.  Given
+    (B, 2^n) arrays and B residuals and counts, it returns the B reports.
     """
     if phases.ndim == 1:
         return diagonal_report(phases[None], overlaps[None], [residual],
@@ -108,11 +126,5 @@ def diagonal_report(phases: np.ndarray, overlaps: np.ndarray, residual,
         raise ValueError("branch phase or overlap is not finite: the sequence "
                          "overflows double precision")
     fidelities = [min(1.0, f ** 2) for f in np.abs(overlaps).min(axis=-1).tolist()]
-    exists = list(map(gate_exists, fidelities, residual))
-    kept = returns if all(exists) else returns[exists]
-    dim = returns.shape[-1]
-    unitaries = np.zeros((len(kept), dim * dim), dtype=complex)
-    unitaries[:, ::dim + 1] = kept
-    unitaries = iter(unitaries.reshape(-1, dim, dim))
-    return [GateReport(next(unitaries) if ok else None, fidelity, res, count)
-            for ok, fidelity, res, count in zip(exists, fidelities, residual, interaction_count)]
+    return [GateReport(gate if gate_exists(fid, res) else None, fid, res, count)
+            for gate, fid, res, count in zip(returns, fidelities, residual, interaction_count)]

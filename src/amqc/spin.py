@@ -38,7 +38,7 @@ from . import branches
 from .branches import SingularCompositionError
 from .linalg import (HADAMARD, PAULI_X, PAULI_Y, controlled, identity, kron,
                      phase_distance, phase_gate)
-from .report import GateReport, _Frozen, _Record, diagonal_report
+from .report import DISENTANGLE_TOL, GateReport, _Frozen, _Record, diagonal_report
 
 # Largest |eta| for which the closing leg tau(eta) is real.
 ETA_MAX = math.sqrt(2.0) - 1.0
@@ -241,20 +241,22 @@ def spin_two_qubit_gate(eta: float, n_spins: int) -> GateReport:
     absolute round-off of about N phi_t 2^-53 that the fidelity does not
     show.  At eta = 0.1, against an 80-digit reference at the double 0.1,
     U00 is off by 5.6e-11 at N = 1e8, 1.0e-6 at 1e12, 4.6e-3 at 1e16 and
-    1.1 at 1e18, and each of these reports carries a gate of fidelity 1.0.
+    1.1 at 1e18.  So no gate is kept once N |phi_t| 2^-52 exceeds
+    DISENTANGLE_TOL: at eta = 0.1 (phi_t = 0.0204) from N of about 2.2e7.
     An eta from :func:`eta_for_phase` keeps N phi_t at its target, so its
-    phases stay accurate.  The walk's closing labels keep a round-off of
-    about 1e-17, and the return infidelity grows as N |zeta|^2 (4e-15 at
-    N = 1e20 and 4e-11 at N = 1e24 for eta = 0.1).  It passes
-    DISENTANGLE_TOL from N of about 1e24 (2.5e24 at eta = 0.1, 1e24 at
-    eta = 0.05, 0.2 and 0.4), and from there no gate is reported.
+    phases stay accurate and its gate is kept.  The walk's closing labels
+    keep a round-off of about 1e-17, and the return infidelity grows as
+    N |zeta|^2 (4e-15 at N = 1e20 and 4e-11 at N = 1e24 for eta = 0.1).
     """
     _check_spins(n_spins)
     sol = loop_close(eta)
     signs = 1.0 - 2.0 * branches.register_bits(2)
     legs = (signs[:, 0] * sol.eta, signs[:, 1] * (1j * sol.tau),
             signs[:, 0] * -sol.tau, signs[:, 1] * (-1j * sol.eta))
-    return _sphere_report(*_sphere_walk(legs, n_spins), n_spins, 4)[0]
+    report = _sphere_report(*_sphere_walk(legs, n_spins), n_spins, 4)[0]
+    if n_spins * abs(sol.phi_t) * 2.0 ** -52 > DISENTANGLE_TOL:
+        report.gate = None    # phases that have lost their digits
+    return report
 
 
 def eta_for_phase(target_phi: float, n_spins: int) -> float:
@@ -373,10 +375,10 @@ class SpinFanReport(GateReport):
     exceeding 2*pi.
     """
 
-    def __init__(self, register_unitary, ancilla_return_fidelity, residual_entanglement,
+    def __init__(self, gate, ancilla_return_fidelity, residual_entanglement,
                  interaction_count, branch_labels, branch_phases, worst_phase_error,
                  worst_branch_infidelity, extremal_phase, extremal_label):
-        super().__init__(register_unitary, ancilla_return_fidelity, residual_entanglement,
+        super().__init__(gate, ancilla_return_fidelity, residual_entanglement,
                          interaction_count)
         self.branch_labels, self.branch_phases = branch_labels, branch_phases
         self.worst_phase_error = worst_phase_error

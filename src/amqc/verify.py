@@ -27,6 +27,7 @@ from .branches import flat_step, register_bits, sphere_overlap, sphere_step
 from .linalg import (
     PAULI_X,
     PAULI_Y,
+    diagonal_distance,
     identity,
     kron,
     phase_distance,
@@ -112,9 +113,9 @@ def _conventions_for(d: int):
 
 
 def _rectangle_oracles(x: np.ndarray, p: np.ndarray, d: int) -> np.ndarray:
-    """C^0_1 R(2 pi x p / d) for each (x, p): diag exp(2 pi i x p b_0 b_1 / d)."""
+    """C^0_1 R(2 pi x p / d) for each (x, p): the diagonal exp(2 pi i x p b_0 b_1 / d)."""
     b0, b1 = register_bits(2).T
-    return np.exp(1j * (2 * np.pi / d) * np.outer(x, b0) * np.outer(p, b1))[..., None] * np.eye(4)
+    return np.exp(1j * (2 * np.pi / d) * np.outer(x, b0) * np.outer(p, b1))
 
 
 def _powers(m: np.ndarray, count: int) -> np.ndarray:
@@ -217,25 +218,18 @@ def run_qudit_suite() -> SuiteResult:
         for conv in _conventions_for(d):
             reps = extract_register_gates(seqs, convention=conv)
             fid_dev = max(fid_dev, *(abs(1.0 - rep.ancilla_return_fidelity) for rep in reps))
-            dev = max(dev, float(np.max(phase_distance(
-                np.array([rep.register_unitary for rep in reps]), oracle))))
+            dev = max(dev, float(np.max(diagonal_distance(
+                np.array([rep.gate for rep in reps]), oracle))))
     checks.add("two-qubit rectangle = C^j_k R(2 pi x p / d)", dev, 1e-10)
     checks.add("two-qubit rectangle ancilla return fidelity", fid_dev, 1e-12)
 
     dev = 0.0
-    d = 4
-    xs, p = (1, 2, 3), 1
-    seq = fan_one_target(xs, p, d)
-    rep = extract_register_gate(seq)
-    oracle = oracles.fan(xs, [p], 2 * np.pi / d, signed=False)
-    dev = max(dev, phase_distance(rep.register_unitary, oracle))
-    dev = max(dev, 0.0 if rep.interaction_count == 2 * (len(xs) + 1) else 1.0)
-    d = 3
-    xs2, ps2 = (1, 2), (1, 1)
-    rep = extract_register_gate(fan_bipartite(xs2, ps2, d))
-    oracle = oracles.fan(xs2, ps2, 2 * np.pi / d, signed=False)
-    dev = max(dev, phase_distance(rep.register_unitary, oracle))
-    dev = max(dev, 0.0 if rep.interaction_count == 2 * (len(xs2) + len(ps2)) else 1.0)
+    for seq, xs, ps, d in ((fan_one_target((1, 2, 3), 1, 4), (1, 2, 3), [1], 4),
+                           (fan_bipartite((1, 2), (1, 1), 3), (1, 2), (1, 1), 3)):
+        rep = extract_register_gate(seq)
+        oracle = oracles.fan(xs, ps, 2 * np.pi / d, signed=False)
+        dev = max(dev, diagonal_distance(rep.gate, oracle),
+                  0.0 if rep.interaction_count == 2 * (len(xs) + len(ps)) else 1.0)
     checks.add("fan sequences match composed rotation oracles, "
                "counts 2(n+1)/2(n+m)", dev, 1e-10)
 
@@ -248,15 +242,13 @@ def run_qudit_suite() -> SuiteResult:
 
     theta, n, d = np.pi / 5, 4, 3
     rep = extract_register_gate(mod_d_phase_gate(theta, n, d))
-    expected = np.diag(oracles.mod_d(theta, n, d))
-    dev = float(np.max(np.abs(np.diag(rep.register_unitary) - expected)))
+    dev = float(np.max(np.abs(rep.gate - oracles.mod_d(theta, n, d))))
     checks.add("mod-d phase gate exponent theta (sum q mod d) q_t", dev, 1e-12)
 
     dev = 0.0
     for theta, d in ((np.pi, 2), (2 * np.pi / 7, 3)):
         rep = extract_register_gate(single_pair_arbitrary_rotation(theta, d))
-        dev = max(dev, phase_distance(rep.register_unitary,
-                                      oracles.fan([1], [1], theta, signed=False)))
+        dev = max(dev, diagonal_distance(rep.gate, oracles.fan([1], [1], theta, signed=False)))
     checks.add("controlled ancilla rotation gives arbitrary CR(theta)", dev, 1e-10)
 
     dev = max(map(hamiltonian_generator_check, rng.uniform(-np.pi, np.pi, 10).tolist(),
@@ -334,7 +326,7 @@ def run_spin_suite() -> SuiteResult:
         rep = spin.spin_two_qubit_gate(eta, n_spins)
         sol = spin.loop_close(eta)
         oracle = oracles.fan([1], [1], n_spins * sol.phi_t, signed=True)
-        dev = max(dev, phase_distance(rep.register_unitary, oracle))
+        dev = max(dev, diagonal_distance(rep.gate, oracle))
         fid_dev = max(fid_dev, abs(1.0 - rep.ancilla_return_fidelity))
     checks.add("corrected rectangle = exp(i N phi_t Z Z)", dev, 1e-10)
     checks.add("corrected rectangle ancilla fidelity exactly 1", fid_dev, 1e-12)
@@ -343,10 +335,9 @@ def run_spin_suite() -> SuiteResult:
     eta = spin.eta_for_phase(np.pi / 4, n_spins)
     rep = spin.spin_two_qubit_gate(eta, n_spins)
     cz = oracles.fan([1], [1], np.pi, signed=False)
-    corrected = kron(phase_gate(np.pi / 2), phase_gate(np.pi / 2)) @ \
-        rep.register_unitary
+    corrected = kron(*[[1.0, np.exp(1j * np.pi / 2)]] * 2) * rep.gate   # R(pi/2) (x) R(pi/2)
     checks.add("root-found eta gives CZ up to local rotations",
-               phase_distance(corrected, cz), 1e-10)
+               diagonal_distance(corrected, cz), 1e-10)
 
     # The joint state sum_r a_r |r>|psi_r> of a 3-qubit register after 8
     # random controlled displacements: psi_r is the N-fold tensor power of the
@@ -411,25 +402,22 @@ def run_qubus_suite() -> SuiteResult:
         zz = oracles.fan([x], [p], 1.0, signed=True)
         for label in (qubus.ORIGIN, qubus.FieldLabel(0.7, -1.3)):
             rep = qubus.field_two_qubit(x, p, initial_label=label)
-            dev = max(dev, phase_distance(rep.register_unitary, zz))
+            dev = max(dev, diagonal_distance(rep.gate, zz))
             dev = max(dev, abs(1.0 - rep.ancilla_return_fidelity))
     checks.add("rectangle = exp(i x p Z Z), any initial label", dev, 1e-12)
 
     xp = np.pi / 4
     rep = qubus.field_two_qubit(math.sqrt(xp), math.sqrt(xp))
     cz = oracles.fan([1], [1], np.pi, signed=False)
-    corrected = kron(phase_gate(2 * xp), phase_gate(2 * xp)) @ rep.register_unitary
+    corrected = kron(*[[1.0, np.exp(2j * xp)]] * 2) * rep.gate   # R(2xp) (x) R(2xp)
     checks.add("x p = pi/4 locally equivalent to CZ",
-               phase_distance(corrected, cz), 1e-12)
+               diagonal_distance(corrected, cz), 1e-12)
 
-    dev = 0.0
     xs, ps = (0.3, 0.4), (0.2, 0.5)
     rep = qubus.field_fan(xs, ps)
-    dev = max(dev, phase_distance(rep.register_unitary,
-                                  qubus.fan_target_unitary(xs, ps)))
-    dev = max(dev, 0.0 if rep.interaction_count == 8 else 1.0)
-    dev = max(dev, abs(1.0 - rep.ancilla_return_fidelity))
-    dev = max(dev, rep.residual_entanglement)
+    dev = max(diagonal_distance(rep.gate, oracles.fan(xs, ps, 1.0, signed=True)),
+              0.0 if rep.interaction_count == 8 else 1.0,
+              abs(1.0 - rep.ancilla_return_fidelity), rep.residual_entanglement)
     checks.add("fan: 4 gates in 8 interactions, exact closure", dev, 1e-12)
 
     return SuiteResult("qubus", checks, time.perf_counter() - t0)
@@ -486,8 +474,7 @@ def run_cross_suite() -> SuiteResult:
     scale = math.sqrt(2 * math.pi / d)
     rep_field = qubus.field_fan([x * scale for x in xs_int],
                                 [p * scale for p in ps_int])
-    dev = max(dev, phase_distance(rep_qudit.register_unitary,
-                                  rep_field.register_unitary))
+    dev = max(dev, diagonal_distance(rep_qudit.gate, rep_field.gate))
     checks.add("qudit fan = field fan at matched angles 2 pi k/d", dev, 1e-10)
 
     return SuiteResult("cross", checks, time.perf_counter() - t0)

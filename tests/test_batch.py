@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amqc.linalg import PAULI_X, phase_distance, random_state, random_unitary
+from amqc.linalg import PAULI_X, diagonal_distance, phase_distance, random_state
 from amqc.qudit import (
     CONVENTIONS,
     HALF_ROOT,
@@ -176,20 +176,25 @@ def test_loop_phase_array_refuses_bad_labels(labels):
 
 
 # ----------------------------------------------------------------------------
-# phase distances of stacks
+# phase distances of stacks of diagonals
 # ----------------------------------------------------------------------------
 
-def test_stacked_phase_distance_is_each_pair_by_the_2d_rule():
+def test_stacked_diagonal_distance_is_each_pair_by_the_dense_rule():
     rng = np.random.default_rng(11)
-    u = np.array([random_unitary(4, rng) for _ in range(6)])
-    v = np.exp(1j * rng.uniform(0, 6, 6))[:, None, None] * u
-    v[1] = random_unitary(4, rng)
-    v[2] = np.diag([1.0, -1.0, 1.0, -1.0])    # tr(v^dagger u) = 0: the flat case
-    u[2] = np.eye(4)
-    stacked = phase_distance(u, v)
+    u = np.exp(1j * rng.uniform(0, 6, (6, 8)))
+    v = np.exp(1j * rng.uniform(0, 6, 6))[:, None] * u
+    v[1] = np.exp(1j * rng.uniform(0, 6, 8))
+    v[2] = [1.0, -1.0] * 4    # tr(v^dagger u) = 0: the flat case
+    u[2] = 1.0
+    v[3] = 0.5 * v[3]         # not unitary: the norms enter
+    stacked = diagonal_distance(u, v)
     assert stacked.shape == (6,)
     for a, b, dist in zip(u, v, stacked.tolist()):
-        assert abs(dist - phase_distance(a, b)) <= 1e-14
-    assert phase_distance(u[None], v[None]).shape == (1, 6)
+        assert abs(dist - phase_distance(np.diag(a), np.diag(b))) <= 1e-14
+        assert diagonal_distance(a, b) == dist
+    assert diagonal_distance(u[None], v[None]).shape == (1, 6)
+    with pytest.raises(ValueError, match="equal diagonals"):
+        diagonal_distance(u, v[:, :3])
+    # Dense stacks are refused: stacked gates are compared as diagonals.
     with pytest.raises(ValueError, match="square"):
-        phase_distance(u, v[:, :3])
+        phase_distance(u[:, :, None] * np.eye(8), v[:, :, None] * np.eye(8))

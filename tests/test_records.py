@@ -49,7 +49,7 @@ RECORDS = [
     (InteractionSequence, {"n_qubits": 2, "d": 3, "elements": [Interaction(0, 1, 0)]},
      True, False, ("d", 5)),
     (HybridState, {"n_qubits": 1, "d": 2, "amplitudes": AMPS}, False, False, ("d", 4)),
-    (GateReport, {"register_unitary": UNITARY, "ancilla_return_fidelity": 1.0,
+    (GateReport, {"gate": UNITARY, "ancilla_return_fidelity": 1.0,
                   "residual_entanglement": 0.0, "interaction_count": 4},
      False, False, ("interaction_count", 5)),
     (LoopSolution, {"eta": 0.1, "tau": 0.2, "phi_t": 0.3}, True, True, ("phi_t", 0.5)),
@@ -58,7 +58,7 @@ RECORDS = [
     (ErrorPoint, {"zeta_n": 0.1, "n_spins": 10, "phi_f": 0.01, "phi_E": 0.02,
                   "infidelity": 0.03, "phi_series": 0.04, "infid_series": 0.05},
      True, True, ("infid_series", 0.06)),
-    (SpinFanReport, {"register_unitary": None, "ancilla_return_fidelity": 1.0,
+    (SpinFanReport, {"gate": None, "ancilla_return_fidelity": 1.0,
                      "residual_entanglement": 0.0, "interaction_count": 4,
                      "branch_labels": AMPS, "branch_phases": AMPS.real,
                      "worst_phase_error": 0.1, "worst_branch_infidelity": 0.2,
