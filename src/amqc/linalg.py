@@ -96,15 +96,18 @@ def phase_distance(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.sqrt(total))
 
 
-def diagonal_distance(u: np.ndarray, v: np.ndarray):
+def diagonal_distance(u: np.ndarray, v: np.ndarray, dim: int | None = None):
     """:func:`phase_distance` of diag(u) and diag(v), from the diagonals
     alone, by the same rule (t = sum conj(v) u, the same flat case).  Stacks
-    of diagonals, (..., N), give the array of the pairs' distances."""
+    of diagonals, (..., N), give the array of the pairs' distances.  Given
+    ``dim``, u and v are compact gates on the same rows of a dim-row register."""
     u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
     if u.shape != v.shape or u.ndim < 1:
         raise ValueError(f"diagonal_distance needs equal diagonals, got {u.shape} and {v.shape}")
+    if dim is not None:   # zero in both dense layouts outside the blocks
+        u, v = u.reshape(-1), v.reshape(-1)
     t = (v.conj() * u).sum(axis=-1)
-    flat = np.abs(t) <= 1e-12 * u.shape[-1]
+    flat = np.abs(t) <= 1e-12 * (u.shape[-1] if dim is None else dim)
     diff = (np.where(flat, 1.0, t) / np.where(flat, 1.0, np.abs(t)))[..., None] * v - u
     out = np.where(flat, np.hypot(np.linalg.norm(u, axis=-1), np.linalg.norm(v, axis=-1)),
                    np.linalg.norm(diff, axis=-1))

@@ -1,11 +1,9 @@
-"""Register oracles: the gates the sequence builders target, in closed form.
+"""Register oracles: the gates the sequence builders target, in closed form and
+kept as a GateReport keeps them (qubit 0 the most significant bit).
 
-Each oracle is a function of the register basis index alone, built from
-:func:`amqc.branches.register_bits` (qubit 0 the most significant bit).  A
-fan of controlled phases is a bilinear form in the control bits, or in the
+A fan of controlled phases is a bilinear form in the control bits, or in the
 control signs (the quadratic-form picture of Dehaene and De Moor, PRA 68,
-042318, 2003), so every rectangle and fan of every backend is one call to
-:func:`fan`.  Diagonal oracles return the 2^q diagonal, as a GateReport keeps it.
+042318, 2003), so every rectangle and fan of every backend is one call to :func:`fan`.
 """
 
 from __future__ import annotations
@@ -37,8 +35,7 @@ def mod_d(theta: float, n: int, d: int) -> np.ndarray:
 
 
 def toffoli(n: int, u: np.ndarray) -> np.ndarray:
-    """n-controlled ``u`` on target qubit n: ``u`` on the |1...1>|0>,
-    |1...1>|1> block, the identity elsewhere."""
-    out = np.eye(2 ** (n + 1), dtype=complex)
-    out[-2:, -2:] = u
+    """n-controlled ``u`` on qubit n as blocks on rows (2o, 2o + 1), ``u`` transposed last."""
+    out = np.tile(np.eye(2, dtype=complex), (2 ** n, 1, 1))
+    out[-1] = np.asarray(u, dtype=complex).T
     return out

@@ -3,17 +3,12 @@
 A register of n qubits talks to a single d-level ancilla only through
 controlled displacements.  :func:`extract_register_gate` never builds the
 joint state of one input at a time: a displacement-only sequence runs on the
-branch engine, and any other sequence runs on label classes of register row
-blocks.  Between two non-displacement elements every row's ancilla vector is
-D(X, P) times its input up to a phase, with (X, P) from the segment's phase
-polynomial, so blocks that agree on every segment's labels, relative phases
-and rotation controls evolve alike: a generalized Toffoli has n + 1 classes
-and a mod-d gate at most 2 min(n + 1, d), however large 2^n is.  The dense
-:class:`HybridState` (a vector over 2^n * d amplitudes, qubit-major,
-ancilla-minor: index = register_bits * d + ancilla_level, with qubit 0 the
-most significant register bit) with :func:`apply_element` and
-:func:`run_sequence` is the reference simulator the extraction is tested
-against.
+branch engine, and any other sequence on label classes of register row blocks
+(:func:`_class_gate`), however large 2^n is.  The dense :class:`HybridState`
+(a vector over 2^n * d amplitudes, qubit-major, ancilla-minor: index =
+register_bits * d + ancilla_level, with qubit 0 the most significant register
+bit) with :func:`apply_element` and :func:`run_sequence` is the reference
+simulator the extraction is tested against.
 
 Sequences are lists of elements in application order.  Besides controlled
 displacements two special elements exist: a gate on a register qubit projected
@@ -379,7 +374,7 @@ def extract_register_gate(seq: InteractionSequence, anc_init: np.ndarray | None 
     before anything runs: an interaction needs an integer label, a projected
     gate a level in range(d) and a finite 2x2 unitary, a rotation a finite angle.
     The worst-case ancilla return fidelity and residual entanglement are
-    always reported, and the register unitary only when both the residual
+    always reported, and the gate only when both the residual
     and 1 - fidelity are below ``DISENTANGLE_TOL``
     (:func:`amqc.report.gate_exists`): every output factorises with the
     ancilla back in ``anc_init`` up to phase.  Non-disentangling sequences
@@ -390,7 +385,6 @@ def extract_register_gate(seq: InteractionSequence, anc_init: np.ndarray | None 
     classes) as a batch of one.  Any other sequence runs on label classes
     of register row blocks (:func:`_class_gate`): a generalized Toffoli has
     n + 1 of them and a mod-d gate at most 2 min(n + 1, d), whatever 2^n is.
-    Only a projected gate's blocks are gathered into a dense unitary.
     """
     n, d = seq.n_qubits, seq.d
     anc_init = _checked_ancilla(d, anc_init, convention)
@@ -404,14 +398,12 @@ def extract_register_gate(seq: InteractionSequence, anc_init: np.ndarray | None 
 
     rows, index, exponent, returned, fidelity, residual = _class_gate(
         seq, steps, anc_init, convention)
-    gate = None
-    if gate_exists(fidelity, residual):
-        blocks = _roots(d).take(exponent, mode="wrap")[:, None, None] * returned[index]
-        gate = blocks.reshape(-1)    # k = 0: block o is row o, and the gate diagonal
-        if rows.shape[1] > 1:
-            gate = np.zeros((2 ** n, 2 ** n), dtype=complex)
-            gate[rows[:, None, :], rows[:, :, None]] = blocks
-    return GateReport(gate, fidelity, residual, len(seq.elements))
+    if not gate_exists(fidelity, residual):
+        return GateReport(None, fidelity, residual, len(seq.elements))
+    gate = _roots(d).take(exponent, mode="wrap")[:, None, None] * returned[index]
+    if rows.shape[1] == 1:    # k = 0: block o is row o, and the gate is its diagonal
+        gate, rows = gate.reshape(-1), None
+    return GateReport(gate, fidelity, residual, len(seq.elements), rows)
 
 
 def extract_register_gates(seqs, anc_init: np.ndarray | None = None,

@@ -62,13 +62,22 @@ class _Frozen(_Record):
 MAX_DENSE_QUBITS = 12
 
 
-def dense_gate(diagonal: np.ndarray) -> np.ndarray:
-    """The (2^q, 2^q) matrix of a gate kept as its 2^q diagonal, the one dense
-    layout of a diagonal gate; ValueError above MAX_DENSE_QUBITS qubits."""
-    if len(diagonal) > 2 ** MAX_DENSE_QUBITS:
-        raise ValueError(f"a {len(diagonal).bit_length() - 1}-qubit gate is kept as its diagonal: "
+def dense_gate(gate: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """The one dense (2^q, 2^q) layout of a register gate, a 2^q diagonal or blocks on
+    ``rows``; ValueError for other shapes, and above MAX_DENSE_QUBITS before allocating."""
+    gate = np.asarray(gate, dtype=complex)
+    diagonal = rows is None and gate.ndim == 1
+    if not diagonal and (np.ndim(rows) != 2 or gate.shape != np.shape(rows) + np.shape(rows)[1:]):
+        raise ValueError(f"dense_gate takes a diagonal or blocks on their rows, got {gate.shape}")
+    dim = gate.size if diagonal else np.size(rows)
+    if dim > 2 ** MAX_DENSE_QUBITS:
+        raise ValueError(f"a {dim.bit_length() - 1}-qubit gate is kept compact: "
                          f"dense gates are built for at most MAX_DENSE_QUBITS = {MAX_DENSE_QUBITS}")
-    return np.diag(np.asarray(diagonal, dtype=complex))
+    if diagonal:
+        return np.diag(gate)
+    out = np.zeros((dim, dim), dtype=complex)
+    out[rows[:, None, :], rows[:, :, None]] = gate
+    return out
 
 
 class GateReport(_Record):
@@ -79,8 +88,8 @@ class GateReport(_Record):
     gate : ndarray or None
         The register gate, populated only when both ``residual_entanglement``
         and ``1 - ancilla_return_fidelity`` are below ``DISENTANGLE_TOL``
-        (:func:`gate_exists`): its 2^n diagonal, or a Toffoli's (2^n, 2^n)
-        matrix.  ``register_unitary`` is the matrix, built on each read.
+        (:func:`gate_exists`): its 2^n diagonal, or its (2^(n-k), 2^k, 2^k) blocks on
+        ``rows`` where k qubits mix.  ``register_unitary`` is its dense matrix, built on each read.
     ancilla_return_fidelity : float
         Worst-case overlap squared between the ancilla's final and initial
         states over the tested inputs; exactly 1 signals perfect
@@ -92,18 +101,19 @@ class GateReport(_Record):
         divergence that product basis inputs cannot show).
     interaction_count : int
         Number of elements in the sequence that produced the gate.
+    rows : ndarray or None
+        A block gate's register rows: ``gate[o, a, c]`` is at (``rows[o, c]``, ``rows[o, a]``).
     """
 
     def __init__(self, gate: np.ndarray | None, ancilla_return_fidelity: float,
-                 residual_entanglement: float, interaction_count: int):
-        self.gate = gate
+                 residual_entanglement: float, interaction_count: int, rows=None):
+        self.gate, self.rows, self.interaction_count = gate, rows, interaction_count
         self.ancilla_return_fidelity = ancilla_return_fidelity
         self.residual_entanglement = residual_entanglement
-        self.interaction_count = interaction_count
 
     @property
     def register_unitary(self) -> np.ndarray | None:
-        return self.gate if self.gate is None or self.gate.ndim == 2 else dense_gate(self.gate)
+        return None if self.gate is None else dense_gate(self.gate, self.rows)
 
 
 def diagonal_report(phases: np.ndarray, overlaps: np.ndarray, residual,

@@ -377,9 +377,9 @@ class SpinFanReport(GateReport):
 
     def __init__(self, gate, ancilla_return_fidelity, residual_entanglement,
                  interaction_count, branch_labels, branch_phases, worst_phase_error,
-                 worst_branch_infidelity, extremal_phase, extremal_label):
+                 worst_branch_infidelity, extremal_phase, extremal_label, rows=None):
         super().__init__(gate, ancilla_return_fidelity, residual_entanglement,
-                         interaction_count)
+                         interaction_count, rows)
         self.branch_labels, self.branch_phases = branch_labels, branch_phases
         self.worst_phase_error = worst_phase_error
         self.worst_branch_infidelity = worst_branch_infidelity

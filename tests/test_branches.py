@@ -50,7 +50,7 @@ from amqc.qudit_model import (
     run_sequence,
     two_qubit_sequence,
 )
-from amqc.report import diagonal_report, gate_exists
+from amqc.report import dense_gate, diagonal_report, gate_exists
 from amqc.spin import (
     ETA_MAX,
     SpinBranchState,
@@ -102,8 +102,10 @@ def test_fan_target_unitary_matches_pairwise_sum(xs, ps, scale):
 @given(st.integers(1, 5), st.integers(2, 6), st.floats(-4.0, 4.0), seeds)
 def test_mod_d_and_toffoli_oracles_match_basis_loop(n, d, theta, seed):
     u = random_unitary(2, np.random.default_rng(seed))
-    phases, controlled = mod_d(theta, n, d), toffoli(n, u)
     dim = 2 ** (n + 1)
+    # The Toffoli's blocks, laid out on their rows (2o, 2o + 1).
+    phases = mod_d(theta, n, d)
+    controlled = dense_gate(toffoli(n, u), np.arange(dim).reshape(-1, 2))
     assert phases.shape == (dim,)    # the diagonal
     for r in range(dim):
         bits = [_bit(r, n + 1, q) for q in range(n + 1)]
@@ -326,19 +328,30 @@ def _two_targets_symmetric_count(d):
 _U = random_unitary(2, np.random.default_rng(5))
 
 
+def _projected_only(d):
+    # Two gates projected on the ancilla's start level: U (x) V on qubits 1, 3.
+    rng = np.random.default_rng(12)
+    return InteractionSequence(4, d, [AncillaProjectedGate(3, 0, random_unitary(2, rng)),
+                                      AncillaProjectedGate(1, 0, random_unitary(2, rng))])
+
+
 @pytest.mark.parametrize("seq, oracle", [
+    *[(generalized_toffoli(n, _U, n + 2), toffoli(n, _U)) for n in range(1, 8)],
     (generalized_toffoli(8, _U, 10), toffoli(8, _U)),
     (mod_d_phase_gate(2.3, 8, 10), mod_d(2.3, 8, 10)),
     (mod_d_phase_gate(1.1, 5, 3), mod_d(1.1, 5, 3)),         # the count wraps mod d
     (_two_targets_symmetric_count(5), None),
-], ids=["toffoli-8", "modd-8", "modd-wrapping", "two-targets"])
+    (_projected_only(4), None),
+], ids=[f"toffoli-{n}" for n in range(1, 9)] + ["modd-8", "modd-wrapping", "two-targets",
+                                                  "projected-only"])
 def test_label_classes_match_dense_at_bench_sizes(seq, oracle):
     dense = dense_extract(seq)
     report = extract_register_gate(seq)
     _assert_matches_dense(report, dense)
-    if oracle is not None:    # the mod-d oracle and gate are diagonals
-        distance = phase_distance if oracle.ndim == 2 else diagonal_distance
-        assert distance(report.gate, oracle) < 1e-10
+    if oracle is not None:    # Toffoli blocks on rows (2o, 2o + 1), mod-d diagonals
+        if oracle.ndim == 3:
+            assert np.array_equal(report.rows, np.arange(2 ** seq.n_qubits).reshape(-1, 2))
+        assert diagonal_distance(report.gate, oracle, 2 ** seq.n_qubits) < 1e-10
 
 
 def test_label_class_stage_at_16_controls():

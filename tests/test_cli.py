@@ -290,11 +290,20 @@ def test_sweep_streams_its_rows(tmp_path, capsys):
     assert peak < 3.0
 
 
-def test_demo_holds_two_dense_matrices(capsys):
-    # 10 qubits: 16 MiB per dense matrix, the unitary and the oracle;
-    # phase_distance streams them in blocks.
-    assert _traced_peak(["demo", "toffoli", "--n", "9", "--d", "10"]) < 36.0
-    assert "phase distance" in capsys.readouterr().out
+def test_demo_builds_no_dense_matrix(capsys):
+    # 10 qubits: a dense matrix would be 16 MiB; the gate and the oracle are
+    # 512 blocks of 2 x 2 each.
+    assert _traced_peak(["demo", "toffoli", "--n", "9", "--d", "10"]) < 4.0
+    assert "verified against oracle: phase distance" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["toffoli", "--n", "16", "--d", "18"],
+                                  ["fan-bipartite", "--n", "8", "--m", "8"]])
+def test_demo_runs_registers_above_max_dense_qubits(argv, capsys):
+    # 17 and 16 qubits, beyond the 12 that a dense gate may take; exit 0 is
+    # a phase distance below 1e-10.
+    assert main(["demo", *argv]) == 0
+    assert "verified against oracle" in capsys.readouterr().out
 
 
 def test_demo_refuses_oversized_register_before_building(monkeypatch, capsys):

@@ -1,12 +1,14 @@
-"""A diagonal register gate is kept as its 2^n diagonal.
+"""A register gate is kept compact: its 2^n diagonal, or its row blocks.
 
 Torus, bus and sphere reports and the label-class stage's mod-d and
-arbitrary-rotation gates store ``gate``, the 2^n diagonal; ``register_unitary``
-lays it out densely on request through :func:`amqc.report.dense_gate`, which
+arbitrary-rotation gates store ``gate``, the 2^n diagonal; a gate whose
+projected gates mix k qubits (a generalized Toffoli) stores its
+(2^(n-k), 2^k, 2^k) blocks and their ``rows``.  ``register_unitary`` lays
+either out densely on request through :func:`amqc.report.dense_gate`, which
 refuses registers above MAX_DENSE_QUBITS.  The dense matrix is checked bit for
-bit against the zeroed matrix with the engine's returns gathered on its
-diagonal, and :func:`amqc.linalg.diagonal_distance` against
-:func:`amqc.linalg.phase_distance` of the dense pair.
+bit against the zeroed matrix with the engine's returns gathered into it, and
+:func:`amqc.linalg.diagonal_distance`, of diagonals and of flattened blocks on
+shared rows, against :func:`amqc.linalg.phase_distance` of the dense pair.
 """
 
 import math
@@ -20,13 +22,15 @@ from hypothesis import strategies as st
 from amqc import spin
 from amqc.branches import fan_steps, flat_labels, flat_overlap, register_bits, torus_gate
 from amqc.cli import main
-from amqc.linalg import PAULI_X, diagonal_distance, phase_distance
-from amqc.oracles import fan, mod_d
+from amqc.linalg import PAULI_X, diagonal_distance, phase_distance, random_unitary
+from amqc.oracles import fan, mod_d, toffoli
 from amqc.qubus import FieldLabel, fan_target_unitary, field_fan
 from amqc.qudit import HALF_ROOT, MOD_INVERSE, _roots
 from amqc.qudit_model import (
     APPLY_ON_ONE,
     SYMMETRIC,
+    AncillaProjectedGate,
+    InteractionSequence,
     _check_element,
     _class_gate,
     _ground,
@@ -143,10 +147,45 @@ def test_register_unitary_is_read_only_and_none_without_a_gate():
     assert GateReport(None, 0.5, 0.5, 4).register_unitary is None
 
 
-def test_toffoli_keeps_its_dense_matrix():
+def test_toffoli_keeps_its_row_blocks():
     report = extract_register_gate(generalized_toffoli(3, PAULI_X, 5))
-    assert report.gate.shape == (16, 16)
-    assert report.register_unitary is report.gate
+    assert report.gate.shape == (8, 2, 2)
+    assert np.array_equal(report.rows, np.arange(16).reshape(8, 2))
+    assert np.array_equal(report.gate, toffoli(3, PAULI_X))
+    assert np.array_equal(report.register_unitary, dense_gate(report.gate, report.rows))
+
+
+def test_sixteen_control_toffoli_keeps_its_blocks_in_little_memory():
+    # Its dense gate would be 2^34 entries, 256 GiB; 2^16 blocks of 2 x 2 are 4 MiB.
+    u = random_unitary(2, np.random.default_rng(5))
+    tracemalloc.start()
+    try:
+        report = extract_register_gate(generalized_toffoli(16, u, 18))
+        held, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        with pytest.raises(ValueError, match="MAX_DENSE_QUBITS") as info:
+            report.register_unitary
+        refusal = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20 and refusal < 2 ** 20
+    assert "\n" not in str(info.value)
+    assert report.gate.shape == (2 ** 16, 2, 2)
+    assert np.array_equal(report.rows, np.arange(2 ** 17).reshape(-1, 2))
+    assert diagonal_distance(report.gate, toffoli(16, u), 2 ** 17) < 1e-10
+
+
+@pytest.mark.parametrize("gate, rows", [
+    (np.eye(2), None),                                   # a matrix, not its diagonal
+    (np.ones((4, 2, 2)), None),                          # blocks without their rows
+    (np.ones(4), np.arange(4)[:, None]),                 # a diagonal given rows
+    (np.ones((4, 2, 2)), np.arange(16).reshape(8, 2)),   # 4 blocks on 8 row pairs
+    (np.ones((2, 2, 2)), np.arange(4)),                  # rows that are not a table
+], ids=["matrix", "no-rows", "diagonal-rows", "count", "flat-rows"])
+def test_dense_gate_refuses_what_is_no_diagonal_or_blocks_on_their_rows(gate, rows):
+    with pytest.raises(ValueError, match="diagonal or blocks on their rows") as info:
+        dense_gate(gate, rows)
+    assert "\n" not in str(info.value)
 
 
 def test_fan_demo_at_twelve_qubits_builds_no_dense_matrix(capsys):
@@ -237,6 +276,50 @@ def test_arbitrary_rotation_keeps_the_gathered_diagonal(theta, d):
     seq = single_pair_arbitrary_rotation(theta, d)
     _assert_kept_diagonal(extract_register_gate(seq), _class_gathered(seq),
                           fan([1], [1], theta, signed=False))
+
+
+@PROPERTY
+@given(st.integers(1, 8), st.integers(2, 10), st.data())
+def test_toffolis_keep_the_gathered_blocks(n, extra, data):
+    u = random_unitary(2, np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))))
+    seq = generalized_toffoli(n, u, n + extra)
+    report = extract_register_gate(seq)
+    assert report.register_unitary.tobytes() == _class_gathered(seq).tobytes()
+    assert diagonal_distance(report.gate, toffoli(n, u), 2 ** (n + 1)) < 1e-10
+
+
+@PROPERTY
+@given(st.integers(2, 6), st.data())
+def test_projected_only_sequences_keep_the_gathered_blocks(n, data):
+    # Gates projected on the ancilla's start level act on their targets alone.
+    targets = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    seq = InteractionSequence(n, 3, [AncillaProjectedGate(t, 0, random_unitary(2, rng))
+                                     for t in targets])
+    report = extract_register_gate(seq)
+    assert report.gate.shape == (2 ** (n - len(targets)),) + (2 ** len(targets),) * 2
+    assert report.register_unitary.tobytes() == _class_gathered(seq).tobytes()
+
+
+@PROPERTY
+@given(st.integers(1, 2), st.integers(1, 7), st.sampled_from([None, 0.0, 0.5, 2.0]),
+       st.data())
+def test_block_gates_on_shared_rows_keep_the_dense_distance(k, rest, flatness, data):
+    # Unitary blocks on shuffled rows of n = k + rest qubits, at most 8.  v is
+    # random, or u with block o turned by e^(2 pi i o / blocks), so that t
+    # vanishes, plus a defect of ``flatness`` times the flat-case bound.
+    n = min(k + rest, 8)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    rows = rng.permutation(2 ** n).reshape(-1, 2 ** k)
+    u = np.array([random_unitary(2 ** k, rng) for _ in rows])
+    if flatness is None:
+        v = np.array([random_unitary(2 ** k, rng) for _ in rows])
+    else:
+        turn = np.exp(2j * np.pi * np.arange(len(rows)) / len(rows))
+        turn[0] += flatness * 1e-12 * 2 ** n / 2 ** k
+        v = turn[:, None, None] * u
+    dense = phase_distance(dense_gate(u, rows), dense_gate(v, rows))
+    assert abs(diagonal_distance(u, v, 2 ** n) - dense) <= 1e-12
 
 
 @PROPERTY

@@ -35,7 +35,7 @@ from amqc.spin import (
 from amqc.verify import CheckResult, SuiteResult
 
 AMPS = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-UNITARY = np.eye(2, dtype=complex)
+BLOCKS, ROWS = np.eye(2, dtype=complex)[None], np.array([[0, 1]])   # one 2 x 2 block
 CHECK = CheckResult("c", 0.1, 0.2, 0.3)
 
 # (record, its fields in order with one value each, frozen, hashable, a
@@ -49,8 +49,8 @@ RECORDS = [
     (InteractionSequence, {"n_qubits": 2, "d": 3, "elements": [Interaction(0, 1, 0)]},
      True, False, ("d", 5)),
     (HybridState, {"n_qubits": 1, "d": 2, "amplitudes": AMPS}, False, False, ("d", 4)),
-    (GateReport, {"gate": UNITARY, "ancilla_return_fidelity": 1.0,
-                  "residual_entanglement": 0.0, "interaction_count": 4},
+    (GateReport, {"gate": BLOCKS, "ancilla_return_fidelity": 1.0,
+                  "residual_entanglement": 0.0, "interaction_count": 4, "rows": ROWS},
      False, False, ("interaction_count", 5)),
     (LoopSolution, {"eta": 0.1, "tau": 0.2, "phi_t": 0.3}, True, True, ("phi_t", 0.5)),
     (SpinBranchState, {"n_qubits": 2, "n_spins": 10, "branches": {0: (0j, 1 + 0j)}},
@@ -62,7 +62,7 @@ RECORDS = [
                      "residual_entanglement": 0.0, "interaction_count": 4,
                      "branch_labels": AMPS, "branch_phases": AMPS.real,
                      "worst_phase_error": 0.1, "worst_branch_infidelity": 0.2,
-                     "extremal_phase": 0.3, "extremal_label": 0.5j},
+                     "extremal_phase": 0.3, "extremal_label": 0.5j, "rows": None},
      False, False, ("extremal_label", 0.6j)),
     (ContractionRow, {"n_spins": 10, "phi_f": 0.1, "abs_err_phi": 0.2, "overlap": 0.3,
                       "abs_err_overlap": 0.4, "prefactor": 0.5}, True, True, ("n_spins", 20)),
