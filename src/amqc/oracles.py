@@ -19,19 +19,20 @@ def fan(xs, ps, scale: float, signed: bool) -> np.ndarray:
     X(r) = sum_k v_k x_k and P(r) = sum_j v_j p_j, where v_q is qubit q's bit
     of register index r (the apply-on-one polarity: prod C^k_j R(scale x_k p_j))
     or, with ``signed``, its sign (-1)^bit (the symmetric polarity and the
-    bus: prod exp(i scale x_k p_j Z_k Z_j)).
+    bus: prod exp(i scale x_k p_j Z_k Z_j)).  Each sum runs over its own side's
+    indices alone; their outer product, raveled (controls high), is the diagonal.
     """
-    xs, ps = np.asarray(xs, dtype=float), np.asarray(ps, dtype=float)
-    bits = register_bits(len(xs) + len(ps))
-    v = 1.0 - 2.0 * bits if signed else bits
-    return np.exp(1j * scale * (v[:, :len(xs)] @ xs) * (v[:, len(xs):] @ ps))
+    sides = [register_bits(len(v)) for v in (xs, ps)]
+    sides = [1.0 - 2.0 * bits if signed else bits for bits in sides]
+    x_sum, p_sum = (bits @ np.asarray(v, dtype=float) for bits, v in zip(sides, (xs, ps)))
+    return np.exp(1j * scale * x_sum[:, None] * p_sum).ravel()
 
 
 def mod_d(theta: float, n: int, d: int) -> np.ndarray:
     """The diagonal exp(i theta ((q_0 + ... + q_{n-1}) mod d) q_n), n controls,
-    target qubit n."""
-    bits = register_bits(n + 1)
-    return np.exp(1j * theta * (bits[:, :n].sum(axis=1) % d) * bits[:, n])
+    target qubit n: the controls' Hamming weight against the target bit (0, 1)."""
+    weight = register_bits(n).sum(axis=1) % d
+    return np.exp(1j * theta * weight[:, None] * np.arange(2)).ravel()
 
 
 def toffoli(n: int, u: np.ndarray) -> np.ndarray:

@@ -42,18 +42,10 @@ from .report import DISENTANGLE_TOL, GateReport, _Frozen, _Record, diagonal_repo
 
 # Largest |eta| for which the closing leg tau(eta) is real.
 ETA_MAX = math.sqrt(2.0) - 1.0
-# 1/19, 1/17, ..., 1/3: atan(g) - g = -g^3 * _horner(_ATAN_SERIES, -g^2) + O(g^21).
+# 1/19, 1/17, ..., 1/3: atan(g) - g = -g^3 * np.polyval(_ATAN_SERIES, -g^2) + O(g^21).
 _ATAN_SERIES = 1.0 / np.arange(19.0, 2.0, -2.0)
-# (-1)^k / k for k = 18 .. 2: v - log1p(v) = v^2 * _horner(_LOG1P_SERIES, v) + O(v^19).
+# (-1)^k / k for k = 18 .. 2: v - log1p(v) = v^2 * np.polyval(_LOG1P_SERIES, v) + O(v^19).
 _LOG1P_SERIES = (-1.0) ** np.arange(18, 1, -1) / np.arange(18.0, 1.0, -1.0)
-
-
-def _horner(coeffs, x):
-    """np.polyval(coeffs, x), without its array set-up."""
-    total = 0.0
-    for coeff in coeffs:
-        total = total * x + coeff
-    return total
 
 
 class LoopUnclosableError(ValueError):
@@ -207,9 +199,9 @@ def _check_spins(n_spins) -> None:
 
 
 def _sphere_walk(legs, n_spins: int):
-    """Run branches that start on the origin through ``legs`` (one per-branch
-    array per step); returns their final labels and unwrapped phase angles."""
-    zeta = np.zeros(np.shape(legs[0]), dtype=complex)
+    """Walk every branch of the broadcast shape of ``legs`` (arrays, one per step)
+    from the origin; returns their final labels and unwrapped phase angles."""
+    zeta = np.zeros(np.broadcast_shapes(*map(np.shape, legs)), dtype=complex)
     angle = np.zeros(zeta.shape)
     for leg in legs:
         zeta, step_angle = branches.sphere_step(zeta, leg, n_spins)
@@ -269,6 +261,7 @@ def eta_for_phase(target_phi: float, n_spins: int) -> float:
     taken as N * pi / 4 directly, which equals N * loop_close(ETA_MAX).phi_t
     bitwise (phi_t is pi/4 exactly there, and dividing by 4 is exact).
     """
+    _check_spins(n_spins)
     top = n_spins * math.pi / 4
     if not 0.0 < target_phi <= top:
         raise ValueError(f"target phase {target_phi} outside reachable "
@@ -292,8 +285,8 @@ class ErrorPoint(_Frozen):
     * ``phi_series``:  first-order series zeta_n^2 - zeta_n^4 / N.
     * ``infid_series``: leading series term zeta_n^6 / N^2.
 
-    Fields are Python numbers for a scalar (zeta_n, N) and arrays of the
-    broadcast shape otherwise.
+    Fields are Python numbers for a scalar (zeta_n, N), N an int when it is
+    whole, and arrays of the broadcast shape otherwise.
     """
 
     def __init__(self, zeta_n, n_spins, phi_f, phi_E, infidelity, phi_series, infid_series):
@@ -310,20 +303,17 @@ def fan_error(zeta_n, n_spins) -> ErrorPoint:
     point where an output overflows: zeta_n^6 leaves double precision once
     zeta_n passes about 2e51.
     """
+    defect = phi_series_defect(zeta_n, n_spins)   # refuses what is off the domain
     # [()] turns a 0-d array into a numpy scalar, whose arithmetic is cheaper.
     zeta = np.asarray(zeta_n, dtype=float)[()]
     n = np.asarray(n_spins, dtype=float)[()]
-    if not (zeta > 0).all():
-        raise ValueError("zeta_n must be positive")
-    if not (n >= 1).all():   # any real N >= 1: the closed forms need no whole N
-        raise ValueError("closed-form errors need N >= 1 spin")
     with np.errstate(all="ignore"):
         z2 = zeta ** 2
         w = 0.5 * z2 / n   # not z2 / (2.0 * n): 2N overflows past about 9e307
         # arctan2, not arctan: the per-spin angle passes pi/2 once w > 1 + sqrt(2).
         phi_f = n * np.arctan2(2.0 * w, 1.0 + 2.0 * w - w * w)
         # zeta_n^2 - phi_f = zeta_n^4/N - defect, and zeta_n^2/N = 2w.
-        phi_e = np.where(w < 1.0, 2.0 * w - phi_series_defect(zeta, n) / z2, (z2 - phi_f) / z2)
+        phi_e = np.where(w < 1.0, 2.0 * w - defect / z2, (z2 - phi_f) / z2)
         columns = (phi_f, phi_e,
                    -np.expm1(-n * np.log1p(8.0 * w ** 3 / (1.0 + w) ** 4)),
                    z2 - zeta ** 4 / n, zeta ** 6 / n ** 2)
@@ -336,8 +326,13 @@ def fan_error(zeta_n, n_spins) -> ErrorPoint:
         raise ValueError(f"closed-form errors overflow double precision at "
                          f"zeta_n={z:.6g}, N={m:.6g}")
     if finite.ndim == 0:
-        return ErrorPoint(float(zeta_n), int(n_spins), *map(float, columns))
+        return ErrorPoint(float(zeta_n), _as_given(n_spins), *map(float, columns))
     return ErrorPoint(*np.broadcast_arrays(zeta, n), *columns)
+
+
+def _as_given(n_spins):
+    """A scalar ensemble size as the closed forms used it: an int when whole."""
+    return int(n_spins) if n_spins == int(n_spins) else float(n_spins)
 
 
 def phi_series_defect(zeta_n, n_spins):
@@ -353,14 +348,20 @@ def phi_series_defect(zeta_n, n_spins):
     where atan(g) - g is its series -g^3/3 + g^5/5 - ... for |g| < 0.1, and pi
     is added to atan(g) where 1 + 2w - w^2 < 0, the branch :func:`fan_error`
     takes.  Broadcasts (zeta_n, N) like :func:`fan_error`; scalars give a float.
+    Its domain, zeta_n > 0 and any real N >= 1, is :func:`fan_error`'s too.
     """
+    zeta = np.asarray(zeta_n, dtype=float)
     n = np.asarray(n_spins, dtype=float)
+    if not (zeta > 0).all():
+        raise ValueError("zeta_n must be positive")
+    if not (n >= 1).all():   # any real N >= 1: the closed forms need no whole N
+        raise ValueError("closed-form errors need N >= 1 spin")
     with np.errstate(all="ignore"):
-        w = 0.5 * np.square(zeta_n, dtype=float) / n   # as in fan_error: 2N may overflow
+        w = 0.5 * np.square(zeta) / n   # as in fan_error: 2N may overflow
         den = 1.0 + 2.0 * w - w * w
         g = 2.0 * w / den
         # Nine series terms: at |g| < 0.1 the first one dropped is < 2e-19 of the sum.
-        atan_defect = np.where(np.abs(g) < 0.1, -g ** 3 * _horner(_ATAN_SERIES, -g * g),
+        atan_defect = np.where(np.abs(g) < 0.1, -g ** 3 * np.polyval(_ATAN_SERIES, -g * g),
                                np.arctan(g) - g) + np.pi * (den < 0.0)
         defect = n * (atan_defect + (10.0 * w ** 3 - 4.0 * w ** 4) / den)
     return float(defect) if defect.ndim == 0 else defect
@@ -395,11 +396,12 @@ def fan_sequence_simulate(xs, ps, n_spins: int) -> SpinFanReport:
     summed into one leg before the walk: branch r runs the four-leg
     rectangle X(r)/sqrt(2N), i P(r)/sqrt(2N), -X(r)/sqrt(2N), -i P(r)/sqrt(2N)
     on the sphere, where X(r), P(r) are the sign-weighted coefficient sums of
-    that branch.  This is not the walk of the 2(n+m) per-qubit legs: legs
-    along one axis of the sphere add their angles, not their labels, so the
-    per-qubit walk's phases differ at the order of the intrinsic error.  The
-    flat-space target phase per branch is X(r) * P(r), i.e. the gate
-    prod_j prod_k exp(i x_k p_j Z_k (x) Z_j).
+    that branch, each summed once per side and walked on the (2^n, 2^m) grid
+    they broadcast to, raveled with the controls as the high bits.  This is
+    not the walk of the 2(n+m) per-qubit legs: legs along one axis of the
+    sphere add their angles, not their labels, so the per-qubit walk's phases
+    differ at the order of the intrinsic error.  The flat-space target phase
+    per branch is X(r) * P(r), i.e. the gate prod_j prod_k exp(i x_k p_j Z_k (x) Z_j).
 
     The all-zeros branch is the extremal one (largest displacement for
     positive coefficients); its phase and final label reproduce the
@@ -408,32 +410,26 @@ def fan_sequence_simulate(xs, ps, n_spins: int) -> SpinFanReport:
     """
     xs, ps = [float(v) for v in xs], [float(v) for v in ps]
     steps = branches.fan_steps(xs, ps)
-    n, m = len(xs), len(ps)
     _check_spins(n_spins)
     if not all(map(math.isfinite, xs + ps)):
         raise ValueError("fan coefficients must be finite")
     scale = 0.5 / math.sqrt(0.5 * n_spins)   # 1/sqrt(2N), where 2N may overflow
 
-    signs = 1.0 - 2.0 * branches.register_bits(n + m)
-    x_net = sum(s * x for s, x in zip(signs[:, :n].T, xs))
-    p_net = sum(s * p for s, p in zip(signs[:, n:].T, ps))
-    zeta, angle = _sphere_walk((scale * x_net, 1j * scale * p_net,
-                                -scale * x_net, -1j * scale * p_net), n_spins)
+    x_net, p_net = (sum(s * v for s, v in zip(1.0 - 2.0 * branches.register_bits(len(vs)).T, vs))
+                    for vs in (xs, ps))
+    x_net = x_net[:, None]   # a column of control indices against a row of target ones
+    zeta, angle = (a.ravel() for a in _sphere_walk(
+        (scale * x_net, 1j * scale * p_net, -scale * x_net, -1j * scale * p_net), n_spins))
     report, infid = _sphere_report(zeta, angle, n_spins, len(steps))
-    err = np.abs((angle - x_net * p_net + math.pi) % (2.0 * math.pi) - math.pi)
-    return SpinFanReport(
-        **vars(report),
-        branch_labels=zeta,
-        branch_phases=angle,
-        worst_phase_error=float(err.max()),
-        worst_branch_infidelity=float(infid.max()),
-        extremal_phase=float(angle[0]),
-        extremal_label=complex(zeta[0]),
-    )
+    err = np.abs((angle - (x_net * p_net).ravel() + math.pi) % (2.0 * math.pi) - math.pi)
+    return SpinFanReport(**vars(report), branch_labels=zeta, branch_phases=angle,
+                         worst_phase_error=float(err.max()),
+                         worst_branch_infidelity=float(infid.max()),
+                         extremal_phase=float(angle[0]), extremal_label=complex(zeta[0]))
 
 
 class ContractionRow(_Frozen):
-    def __init__(self, n_spins: int, phi_f: float, abs_err_phi: float, overlap: float,
+    def __init__(self, n_spins: float, phi_f: float, abs_err_phi: float, overlap: float,
                  abs_err_overlap: float, prefactor: float):
         self.__dict__.update(n_spins=n_spins, phi_f=phi_f, abs_err_phi=abs_err_phi,
                              overlap=overlap, abs_err_overlap=abs_err_overlap,
@@ -460,10 +456,10 @@ def contraction_probe(zeta: complex, n_list) -> list[ContractionRow]:
     # overlap - limit = limit * expm1(N (v - log1p(v))) cancels nothing
     # while the exponent is below 1; each where's unused branch may overflow.
     with np.errstate(all="ignore"):
-        excess = n * np.where(v < 0.1, v * v * _horner(_LOG1P_SERIES, v), v - np.log1p(v))
+        excess = n * np.where(v < 0.1, v * v * np.polyval(_LOG1P_SERIES, v), v - np.log1p(v))
         err_overlap = np.where(excess < 1.0, limit * np.expm1(excess), np.abs(overlap - limit))
     columns = (point.phi_f, err_phi, overlap, err_overlap, np.arctan(u) / u)
-    return [ContractionRow(int(n_spins), *values) for n_spins, *values
+    return [ContractionRow(_as_given(n_spins), *values) for n_spins, *values
             in zip(n_list, *(c.tolist() for c in columns))]
 
 

@@ -360,3 +360,91 @@ def test_eta_for_phase_gates_keep_their_gate(n_spins):
         report = spin.spin_two_qubit_gate(spin.eta_for_phase(theta, n_spins), n_spins)
         assert report.gate is not None
         assert diagonal_distance(report.gate, np.exp(1j * theta * zz)) < 1e-10
+
+
+# ----------------------------------------------------------------------------
+# a bipartite fan is two one-sided sums: the full-table formulas bit for bit
+# ----------------------------------------------------------------------------
+
+def _table_fan(xs, ps, scale, signed):
+    """oracles.fan as one (2^(n+m), n+m) bit table summed on every index."""
+    bits = register_bits(len(xs) + len(ps))
+    v = 1.0 - 2.0 * bits if signed else bits
+    return np.exp(1j * scale * (v[:, :len(xs)] @ xs) * (v[:, len(xs):] @ ps))
+
+
+def _table_mod_d(theta, n, d):
+    bits = register_bits(n + 1)
+    return np.exp(1j * theta * (bits[:, :n].sum(axis=1) % d) * bits[:, n])
+
+
+def _table_spin_fan(xs, ps, n_spins):
+    """Every fan_sequence_simulate field from sign sums over the full table."""
+    n, m = len(xs), len(ps)
+    scale = 0.5 / math.sqrt(0.5 * n_spins)
+    signs = 1.0 - 2.0 * register_bits(n + m)
+    x_net = sum(s * x for s, x in zip(signs[:, :n].T, xs))
+    p_net = sum(s * p for s, p in zip(signs[:, n:].T, ps))
+    zeta, angle = spin._sphere_walk((scale * x_net, 1j * scale * p_net,
+                                     -scale * x_net, -1j * scale * p_net), n_spins)
+    report, infid = spin._sphere_report(zeta, angle, n_spins, 2 * (n + m))
+    err = np.abs((angle - x_net * p_net + math.pi) % (2.0 * math.pi) - math.pi)
+    return dict(vars(report), branch_labels=zeta, branch_phases=angle,
+                worst_phase_error=float(err.max()), worst_branch_infidelity=float(infid.max()),
+                extremal_phase=float(angle[0]), extremal_label=complex(zeta[0]))
+
+
+def _same_bytes(a, b):
+    if a is None or b is None:
+        return a is b
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+side = st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=1, max_size=5)
+
+
+@PROPERTY
+@given(side, side, st.floats(-7.0, 7.0), st.booleans())
+def test_fan_oracle_is_the_full_table_oracle(xs, ps, scale, signed):
+    assert _same_bytes(fan(xs, ps, scale, signed), _table_fan(xs, ps, scale, signed))
+
+
+@PROPERTY
+@given(st.integers(1, 9), st.integers(2, 12), st.floats(-4.0, 4.0))
+def test_mod_d_oracle_is_the_full_table_oracle(n, d, theta):
+    assert _same_bytes(mod_d(theta, n, d), _table_mod_d(theta, n, d))
+
+
+@PROPERTY
+@given(side, side, st.integers(1, 10 ** 6))
+def test_spin_fan_is_the_full_table_walk(xs, ps, n_spins):
+    fields = vars(spin.fan_sequence_simulate(xs, ps, n_spins))
+    expected = _table_spin_fan(xs, ps, n_spins)
+    assert fields.keys() == expected.keys()
+    for name, value in fields.items():
+        assert _same_bytes(value, expected[name]), name
+
+
+def test_twenty_qubit_fan_oracle_keeps_no_table():
+    # The full table is (2^20, 20) int64, 160 MiB, and register_bits caches it.
+    register_bits.cache_clear()
+    tracemalloc.start()
+    try:
+        assert fan([1] * 10, [1] * 10, 1.0, signed=False).shape == (2 ** 20,)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2 ** 20
+
+
+def test_sixteen_qubit_spin_fan_walks_in_little_memory():
+    register_bits.cache_clear()
+    tracemalloc.start()
+    try:
+        report = spin.fan_sequence_simulate([1.0] * 8, [1.0] * 8, 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert report.branch_labels.shape == report.branch_phases.shape == (2 ** 16,)

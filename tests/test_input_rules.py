@@ -1,8 +1,8 @@
 """Every refused input, sent to every public entry point that takes it, is a
 one-line ValueError raised by amqc itself: each input rule (integer, lattice
 label, qudit dimension, qubit index, register vector and index, initial label,
-fan shape, ensemble size) has one owner, and every backend applies the strict
-copy."""
+fan shape, ensemble size, closed-form domain) has one owner, and every backend
+applies the strict copy."""
 
 import dataclasses
 from pathlib import Path
@@ -40,7 +40,11 @@ from amqc.qudit_model import (
 from amqc.spin import (
     SpinBranchState,
     apply_controlled_spin,
+    contraction_probe,
+    eta_for_phase,
+    fan_error,
     fan_sequence_simulate,
+    phi_series_defect,
     spin_two_qubit_gate,
 )
 
@@ -137,6 +141,19 @@ def _ensemble(n_spins):
             ("fan_sequence_simulate", lambda: fan_sequence_simulate([1.0], [1.0], n_spins))]
 
 
+def _phase_ensemble(n_spins):
+    return [("eta_for_phase", lambda: eta_for_phase(0.5, n_spins))]
+
+
+def _closed_form(zeta_n, n_spins):
+    calls = [("fan_error", lambda: fan_error(zeta_n, n_spins)),
+             ("fan_error-array", lambda: fan_error(np.array([1.0, zeta_n]), n_spins)),
+             ("phi_series_defect", lambda: phi_series_defect(zeta_n, n_spins))]
+    if zeta_n > 0:   # the probe takes |zeta|
+        calls.append(("contraction_probe", lambda: contraction_probe(2.0, [n_spins])))
+    return calls
+
+
 # (rule, refused input's name, the input's entry points) in one table.
 REFUSED = [
     *[("qubit", name, _qubit(q)) for name, q in [
@@ -175,6 +192,11 @@ REFUSED = [
         ("no-control", ([], [1.0])), ("no-target", ([1.0], [])), ("empty", ([], []))]],
     *[("ensemble", name, _ensemble(n)) for name, n in [
         ("0", 0), ("-1", -1), ("2.5", 2.5), ("nan", float("nan")), ("inf", float("inf"))]],
+    *[("ensemble", name, _phase_ensemble(n)) for name, n in [
+        ("0", 0), ("-1", -1), ("2.5", 2.5), ("nan", float("nan")), ("inf", float("inf"))]],
+    *[("closed-form", name, _closed_form(zeta_n, n)) for name, (zeta_n, n) in [
+        ("zeta-0", (0.0, 5)), ("zeta-minus-1", (-1.0, 5)), ("zeta-nan", (float("nan"), 5)),
+        ("N-0", (1.0, 0)), ("N-0.5", (1.0, 0.5)), ("N-nan", (1.0, float("nan")))]],
 ]
 CASES = [(f"{rule}={name}-{entry}", call) for rule, name, calls in REFUSED
          for entry, call in calls]

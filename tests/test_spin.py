@@ -258,6 +258,13 @@ def test_both_walks_refuse_a_step_near_the_south_pole():
         _sphere_walk([np.array([z]), np.array([leg])], 5)   # origin to z, then leg
 
 
+def test_fan_south_pole_error_counts_branches_not_grid_rows():
+    # A first leg of 7e12 leaves a per-spin |1> component of 1.4e-13 on all
+    # eight branches; the walk's grid has one row per control index, two here.
+    with pytest.raises(SingularCompositionError, match=r"^8 branch\(es\)"):
+        fan_sequence_simulate([1e13], [1.0, 1.0], 1)
+
+
 @pytest.mark.parametrize("zeta", [math.nan, math.inf, complex(0.1, math.nan),
                                   complex(-math.inf, 0.0)])
 def test_branch_update_refuses_a_non_finite_leg(zeta):
@@ -501,6 +508,15 @@ def test_scalar_fan_error_returns_python_numbers():
         assert all(type(getattr(point, f)) is float for f in ("zeta_n",) + ERROR_FIELDS)
     assert_matches_reference(zetas, ns, [[getattr(p, f) for p in points]
                                          for f in ERROR_FIELDS], 1e-14)
+
+
+def test_scalar_closed_forms_keep_the_ensemble_size_they_used():
+    assert fan_error(1.0, 2.5).n_spins == 2.5
+    assert fan_error(1.0, 2.5).phi_f == fan_error(np.array([1.0]), 2.5).phi_f[0]
+    assert contraction_probe(2.0, [2.5])[0].n_spins == 2.5
+    point, rows = fan_error(1.0, 3.0), contraction_probe(2.0, [3.0, 10 ** 18 + 1])
+    assert type(point.n_spins) is int and point.n_spins == 3
+    assert [(type(r.n_spins), r.n_spins) for r in rows] == [(int, 3), (int, 10 ** 18 + 1)]
 
 
 def test_fan_error_broadcasts_and_rejects_bad_points():
