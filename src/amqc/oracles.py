@@ -12,6 +12,8 @@ import numpy as np
 
 from .branches import register_bits
 
+_BIT = np.arange(2)
+
 
 def fan(xs, ps, scale: float, signed: bool) -> np.ndarray:
     """The diagonal exp(i scale X(r) P(r)), controls 0..n-1, targets n..n+m-1.
@@ -30,9 +32,13 @@ def fan(xs, ps, scale: float, signed: bool) -> np.ndarray:
 
 def mod_d(theta: float, n: int, d: int) -> np.ndarray:
     """The diagonal exp(i theta ((q_0 + ... + q_{n-1}) mod d) q_n), n controls,
-    target qubit n: the controls' Hamming weight against the target bit (0, 1)."""
-    weight = register_bits(n).sum(axis=1) % d
-    return np.exp(1j * theta * weight[:, None] * np.arange(2)).ravel()
+    target qubit n: the controls' Hamming weight against the target bit (0, 1).
+    The weights double over the controls, each the next least significant
+    bit, so no (2^n, n) bit table is built or cached."""
+    weight = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        weight = (weight[:, None] + _BIT).ravel()
+    return np.exp(1j * theta * (weight % d)[:, None] * _BIT).ravel()
 
 
 def toffoli(n: int, u: np.ndarray) -> np.ndarray:

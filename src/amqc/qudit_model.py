@@ -213,10 +213,17 @@ def _class_gate(seq: InteractionSequence, steps: list, anc_init: np.ndarray,
     (:func:`amqc.branches.torus_gate`).  So block o's (2^k, 2^k, d) outputs
     are fixed, up to the phase exp(i pi sum_s k_s(o, 0)/d), by its key: every
     segment's (X_s, P_s) mod d and k_s(o, c) - k_s(o, 0) mod 2d per c, and
-    each rotation's control bit.  The key is affine in o's bits, so blocks
-    are numbered into classes by doubling over them as in
-    :func:`amqc.branches.torus_gate`, and one (classes, 2^k, 2^k, d) tensor
-    runs the elements.
+    each rotation's control bit.  The key is affine in o's bits: each other
+    qubit adds its key step, so blocks are numbered into classes by doubling
+    over them as in :func:`amqc.branches.torus_gate`, and one (classes, 2^k,
+    2^k, d) tensor runs the elements.  Classes are numbered in the order the
+    doubling meets their keys, and each distinct key step maps each key
+    once, for every other qubit with that step (a Toffoli's n controls share
+    one).  The evaluation (:func:`amqc.branches._evaluate`) carries the
+    phase exponent, a pair-sum row only for an other qubit that some pair
+    term reaches (none for a Toffoli or a mod-d gate, whose exponent is then
+    a constant), and the class numbers apart; the register rows of block o
+    come from transposing the register's bit axes.
 
     Returns (rows, index, exponent, returned, fidelity, residual): block o
     holds register rows rows[o, c], is class index[o] and has phase exponent
@@ -238,9 +245,9 @@ def _class_gate(seq: InteractionSequence, steps: list, anc_init: np.ndarray,
         coeffs = tuple([v % modulus for v in coeffs])
         return columns.setdefault((coeffs, modulus), len(columns)) if any(coeffs) else -1
 
-    # sum_s k_s(o, 0) and the row index of (o, 0), as _evaluate rows.
-    glob = [[0] * (len(others) + 1), [0] + [1 << (n - 1 - q) for q in others]]
-    glob_pair = [[0] * len(others) for _ in others]
+    # sum_s k_s(o, 0): its constant and linear coefficients, and its pair terms.
+    glob = [0] * (len(others) + 1)
+    glob_pair = [[0] * n for _ in range(n)]
     ops, segment, consts, cols = [], [], [], []
     for element, step in zip(seq.elements + [None], steps + [None]):
         if step is not None:
@@ -250,7 +257,11 @@ def _class_gate(seq: InteractionSequence, steps: list, anc_init: np.ndarray,
             x, p, k, pair = _phase_polynomial(n, unit, segment)
             segment = []
             xp = [column([x[q + 1] for q in others], d), column([p[q + 1] for q in others], d)]
-            pairs = {t: [pair[min(t, q)][max(t, q)] for q in range(n)] for t in mixed}
+            # Only a qubit with a pair term adds to the relative exponents
+            # (a mixed one) or to the pair sums.
+            paired = [t for t, row in enumerate(pair) if any(row)]
+            pairs = {t: row for t in mixed if paired
+                     and any(row := [pair[min(t, q)][max(t, q)] for q in range(n)])}
             ops.append(len(consts))
             consts.append([])
             cols.append([])
@@ -259,14 +270,15 @@ def _class_gate(seq: InteractionSequence, steps: list, anc_init: np.ndarray,
                 for t in (t for t, bit in zip(mixed, c) if bit):
                     # rel[t] pairs t with the mixed qubits already added.
                     cx, cp, ck = cx + x[t + 1], cp + p[t + 1], ck + k[t + 1] + rel[t]
-                    rel = [a + b for a, b in zip(rel, pairs[t])]
+                    if t in pairs:
+                        rel = [a + b for a, b in zip(rel, pairs[t])]
                 consts[-1].append([cx % d, cp % d, ck % (2 * d)])
-                cols[-1].append(xp + [column([rel[q] for q in others], 2 * d)])
-            glob[0][0] += k[0]
+                cols[-1].append(xp + [column([rel[q] for q in others], 2 * d) if pairs else -1])
+            glob[0] += k[0]
             for i, q in enumerate(others):
-                glob[0][i + 1] += k[q + 1]
-                for j, u in enumerate(others[:i]):
-                    glob_pair[j][i] += pair[u][q]
+                glob[i + 1] += k[q + 1]
+            for t in paired:
+                glob_pair[t] = [a + b for a, b in zip(glob_pair[t], pair[t])]
         if isinstance(element, ControlledAncillaRotation):
             q = element.control
             ops.append((np.exp(1j * element.theta * np.arange(d)),
@@ -277,22 +289,33 @@ def _class_gate(seq: InteractionSequence, steps: list, anc_init: np.ndarray,
         elif element is not None:
             ops.append(element)
 
+    # Class j is key order[j], numbered as the doubling meets it.  A key
+    # step (an other qubit's coefficients) moves each key once, the first
+    # time a qubit with that step meets it; every such qubit shares the map,
+    # whose later entries it never reads.
     mods = [modulus for _, modulus in columns]
-    keys = {(0,) * len(columns): 0}
-    moves = []
-    for i in range(len(others)):
-        w = [coeffs[i] for coeffs, _ in columns]
-        moves.append(np.array([
-            keys.setdefault(tuple((a + b) % m for a, b, m in zip(key, w, mods)), len(keys))
-            for key in list(keys)]) if any(w) else None)
-    glob[0] = [g % (2 * d) for g in glob[0]]
-    exponent, rows, index = _evaluate(
-        [*glob, [0] * (len(others) + 1)], [[g % (2 * d) for g in row] for row in glob_pair],
-        moves)
-    rows = rows[:, None] + [sum(1 << (n - 1 - t) for t, bit in zip(mixed, c) if bit)
-                            for c in c_bits]
+    order = [(0,) * len(columns)]
+    keys, moves = {order[0]: 0}, {}
+    key_steps = list(zip(*[coeffs for coeffs, _ in columns]))   # per other qubit; [] if no column
+    for w in key_steps:
+        if any(w):
+            move = moves.setdefault(w, [])
+            for key in order[len(move):]:
+                key = tuple([(a + b) % m for a, b, m in zip(key, w, mods)])
+                move.append(keys.setdefault(key, len(order)))
+                if move[-1] == len(order):
+                    order.append(key)
+    moves = {w: np.array(move) for w, move in moves.items()}
+    exponent, index = _evaluate(
+        [[g % (2 * d) for g in glob], [0] * (len(others) + 1)],
+        [[glob_pair[t][q] % (2 * d) for q in others] for t in others],
+        [moves.get(w) for w in key_steps] or None)
+    # Register index r has qubit q's bit on axis q of (2,) * n; the others'
+    # axes first make o the row and c the column.
+    rows = np.arange(2 ** n, dtype=np.int64).reshape((2,) * n).transpose(
+        others + mixed).reshape(-1, span)
     # Column -1 reads the zero past the last key column.
-    keys = np.array([key + (0,) for key in keys], dtype=np.int64)
+    keys = np.array([key + (0,) for key in order], dtype=np.int64)
     if consts:
         # exp(i pi k/d) D(X, P) v reads exp(i pi (k + 2 P m)/d) v[m - X] at
         # level m, as torus_gate builds its class vectors.
@@ -400,7 +423,10 @@ def extract_register_gate(seq: InteractionSequence, anc_init: np.ndarray | None 
         seq, steps, anc_init, convention)
     if not gate_exists(fidelity, residual):
         return GateReport(None, fidelity, residual, len(seq.elements))
-    gate = _roots(d).take(exponent, mode="wrap")[:, None, None] * returned[index]
+    # One gather, the phases multiplied into it in place, phase first: the
+    # operands in this order give the bits of phase * gate.
+    gate = returned.take(index, axis=0)
+    np.multiply(_roots(d).take(exponent, mode="wrap")[:, None, None], gate, out=gate)
     if rows.shape[1] == 1:    # k = 0: block o is row o, and the gate is its diagonal
         gate, rows = gate.reshape(-1), None
     return GateReport(gate, fidelity, residual, len(seq.elements), rows)

@@ -448,6 +448,33 @@ def test_phase_polynomial_matches_per_step_loop(case):
 
 
 @PROPERTY
+@given(st.integers(1, 10), st.integers(1, 4), seeds)
+def test_evaluate_with_moves_matches_every_register_index(n, width, seed):
+    # Affine rows, pair terms on a random subset of the qubits (the others'
+    # pair columns all zero) and a class row moved by maps, against a loop
+    # over every register index's bits.
+    rng = np.random.default_rng(seed)
+    classes = int(rng.integers(1, 12))
+    rows = [list(map(int, rng.integers(-40, 40, n + 1))) for _ in range(width)]
+    rows.append([int(rng.integers(classes))] + [0] * n)
+    paired = rng.random(n) < 0.5
+    pair = [[int(rng.integers(-9, 9)) if t < q and paired[q] else 0 for q in range(n)]
+            for t in range(n)]
+    moves = [None if rng.random() < 0.3 else rng.integers(0, classes, classes)
+             for _ in range(n)]
+    values = _evaluate(rows, pair, moves)
+    assert values.dtype == np.int64 and values.shape == (width + 1, 2 ** n)
+    for r, bits in enumerate(register_bits(n).tolist()):
+        expected = [row[0] + sum(c * b for c, b in zip(row[1:], bits)) for row in rows[:-1]]
+        expected[0] += sum(pair[t][q] * bits[t] * bits[q] for q in range(n) for t in range(q))
+        cls = rows[-1][0]
+        for move, bit in zip(moves, bits):
+            if bit and move is not None:
+                cls = int(move[cls])
+        assert values[:, r].tolist() == expected + [cls]
+
+
+@PROPERTY
 @given(torus_step_lists(), seeds)
 def test_label_classes_match_dense_svd(case, seed):
     n, d, steps, convention = case

@@ -42,6 +42,34 @@ def test_verify_unknown_suite_usage_error(capsys):
     assert err.value.code == 2
 
 
+def test_parser_is_built_once_and_still_reports_usage_errors(monkeypatch, capsys):
+    built, real_build_parser = [], cli.build_parser
+
+    def counting_build_parser():
+        built.append(None)
+        return real_build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        assert main(["demo", "two-qubit", "--d", "2"]) == 0
+        # A command function replaced after the parser was built still runs.
+        ran = []
+        monkeypatch.setattr(cli, "cmd_demo", lambda args: ran.append(args.d) or 0)
+        assert main(["demo", "two-qubit", "--d", "3"]) == 0
+        assert ran == [3] and len(built) == 1
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "bogus"])
+        assert err.value.code == 2
+        err_lines = capsys.readouterr().err.splitlines()
+        assert sum("error:" in line for line in err_lines) == 1
+    finally:
+        cli._parser.cache_clear()
+    # build_parser itself still returns a fresh parser on every call.
+    assert real_build_parser() is not real_build_parser()
+
+
 def test_missing_subcommand_usage_error():
     with pytest.raises(SystemExit) as err:
         main([])

@@ -438,6 +438,20 @@ def test_twenty_qubit_fan_oracle_keeps_no_table():
     assert held < 2 ** 20
 
 
+def test_nineteen_control_mod_d_oracle_keeps_no_table():
+    # register_bits(19) is (2^19, 19) int64, 76 MiB, and would stay cached.
+    register_bits.cache_clear()
+    tracemalloc.start()
+    try:
+        diagonal = mod_d(0.3, 19, 20)
+        held = tracemalloc.get_traced_memory()[0] - diagonal.nbytes
+    finally:
+        tracemalloc.stop()
+    assert diagonal.shape == (2 ** 20,)
+    assert register_bits.cache_info().currsize == 0
+    assert held < 2 ** 20
+
+
 def test_sixteen_qubit_spin_fan_walks_in_little_memory():
     register_bits.cache_clear()
     tracemalloc.start()

@@ -417,6 +417,21 @@ def test_toffoli_extraction_memory_stays_small():
     assert peak < 12 * 2 ** 20
 
 
+def test_eighteen_control_toffoli_gathers_its_blocks_once():
+    # The (2^18, 2, 2) blocks take 16 MiB.  Gathering them and multiplying
+    # the phases into a second copy peaked at 46 MiB; one gather, multiplied
+    # in place, peaks at 28 MiB beside the rows, exponents and class numbers.
+    seq = generalized_toffoli(18, PAULI_X, 20)
+    tracemalloc.start()
+    try:
+        rep = extract_register_gate(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.gate.shape == (2 ** 18, 2, 2)
+    assert peak < 36 * 2 ** 20
+
+
 @pytest.mark.parametrize("seq", [generalized_toffoli(3, PAULI_X, 5),
                                  mod_d_phase_gate(0.4, 3, 5)])
 def test_extraction_builds_no_displacement_matrix_or_dense_state(monkeypatch, seq):
