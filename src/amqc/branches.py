@@ -169,39 +169,25 @@ def _evaluate(rows, pair, moves=None, dtype=np.int64) -> np.ndarray:
     ``moves[q]`` maps it where b_q = 1 (None leaves it).
 
     Only a qubit that some pair term reaches (a nonzero pair[t][q]) carries
-    a pair-sum row through the doubling, the class row doubles apart
-    (:func:`_classes`), and integer rows are not doubled at all when none
-    has a coefficient or a pair term: they are their constants.
+    a pair-sum row through the doubling.
     """
-    n = len(pair)
-    if moves is not None:
-        *rows, (start, *_) = rows
     paired = [q for q, column in enumerate(zip(*pair)) if any(column[:q])]
-    if np.dtype(dtype).kind == "i" and not paired and not any(any(row[1:]) for row in rows):
-        values = np.array([row[:1] for row in rows], dtype=dtype).repeat(2 ** n, axis=1)
-    else:
-        # Row q: qubit q's coefficients, then pair[q] on the paired qubits, the last first.
-        table = []
-        for q, coeffs in enumerate(pair):
-            table += [row[q + 1] for row in rows]
-            table += [coeffs[t] for t in reversed(paired)]
-        table += [row[0] for row in rows] + [0] * len(paired)
-        table = np.array(table, dtype=dtype).reshape(n + 1, -1, 1)
-        values = _doubling(table, len(rows), None, set(paired))[..., 0]
-    return values if moves is None else np.vstack((values, _classes(start, moves)))
+    # Row q: qubit q's coefficients, then pair[q] on the paired qubits, the last first.
+    table = []
+    for q, coeffs in enumerate(pair):
+        table += [row[q + 1] for row in rows]
+        table += [coeffs[t] for t in reversed(paired)]
+    table += [row[0] for row in rows] + [0] * len(paired)
+    table = np.array(table, dtype=dtype).reshape(len(pair) + 1, -1, 1)
+    return _doubling(table, len(rows), moves, set(paired))[..., 0]
 
 
 _BIT = np.array([[0], [1]])
-# From qubit 9 (2^9 values per row) on, a doubling step fills its two halves
-# in separate passes: a broadcast over the halves runs numpy's inner loop on
-# two values at a time, 4 times slower at 2^19 values.
-_WIDE_FROM = 9
 
 
 def _doubling(table: np.ndarray, width: int, moves=None, paired=None) -> np.ndarray:
     """:func:`_evaluate` of B of its tables stacked on a last axis: the
-    (width, 2^n, B) values.  With ``moves`` the row width - 1 numbers
-    classes in place, as :func:`torus_gate`'s does beside its exponent.
+    (width, 2^n, B) values.
 
     Doubling over qubits: the values on 2^q indices become the outer sum with
     (0, qubit q's coefficient), qubit q the new least significant bit.
@@ -213,32 +199,13 @@ def _doubling(table: np.ndarray, width: int, moves=None, paired=None) -> np.ndar
     f = table[n, :, None]
     for q in range(n):
         rows = len(f) - (paired is None or q in paired)   # less qubit q's pair row
-        if q < _WIDE_FROM:
-            new = f[:rows, :, None] + deltas[q, :rows, None]
-        else:   # the same sums, each half in one pass over the old values
-            new = np.empty((rows,) + f.shape[1:2] + (2,) + f.shape[2:], dtype=f.dtype)
-            for bit in (0, 1):
-                np.add(f[:rows], deltas[q, :rows, None, bit], out=new[:, :, bit])
+        new = f[:rows, :, None] + deltas[q, :rows, None]
         if q and rows < len(f):   # qubit 0 pairs with no earlier qubit
             new[0, :, 1] += f[-1]
         if moves is not None and moves[q] is not None:
             new[width - 1, :, 1] = moves[q][f[width - 1]]
         f = new.reshape(rows, -1, new.shape[-1])
     return f
-
-
-def _classes(start: int, moves) -> np.ndarray:
-    """Label class numbers of every register index by doubling over qubits,
-    int64: ``start`` is index 0's and ``moves[q]`` maps a class where b_q = 1
-    (None leaves it).  One lookup per qubit, where a row of its own in
-    :func:`_doubling` costs a broadcast sum per qubit."""
-    classes = np.full(1, start, dtype=np.int64)
-    for move in moves:
-        new = np.empty(2 * len(classes), dtype=np.int64)
-        new[::2] = classes
-        new[1::2] = classes if move is None else move.take(classes)
-        classes = new
-    return classes
 
 
 def torus_gate(n_qubits: int, d: int, batch, anc_init: np.ndarray, convention: str):

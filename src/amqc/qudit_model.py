@@ -220,10 +220,10 @@ def _class_gate(seq: InteractionSequence, steps: list, anc_init: np.ndarray,
     doubling meets their keys, and each distinct key step maps each key
     once, for every other qubit with that step (a Toffoli's n controls share
     one).  The evaluation (:func:`amqc.branches._evaluate`) carries the
-    phase exponent, a pair-sum row only for an other qubit that some pair
-    term reaches (none for a Toffoli or a mod-d gate, whose exponent is then
-    a constant), and the class numbers apart; the register rows of block o
-    come from transposing the register's bit axes.
+    phase exponent, the class numbers, and a pair-sum row only for an other
+    qubit that some pair term reaches (none for a Toffoli or a mod-d gate);
+    the register rows of block o come from transposing the register's bit
+    axes.
 
     Returns (rows, index, exponent, returned, fidelity, residual): block o
     holds register rows rows[o, c], is class index[o] and has phase exponent
