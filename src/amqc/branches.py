@@ -15,26 +15,27 @@ plane, so neither is walked step by step: a branch's net label (X, P) is
 affine in its register bits and its phase is a quadratic form in them, the
 phase polynomial of a diagonal Clifford circuit (Dehaene and De Moor, PRA
 68, 042318, 2003; Hostens, Dehaene and De Moor, PRA 71, 042315, 2005, for
-qudits).  One pass over the steps gives the coefficients, and doubling over
-qubits the 2^n values.  On the torus, branches that share (X mod d, P mod d)
-form a label class with one ancilla vector, at most min(d^2, 2^n) of them,
-and a closed loop is one class; on the plane a walk is closed when every
-register-bit coefficient of X and P is 0.
+qudits).  One pass over the steps gives the coefficients, and one product
+of two half tables the 2^n values.  On the torus, branches that share (X mod
+d, P mod d) form a label class with one ancilla vector, at most min(d^2, 2^n)
+of them, and a closed loop is one class; on the plane a walk is closed when
+every register-bit coefficient of X and P is 0.
 
 The residual entanglement, 1 minus the top eigenvalue of the ancilla's state
 sum_r |a_r|^2 |l_r><l_r|, comes from a pivoted Cholesky factor of the Gram
 matrix of the final labels (on the torus, of the label classes), whose rank
 is a few when they nearly coincide.
 
-The torus engine takes a batch: B sequences on one n and d, one table of
-their coefficients and one numbering of their classes; a single extraction
-is the batch of one.
+The torus engine takes a batch: B sequences on one n and d, one product
+over their coefficients and one numbering of their classes; a single
+extraction is the batch of one.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -160,52 +161,61 @@ def _phase_polynomial(n_qubits: int, c, steps):
     return x, p, k, pair
 
 
-def _evaluate(rows, pair, moves=None, dtype=np.int64) -> np.ndarray:
-    """Evaluate affine forms ``rows`` (each [constant, b_0 coefficient, ...])
-    on every register index, qubit 0 the most significant bit, the first row
-    plus sum_{t<q} pair[t][q] b_t b_q (pair[t][q] = 0 unless t < q), as
-    ``dtype`` rows.  Given ``moves``, the last row numbers label classes
-    instead: its constant is index 0's class, its coefficients are 0, and
-    ``moves[q]`` maps it where b_q = 1 (None leaves it).
-
-    Only a qubit that some pair term reaches (a nonzero pair[t][q]) carries
-    a pair-sum row through the doubling.
-    """
-    paired = [q for q, column in enumerate(zip(*pair)) if any(column[:q])]
-    # Row q: qubit q's coefficients, then pair[q] on the paired qubits, the last first.
-    table = []
-    for q, coeffs in enumerate(pair):
-        table += [row[q + 1] for row in rows]
-        table += [coeffs[t] for t in reversed(paired)]
-    table += [row[0] for row in rows] + [0] * len(paired)
-    table = np.array(table, dtype=dtype).reshape(len(pair) + 1, -1, 1)
-    return _doubling(table, len(rows), moves, set(paired))[..., 0]
+@functools.lru_cache(maxsize=8)
+def _monomials(n_qubits: int) -> np.ndarray:
+    """(2^n, 1 + n + n(n-1)/2) read-only doubles: 1, b_q, b_t b_q (t < q)."""
+    bits, (t, q) = register_bits(n_qubits), np.triu_indices(n_qubits, 1)
+    table = np.concatenate([np.ones((2 ** n_qubits, 1)), bits, bits[:, t] * bits[:, q]], axis=1)
+    table.setflags(write=False)
+    return table
 
 
-_BIT = np.array([[0], [1]])
+@functools.lru_cache(maxsize=8)
+def _gather(n_qubits: int) -> np.ndarray:
+    """Where :func:`_quadratic`'s K takes each entry (read-only) from a form
+    laid out as [constant, b_q coefficients, pair row-major, 0]: the entry
+    of a high half's monomial and a low half's (in :func:`_monomials` order)
+    is the coefficient of their product, 0 beyond two qubits."""
+    n, h = n_qubits, n_qubits // 2
+    high, low = ([()] + [(q,) for q in part] + list(itertools.combinations(part, 2))
+                 for part in (range(h), range(h, n)))
+    position = {(): 0, **{(q,): 1 + q for q in range(n)},
+                **{(t, q): 1 + n + n * t + q for t, q in itertools.combinations(range(n), 2)}}
+    table = np.array([[position.get(u + v, 1 + n + n * n) for v in low] for u in high])
+    table.setflags(write=False)
+    return table
 
 
-def _doubling(table: np.ndarray, width: int, moves=None, paired=None) -> np.ndarray:
-    """:func:`_evaluate` of B of its tables stacked on a last axis: the
-    (width, 2^n, B) values.
+def _quadratic(rows, pair) -> np.ndarray:
+    """B forms ``rows[i]`` = [constant, b_0 coefficient, ...] plus sum_{t<q}
+    pair[i][n t + q] b_t b_q (``pair[i]`` n x n row-major, 0 for t >= q) on
+    every register index, qubit 0 the most significant bit: (B, 2^n) values
+    in the dtype of ``rows[0]``.  By halves H (qubits below n // 2) and L,
+    each half's own terms against its :func:`_monomials` table, their outer
+    sum and the cross terms b_H^T A b_L are one product u_H K u_L^T in
+    doubles, exact for integers while every value is below 2^53; a float
+    form's last bits depend on the BLAS kernel's summation order."""
+    b, n = len(rows), len(rows[0]) - 1
+    forms = np.array([[*row, *a, 0] for row, a in zip(rows, pair)], dtype=float)
+    h = n // 2
+    values = np.empty((b, 2 ** h, 2 ** (n - h)), dtype=np.asarray(rows[0]).dtype)
+    np.matmul(_monomials(h) @ forms.take(_gather(n), axis=1), _monomials(n - h).T,
+              out=values, casting="unsafe")
+    return values.reshape(b, -1)
 
-    Doubling over qubits: the values on 2^q indices become the outer sum with
-    (0, qubit q's coefficient), qubit q the new least significant bit.
-    Trailing rows carry sum_{t<q} pair[t][q] b_t for each qubit q in
-    ``paired`` (default: every qubit) still to come, the next one last.
-    """
-    n = len(table) - 1
-    deltas = table[:n, :, None] * _BIT
-    f = table[n, :, None]
-    for q in range(n):
-        rows = len(f) - (paired is None or q in paired)   # less qubit q's pair row
-        new = f[:rows, :, None] + deltas[q, :rows, None]
-        if q and rows < len(f):   # qubit 0 pairs with no earlier qubit
-            new[0, :, 1] += f[-1]
-        if moves is not None and moves[q] is not None:
-            new[width - 1, :, 1] = moves[q][f[width - 1]]
-        f = new.reshape(rows, -1, new.shape[-1])
-    return f
+
+def _numbered(starts, moves) -> np.ndarray:
+    """Label classes of every register index (qubit 0 the most significant
+    bit), (B, 2^n) from B classes ``starts`` at index 0, ``moves[q]`` mapping
+    a class where b_q = 1 (None: no move): qubit q in turn fills the indices
+    whose last set bit is q from those without it."""
+    index = np.empty((len(starts), 2 ** len(moves)), dtype=np.int64)
+    index[:, 0] = starts
+    for q, move in enumerate(moves):
+        step = 2 ** (len(moves) - q)
+        done = index[:, ::step]   # the indices whose bits from q on are 0
+        index[:, step // 2::step] = done if move is None else move.take(done)
+    return index
 
 
 def torus_gate(n_qubits: int, d: int, batch, anc_init: np.ndarray, convention: str):
@@ -221,18 +231,16 @@ def torus_gate(n_qubits: int, d: int, batch, anc_init: np.ndarray, convention: s
     ancilla state.  The exact pass (:func:`_phase_polynomial` on Python
     integers, u = pi / d, c the convention's phase unit) runs per sequence
     and keeps residues, k and pair coefficients mod 2d, so whatever the
-    labels every exponent :func:`_doubling` makes is below 2d (n + 1)^2.
+    labels every exponent :func:`_quadratic` makes is below 2d (n + 1)^2.
 
     Branches fall into label classes by (X mod d, P mod d), at most
-    min(d^2, 2^n) per sequence, numbered by doubling over qubits like the
-    phase exponent and in one range over the batch.  Each class has one
-    ancilla vector v = D(X, P) anc_init up to phase, so branch r returns
-    exp(i pi k_r / d) <anc_init|v_class>, and the residual is that of the
-    classes weighted by their share of branches; a closed loop is one class,
-    whose residual is exactly 0.
+    min(d^2, 2^n) per sequence, numbered by :func:`_numbered` in one range
+    over the batch.  A class has one ancilla vector v = D(X, P) anc_init up
+    to phase, so branch r returns exp(i pi k_r / d) <anc_init|v_class>; the
+    residual is that of the classes weighted by their share of branches.
     """
     c, m2 = _phase_unit(d, convention), 2 * d
-    tables, labels, moving, wide = [], [], [], []
+    ks, pairs, starts, labels, moving, wide = [], [], [], [], [], []
     for i, steps in enumerate(batch):
         x, p, k, pair = _phase_polynomial(n_qubits, c, steps)
         start = len(labels)
@@ -246,12 +254,9 @@ def torus_gate(n_qubits: int, d: int, batch, anc_init: np.ndarray, convention: s
         labels += classes
         if len(classes) > 1:   # one class holds every branch: residual exactly 0
             wide.append((i, start, len(labels)))
-        # _evaluate's table of the rows [k, class number], reduced as it is filled.
-        table = []
-        for q, coeffs in enumerate(pair):
-            table += (k[q + 1] % m2, 0)
-            table += [v % m2 for v in coeffs[::-1]]
-        tables.append(table + [k[0] % m2, start] + [0] * n_qubits)
+        ks.append([v % m2 for v in k])
+        pairs.append([v % m2 for row in pair for v in row])
+        starts.append(start)
     # One map per qubit over every sequence's classes: the identity where a
     # sequence does not move, or has not yet made the class.
     moves = [None] * n_qubits
@@ -259,26 +264,20 @@ def torus_gate(n_qubits: int, d: int, batch, anc_init: np.ndarray, convention: s
         if moves[q] is None:
             moves[q] = np.arange(len(labels))
         moves[q][start:start + len(targets)] = targets
-    exponent, index = _doubling(
-        np.array(tables, dtype=np.int64).T.reshape(n_qubits + 1, -1, len(tables)), 2, moves)
-    m = np.arange(d)
-    roots = _roots(d)
-    labels = np.array(labels)
+    exponent, index = _quadratic(ks, pairs), _numbered(starts, moves)
+    m, roots, labels = np.arange(d), _roots(d), np.array(labels)
     vectors = (roots.take(2 * labels[:, 1:] * m, mode="wrap")
                * anc_init.take(m - labels[:, :1], mode="wrap"))
     # A stack of (1, d) @ (d,) products: each class's overlap is summed in
     # the same order however many classes the batch holds.
     returned = np.matmul(vectors[:, None], anc_init.conj())
-    residuals = [0.0] * len(tables)
-    for i, start, end in wide:
-        residuals[i] = grouped_residual(np.bincount(index[:, i] - start) / 2 ** n_qubits,
-                                        vectors[start:end], _vdots)
-    return roots.take(exponent.T, mode="wrap"), returned.take(index.T), residuals
-
-
-def _vdots(v1, v2):
-    """<v1|v2> along the last axis, elementwise."""
-    return np.sum(np.conj(v1) * v2, axis=-1)
+    residuals = [0.0] * len(starts)
+    for i, start, end in wide:   # overlaps <v1|v2> along the last axis
+        residuals[i] = grouped_residual(np.bincount(index[i] - start) / 2 ** n_qubits,
+                                        vectors[start:end],
+                                        lambda v1, v2: np.sum(np.conj(v1) * v2, axis=-1))
+    # Reduced first: a take in "wrap" mode steps a large index down by 2d at a time.
+    return roots.take(np.remainder(exponent, m2, out=exponent)), returned.take(index), residuals
 
 
 def flat_step(z, dz):
@@ -299,7 +298,7 @@ def flat_labels(n_qubits: int, steps, z0: complex):
     constant is minus half its bit coefficients, likewise P: a walk whose bit
     coefficients are all exactly zero returns every branch to z0 exactly.
 
-    A branch's value of a row is a signed sum of the row's coefficients, so
+    A branch's value of a form is a signed sum of the form's coefficients, so
     the sums of their magnitudes bound every number the evaluation makes; a
     walk whose bounds leave double precision raises ValueError before any
     branch is evaluated.
@@ -318,7 +317,8 @@ def flat_labels(n_qubits: int, steps, z0: complex):
     if not math.isfinite(bound_k + bound_x * bound_p + bound_z0):
         raise ValueError("branch phase or overlap is not finite: the sequence "
                          "overflows double precision")
-    k, x, p = _evaluate([k, x, p], pair, dtype=np.float64)
+    pair = [v for row in pair for v in row]
+    k, x, p = _quadratic([k, x, p], [pair, [0] * len(pair), [0] * len(pair)])
     z = x + 1j * p
     z += z0
     return z, (k + x * p) / 2
@@ -331,8 +331,8 @@ def flat_overlap(z1, z2):
     return np.exp(-np.abs(z2 - z1) ** 2 / 4.0 + 0.5j * (z1.real * z2.imag - z1.imag * z2.real))
 
 
-def sphere_step(z: np.ndarray, leg: np.ndarray, n_spins: int):
-    """Displace stereographic labels ``z`` by ``leg`` (per branch).
+def sphere_step(z: np.ndarray, leg: np.ndarray, n_spins: int, counts=1):
+    """Displace stereographic labels ``z`` (each of ``counts`` branches) by ``leg``.
 
     Returns (z_new, angle) with D(leg)|z> = e^{i angle} |z_new>,
     z_new = (z + leg) / (1 - z conj(leg)) and angle = N arg(1 - z conj(leg)).
@@ -346,7 +346,7 @@ def sphere_step(z: np.ndarray, leg: np.ndarray, n_spins: int):
     singular = np.abs(den) < SINGULAR_TOL * np.abs(num)
     if singular.any():
         raise SingularCompositionError(
-            f"{int(np.sum(singular))} branch(es) driven to the south pole: "
+            f"{int(np.sum(singular * counts))} branch(es) driven to the south pole: "
             f"|1 - z*conj(step)| = {float(np.min(np.abs(den))):.3e}")
     return num / den, n_spins * np.arctan2(den.imag, den.real)
 

@@ -22,10 +22,10 @@ def fan(xs, ps, scale: float, signed: bool) -> np.ndarray:
     of register index r (the apply-on-one polarity: prod C^k_j R(scale x_k p_j))
     or, with ``signed``, its sign (-1)^bit (the symmetric polarity and the
     bus: prod exp(i scale x_k p_j Z_k Z_j)).  Each sum runs over its own side's
-    indices alone; their outer product, raveled (controls high), is the diagonal.
-    """
-    sides = [register_bits(len(v)) for v in (xs, ps)]
-    sides = [1.0 - 2.0 * bits if signed else bits for bits in sides]
+    indices alone, over an uncached bit table; their outer product, raveled
+    (controls high), is the diagonal."""
+    sides = [1.0 - 2.0 * bits if signed else bits
+             for bits in (register_bits.__wrapped__(len(v)) for v in (xs, ps))]
     x_sum, p_sum = (bits @ np.asarray(v, dtype=float) for bits, v in zip(sides, (xs, ps)))
     return np.exp(1j * scale * x_sum[:, None] * p_sum).ravel()
 

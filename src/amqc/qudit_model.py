@@ -35,8 +35,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .branches import (_check_qubit, _evaluate, _phase_polynomial, _register_vector,
-                       fan_steps, register_bits, torus_gate)
+from .branches import (_check_qubit, _numbered, _phase_polynomial, _quadratic,
+                       _register_vector, fan_steps, register_bits, torus_gate)
 from .linalg import is_unitary, kron, largest_schmidt_weight
 from .qudit import (HALF_ROOT, _check_dimension, _check_label, _integer, _phase_unit, _roots,
                     displacement, rotation)
@@ -214,16 +214,13 @@ def _class_gate(seq: InteractionSequence, steps: list, anc_init: np.ndarray,
     are fixed, up to the phase exp(i pi sum_s k_s(o, 0)/d), by its key: every
     segment's (X_s, P_s) mod d and k_s(o, c) - k_s(o, 0) mod 2d per c, and
     each rotation's control bit.  The key is affine in o's bits: each other
-    qubit adds its key step, so blocks are numbered into classes by doubling
-    over them as in :func:`amqc.branches.torus_gate`, and one (classes, 2^k,
-    2^k, d) tensor runs the elements.  Classes are numbered in the order the
-    doubling meets their keys, and each distinct key step maps each key
-    once, for every other qubit with that step (a Toffoli's n controls share
-    one).  The evaluation (:func:`amqc.branches._evaluate`) carries the
-    phase exponent, the class numbers, and a pair-sum row only for an other
-    qubit that some pair term reaches (none for a Toffoli or a mod-d gate);
-    the register rows of block o come from transposing the register's bit
-    axes.
+    qubit adds its key step, so blocks are numbered into classes by the
+    qubits' class moves (:func:`amqc.branches._numbered`) in the order they
+    meet their keys, each distinct key step mapping each key once for every
+    qubit with that step (a Toffoli's n controls share one), and one
+    (classes, 2^k, 2^k, d) tensor runs the elements.  sum_s k_s(o, 0) is one
+    :func:`amqc.branches._quadratic` form; block o's register rows come from
+    transposing the register's bit axes.
 
     Returns (rows, index, exponent, returned, fidelity, residual): block o
     holds register rows rows[o, c], is class index[o] and has phase exponent
@@ -246,8 +243,7 @@ def _class_gate(seq: InteractionSequence, steps: list, anc_init: np.ndarray,
         return columns.setdefault((coeffs, modulus), len(columns)) if any(coeffs) else -1
 
     # sum_s k_s(o, 0): its constant and linear coefficients, and its pair terms.
-    glob = [0] * (len(others) + 1)
-    glob_pair = [[0] * n for _ in range(n)]
+    glob, glob_pair = [0] * (n + 1), [[0] * n for _ in range(n)]
     ops, segment, consts, cols = [], [], [], []
     for element, step in zip(seq.elements + [None], steps + [None]):
         if step is not None:
@@ -274,9 +270,7 @@ def _class_gate(seq: InteractionSequence, steps: list, anc_init: np.ndarray,
                         rel = [a + b for a, b in zip(rel, pairs[t])]
                 consts[-1].append([cx % d, cp % d, ck % (2 * d)])
                 cols[-1].append(xp + [column([rel[q] for q in others], 2 * d) if pairs else -1])
-            glob[0] += k[0]
-            for i, q in enumerate(others):
-                glob[i + 1] += k[q + 1]
+            glob = [a + b for a, b in zip(glob, k)]
             for t in paired:
                 glob_pair[t] = [a + b for a, b in zip(glob_pair[t], pair[t])]
         if isinstance(element, ControlledAncillaRotation):
@@ -289,7 +283,7 @@ def _class_gate(seq: InteractionSequence, steps: list, anc_init: np.ndarray,
         elif element is not None:
             ops.append(element)
 
-    # Class j is key order[j], numbered as the doubling meets it.  A key
+    # Class j is key order[j], numbered as the qubits, in turn, meet it.  A key
     # step (an other qubit's coefficients) moves each key once, the first
     # time a qubit with that step meets it; every such qubit shares the map,
     # whose later entries it never reads.
@@ -306,10 +300,9 @@ def _class_gate(seq: InteractionSequence, steps: list, anc_init: np.ndarray,
                 if move[-1] == len(order):
                     order.append(key)
     moves = {w: np.array(move) for w, move in moves.items()}
-    exponent, index = _evaluate(
-        [[g % (2 * d) for g in glob], [0] * (len(others) + 1)],
-        [[glob_pair[t][q] % (2 * d) for q in others] for t in others],
-        [moves.get(w) for w in key_steps] or None)
+    exponent = _quadratic([[glob[q + 1] % (2 * d) for q in [-1] + others]],
+                          [[glob_pair[t][q] % (2 * d) for t in others for q in others]])[0]
+    index = _numbered([0], [moves.get(w) for w in key_steps] or [None] * len(others))[0]
     # Register index r has qubit q's bit on axis q of (2,) * n; the others'
     # axes first make o the row and c the column.
     rows = np.arange(2 ** n, dtype=np.int64).reshape((2,) * n).transpose(

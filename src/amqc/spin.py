@@ -30,6 +30,7 @@ is load-bearing and pinned by the test suite.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -198,24 +199,23 @@ def _check_spins(n_spins) -> None:
         raise ValueError("need at least one spin")
 
 
-def _sphere_walk(legs, n_spins: int):
-    """Walk every branch of the broadcast shape of ``legs`` (arrays, one per step)
-    from the origin; returns their final labels and unwrapped phase angles."""
+def _sphere_walk(legs, n_spins: int, counts=1):
+    """Walk every branch (or class of ``counts``) of the broadcast shape of ``legs``
+    (arrays, one per step) from the origin; their final labels and unwrapped angles."""
     zeta = np.zeros(np.broadcast_shapes(*map(np.shape, legs)), dtype=complex)
     angle = np.zeros(zeta.shape)
     for leg in legs:
-        zeta, step_angle = branches.sphere_step(zeta, leg, n_spins)
+        zeta, step_angle = branches.sphere_step(zeta, leg, n_spins, counts)
         angle += step_angle
     return zeta, angle
 
 
-def _sphere_report(zeta, angle, n_spins: int, interaction_count: int):
-    """GateReport of equal-weight branches ending on labels ``zeta`` with
-    phases ``angle``, and every branch's vacuum-return infidelity."""
+def _sphere_report(zeta, angle, weights, n_spins: int, interaction_count: int):
+    """GateReport of branches (or classes with these ``weights``) ending on
+    labels ``zeta`` with phases ``angle``, and each one's return infidelity."""
     infid = vacuum_return_infidelity(zeta, n_spins)
     residual = branches.grouped_residual(
-        np.full(len(zeta), 1.0 / len(zeta)), zeta,
-        lambda z1, z2: branches.sphere_overlap(z1, z2, n_spins))
+        weights, zeta, lambda z1, z2: branches.sphere_overlap(z1, z2, n_spins))
     # <0|zeta> = (1 + |zeta|^2)^(-N/2) = sqrt(1 - infidelity), real and positive.
     return diagonal_report(np.exp(1j * angle), np.sqrt(1.0 - infid), residual,
                            interaction_count), infid
@@ -245,7 +245,7 @@ def spin_two_qubit_gate(eta: float, n_spins: int) -> GateReport:
     signs = 1.0 - 2.0 * branches.register_bits(2)
     legs = (signs[:, 0] * sol.eta, signs[:, 1] * (1j * sol.tau),
             signs[:, 0] * -sol.tau, signs[:, 1] * (-1j * sol.eta))
-    report = _sphere_report(*_sphere_walk(legs, n_spins), n_spins, 4)[0]
+    report = _sphere_report(*_sphere_walk(legs, n_spins), np.full(4, 0.25), n_spins, 4)[0]
     if n_spins * abs(sol.phi_t) * 2.0 ** -52 > DISENTANGLE_TOL:
         report.gate = None    # phases that have lost their digits
     return report
@@ -396,8 +396,9 @@ def fan_sequence_simulate(xs, ps, n_spins: int) -> SpinFanReport:
     summed into one leg before the walk: branch r runs the four-leg
     rectangle X(r)/sqrt(2N), i P(r)/sqrt(2N), -X(r)/sqrt(2N), -i P(r)/sqrt(2N)
     on the sphere, where X(r), P(r) are the sign-weighted coefficient sums of
-    that branch, each summed once per side and walked on the (2^n, 2^m) grid
-    they broadcast to, raveled with the controls as the high bits.  This is
+    that branch, summed once per side.  Branches with equal sums share a
+    label class, walked once on the grid of the sides' distinct sums and
+    weighed by its share of branches, then gathered (controls high).  This is
     not the walk of the 2(n+m) per-qubit legs: legs along one axis of the
     sphere add their angles, not their labels, so the per-qubit walk's phases
     differ at the order of the intrinsic error.  The flat-space target phase
@@ -415,13 +416,19 @@ def fan_sequence_simulate(xs, ps, n_spins: int) -> SpinFanReport:
         raise ValueError("fan coefficients must be finite")
     scale = 0.5 / math.sqrt(0.5 * n_spins)   # 1/sqrt(2N), where 2N may overflow
 
-    x_net, p_net = (sum(s * v for s, v in zip(1.0 - 2.0 * branches.register_bits(len(vs)).T, vs))
-                    for vs in (xs, ps))
-    x_net = x_net[:, None]   # a column of control indices against a row of target ones
-    zeta, angle = (a.ravel() for a in _sphere_walk(
-        (scale * x_net, 1j * scale * p_net, -scale * x_net, -1j * scale * p_net), n_spins))
-    report, infid = _sphere_report(zeta, angle, n_spins, len(steps))
-    err = np.abs((angle - (x_net * p_net).ravel() + math.pi) % (2.0 * math.pi) - math.pi)
+    # Each side's sums s_0 v_0 + s_1 v_1 + ..., qubit 0 the high bit, s = +-1.
+    (x_net, x_at), (p_net, p_at) = (np.unique(functools.reduce(
+        lambda sums, v: (sums[:, None] + [v, -v]).ravel(), vs, np.zeros(1)), return_inverse=True)
+        for vs in (xs, ps))
+    x_net, counts = x_net[:, None], np.bincount(x_at)[:, None] * np.bincount(p_at)   # controls down
+    zeta, angle = _sphere_walk(
+        (scale * x_net, 1j * scale * p_net, -scale * x_net, -1j * scale * p_net), n_spins, counts)
+    report, infid = _sphere_report(zeta.ravel(), angle.ravel(), counts.ravel() / counts.sum(),
+                                   n_spins, len(steps))
+    err = np.abs((angle - x_net * p_net + math.pi) % (2.0 * math.pi) - math.pi)
+    branch = (x_at[:, None] * p_net.size + p_at).ravel()   # each branch's class
+    report.gate = None if report.gate is None else report.gate.take(branch)
+    zeta, angle = zeta.take(branch), angle.take(branch)
     return SpinFanReport(**vars(report), branch_labels=zeta, branch_phases=angle,
                          worst_phase_error=float(err.max()),
                          worst_branch_infidelity=float(infid.max()),

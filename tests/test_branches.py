@@ -12,8 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amqc.branches import (
-    _evaluate,
+    _numbered,
     _phase_polynomial,
+    _quadratic,
     fan_steps,
     flat_labels,
     register_bits,
@@ -440,7 +441,8 @@ def test_phase_polynomial_matches_per_step_loop(case):
     # The branches' labels agree mod d and their phase exponents mod 2d.
     n, d, steps, convention = case
     x, p, k, pair = _phase_polynomial(n, _phase_unit(d, convention), steps)
-    k_net, x_net, p_net = new = _evaluate([k, x, p], pair)
+    pair = [c for row in pair for c in row]   # row-major
+    k_net, x_net, p_net = new = _quadratic([k, x, p], [pair, [0] * n * n, [0] * n * n])
     assert new.dtype == np.int64
     for new_row, old_row, modulus in zip((x_net, p_net, k_net),
                                          loop_labels(n, d, steps, convention), (d, d, 2 * d)):
@@ -448,30 +450,52 @@ def test_phase_polynomial_matches_per_step_loop(case):
 
 
 @PROPERTY
-@given(st.integers(1, 10), st.integers(1, 4), seeds)
-def test_evaluate_with_moves_matches_every_register_index(n, width, seed):
-    # Affine rows, pair terms on a random subset of the qubits (the others'
-    # pair columns all zero) and a class row moved by maps, against a loop
-    # over every register index's bits.
+@given(st.integers(0, 10), st.integers(1, 3), seeds)
+@example(0, 2, 0)
+@example(1, 3, 1)   # a batch of one-qubit forms
+def test_quadratic_matches_every_register_index(n, batch, seed):
+    # Unreduced integer forms with pair terms on a random subset of the
+    # qubits (the others' pair columns all zero), against a loop over every
+    # register index's bits: exact as integers, within rounding as doubles.
+    rng = np.random.default_rng(seed)
+    rows = [rng.integers(-40, 40, n + 1).tolist() for _ in range(batch)]
+    paired = rng.random(n) < 0.5
+    pair = [[[int(rng.integers(-9, 9)) if t < q and paired[q] else 0 for q in range(n)]
+             for t in range(n)] for _ in range(batch)]
+    flat = [[c for row in a for c in row] for a in pair]   # row-major
+    values = _quadratic(rows, flat)
+    thirds = _quadratic([[v / 3 for v in row] for row in rows],
+                        [[c / 3 for c in a] for a in flat])
+    assert values.dtype == np.int64 and values.shape == (batch, 2 ** n)
+    assert thirds.dtype == np.float64 and thirds.shape == values.shape
+    for r, bits in enumerate(register_bits(n).tolist()):
+        for row, a, got, got_third in zip(rows, pair, values[:, r], thirds[:, r]):
+            expected = row[0] + sum(c * b for c, b in zip(row[1:], bits))
+            expected += sum(a[t][q] * bits[t] * bits[q] for q in range(n) for t in range(q))
+            assert got == expected
+            assert abs(got_third - expected / 3) <= 1e-12
+
+
+@PROPERTY
+@given(st.integers(0, 10), st.integers(1, 3), seeds)
+@example(0, 2, 0)
+@example(1, 3, 1)
+def test_numbered_matches_moves_bit_by_bit(n, batch, seed):
+    # Each batch entry starts in its own class; the maps are applied to it
+    # for every set bit in qubit order (None: the class stays).
     rng = np.random.default_rng(seed)
     classes = int(rng.integers(1, 12))
-    rows = [list(map(int, rng.integers(-40, 40, n + 1))) for _ in range(width)]
-    rows.append([int(rng.integers(classes))] + [0] * n)
-    paired = rng.random(n) < 0.5
-    pair = [[int(rng.integers(-9, 9)) if t < q and paired[q] else 0 for q in range(n)]
-            for t in range(n)]
+    starts = rng.integers(classes, size=batch).tolist()
     moves = [None if rng.random() < 0.3 else rng.integers(0, classes, classes)
              for _ in range(n)]
-    values = _evaluate(rows, pair, moves)
-    assert values.dtype == np.int64 and values.shape == (width + 1, 2 ** n)
+    index = _numbered(starts, moves)
+    assert index.dtype == np.int64 and index.shape == (batch, 2 ** n)
     for r, bits in enumerate(register_bits(n).tolist()):
-        expected = [row[0] + sum(c * b for c, b in zip(row[1:], bits)) for row in rows[:-1]]
-        expected[0] += sum(pair[t][q] * bits[t] * bits[q] for q in range(n) for t in range(q))
-        cls = rows[-1][0]
-        for move, bit in zip(moves, bits):
-            if bit and move is not None:
-                cls = int(move[cls])
-        assert values[:, r].tolist() == expected + [cls]
+        for cls, got in zip(starts, index[:, r].tolist()):
+            for move, bit in zip(moves, bits):
+                if bit and move is not None:
+                    cls = int(move[cls])
+            assert got == cls
 
 
 @PROPERTY

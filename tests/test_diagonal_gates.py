@@ -30,6 +30,8 @@ from amqc.qudit_model import (
     APPLY_ON_ONE,
     SYMMETRIC,
     AncillaProjectedGate,
+    HybridState,
+    Interaction,
     InteractionSequence,
     _check_element,
     _class_gate,
@@ -39,6 +41,7 @@ from amqc.qudit_model import (
     fan_bipartite,
     generalized_toffoli,
     mod_d_phase_gate,
+    run_sequence,
     single_pair_arbitrary_rotation,
     two_qubit_sequence,
 )
@@ -301,6 +304,26 @@ def test_projected_only_sequences_keep_the_gathered_blocks(n, data):
     assert report.register_unitary.tobytes() == _class_gathered(seq).tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sequences_that_mix_every_qubit_keep_the_gathered_blocks(n):
+    # A gate on every qubit at the start level, then a Toffoli of the last
+    # qubit on the others: one block of all 2^n rows, and one class
+    # numbered over no other qubit.
+    rng = np.random.default_rng(n)
+    counts = [Interaction(k, 1, 0) for k in range(n - 1)]
+    seq = InteractionSequence(n, 5, [
+        AncillaProjectedGate(t, 0, random_unitary(2, rng)) for t in range(n)
+    ] + counts + [AncillaProjectedGate(n - 1, n - 1, random_unitary(2, rng))] + [
+        Interaction(e.qubit, -e.x, -e.p) for e in counts])
+    report = extract_register_gate(seq)
+    assert report.gate.shape == (1, 2 ** n, 2 ** n)
+    dense = report.register_unitary
+    assert dense.tobytes() == _class_gathered(seq).tobytes()
+    for r in range(2 ** n):
+        out = run_sequence(seq, HybridState.basis(n, r, _ground(5))).as_matrix()
+        np.testing.assert_allclose(out[:, 0], dense[:, r], rtol=0, atol=1e-12)
+
+
 @PROPERTY
 @given(st.integers(1, 2), st.integers(1, 7), st.sampled_from([None, 0.0, 0.5, 2.0]),
        st.data())
@@ -387,7 +410,8 @@ def _table_spin_fan(xs, ps, n_spins):
     p_net = sum(s * p for s, p in zip(signs[:, n:].T, ps))
     zeta, angle = spin._sphere_walk((scale * x_net, 1j * scale * p_net,
                                      -scale * x_net, -1j * scale * p_net), n_spins)
-    report, infid = spin._sphere_report(zeta, angle, n_spins, 2 * (n + m))
+    report, infid = spin._sphere_report(zeta, angle, np.full(len(zeta), 1.0 / len(zeta)),
+                                        n_spins, 2 * (n + m))
     err = np.abs((angle - x_net * p_net + math.pi) % (2.0 * math.pi) - math.pi)
     return dict(vars(report), branch_labels=zeta, branch_phases=angle,
                 worst_phase_error=float(err.max()), worst_branch_infidelity=float(infid.max()),
@@ -419,11 +443,16 @@ def test_mod_d_oracle_is_the_full_table_oracle(n, d, theta):
 @PROPERTY
 @given(side, side, st.integers(1, 10 ** 6))
 def test_spin_fan_is_the_full_table_walk(xs, ps, n_spins):
+    # Every field bit for bit but the residual, which the fan takes over its
+    # label classes and the table over every branch.
     fields = vars(spin.fan_sequence_simulate(xs, ps, n_spins))
     expected = _table_spin_fan(xs, ps, n_spins)
     assert fields.keys() == expected.keys()
     for name, value in fields.items():
-        assert _same_bytes(value, expected[name]), name
+        if name == "residual_entanglement":
+            assert abs(value - expected[name]) <= 1e-13
+        else:
+            assert _same_bytes(value, expected[name]), name
 
 
 def test_twenty_qubit_fan_oracle_keeps_no_table():
@@ -436,6 +465,23 @@ def test_twenty_qubit_fan_oracle_keeps_no_table():
     finally:
         tracemalloc.stop()
     assert held < 2 ** 20
+
+
+@pytest.mark.parametrize("build", [
+    lambda: [fan([1] * 16, [1], 1.0, signed=False)],
+    lambda: [getattr(spin.fan_sequence_simulate([1.0] * 16, [1.0], 1000), name)
+             for name in ("gate", "branch_labels", "branch_phases")]])
+def test_lopsided_fans_keep_no_bit_table(build):
+    # register_bits(16) is (2^16, 16) int64, 8 MiB, and would stay cached.
+    register_bits.cache_clear()
+    tracemalloc.start()
+    try:
+        kept = build()
+        held = tracemalloc.get_traced_memory()[0] - sum(a.nbytes for a in kept if a is not None)
+    finally:
+        tracemalloc.stop()
+    assert register_bits.cache_info().currsize == 0
+    assert held < 2 ** 16
 
 
 def test_nineteen_control_mod_d_oracle_keeps_no_table():
